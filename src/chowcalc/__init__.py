@@ -10,10 +10,10 @@ Groebner bases, with a scriptable CLI on top.
 from .correspondences import (Correspondence, ProductChart, compose,
                               correspondence_degree, graph,
                               identity_correspondence)
-from .errors import (DecompositionError, DegreeOverflowError, EngineError,
-                     GlueError, HypothesisError, InexactDivisionError,
-                     NotPrimeError, ParseError, ResolutionError,
-                     RingMismatchError)
+from .errors import (ConsistencyError, DecompositionError,
+                     DegreeOverflowError, EngineError, GlueError,
+                     HypothesisError, InexactDivisionError, NotPrimeError,
+                     ParseError, ResolutionError, RingMismatchError)
 from .fields import GF, QQ, field_from_name
 from .geometry import (CartierDivisor, Chart, ChartedSpace, Cycle,
                        cycle_of_subscheme, point_cycle, principal_atlas,
@@ -37,9 +37,9 @@ from .script import run_script
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartierDivisor", "Chart", "ChartMap", "ChartedSpace", "Correspondence",
-    "Cycle", "DecompositionError", "DegreeOverflowError", "EngineError",
-    "FPModule", "GF", "GlueError", "HypothesisError", "Ideal",
+    "CartierDivisor", "Chart", "ChartMap", "ChartedSpace", "ConsistencyError",
+    "Correspondence", "Cycle", "DecompositionError", "DegreeOverflowError",
+    "EngineError", "FPModule", "GF", "GlueError", "HypothesisError", "Ideal",
     "InexactDivisionError", "IntersectionReport", "NotPrimeError",
     "ParseError", "PolynomialRing", "PrimeIdeal", "ProductChart", "QQ",
     "ResolutionError", "RingMismatchError", "assert_decomposition",

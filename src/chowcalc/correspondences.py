@@ -14,7 +14,7 @@ from .groebner import Ideal
 from .intersection import intersection_product
 from .morphisms import ChartMap, flat_pullback, proper_pushforward, zariski_image
 from .polyring import PolynomialRing, transport
-from .primes import PrimeIdeal
+from .primes import PrimeIdeal, prime_cache_scope
 
 
 def _fresh(names, taken):
@@ -157,6 +157,7 @@ def identity_correspondence(chart):
     return graph(identity_map(chart))
 
 
+@prime_cache_scope()
 def compose(first, second):
     """first: X => Y followed by second: Y => Z, giving X => Z.
 
@@ -198,6 +199,7 @@ def compose(first, second):
     return Correspondence(out, proper_pushforward(proj_xz, meet))
 
 
+@prime_cache_scope()
 def correspondence_degree(c):
     """Total degree over the source: the multiplicity of the generic point
     of the (integral) source under the left projection."""

@@ -53,3 +53,8 @@ class HypothesisError(EngineError):
 
 class GlueError(EngineError):
     pass
+
+
+class ConsistencyError(EngineError):
+    """An internal consistency check failed: the engine raises rather than
+    return a result it cannot vouch for."""

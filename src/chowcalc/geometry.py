@@ -8,12 +8,12 @@ checked to be mutually inverse ring isomorphisms, and cycles on a glued
 space can be audited for consistency on the overlaps.
 """
 
-from .errors import EngineError, GlueError, HypothesisError
+from .errors import ConsistencyError, EngineError, GlueError, HypothesisError
 from .groebner import Ideal, divide_exact, krull_dim, quotient
 from .homology import FPModule, annihilator
 from .polyring import PolynomialRing, transport
 from .primes import (PrimeIdeal, length_at_prime, minimal_primes,
-                     vector_space_dimension)
+                     prime_cache_scope, vector_space_dimension)
 
 
 class Chart:
@@ -129,7 +129,8 @@ def codim(prime, chart):
         if prime.ideal.contains_ideal(comp.ideal):
             c = comp.dim() - prime.dim()
             best = c if best is None else max(best, c)
-    assert best is not None
+    if best is None:
+        raise ConsistencyError(f"no component of chart {chart.name} contains {prime}")
     return best
 
 
@@ -251,6 +252,7 @@ def cycle_of_module(M, chart, grade):
     return _cycle_from_support(M, ann, chart, grade)
 
 
+@prime_cache_scope()
 def cycle_of_subscheme(I, chart, grade=None):
     """Fundamental cycle of V(I) on the chart."""
     if not isinstance(I, Ideal):

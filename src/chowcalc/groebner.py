@@ -1,8 +1,9 @@
 """Buchberger engine and ideal arithmetic.
 
 One engine serves ideals and submodules of free modules: a module monomial is
-a (position, exponents) pair and an ideal is the rank-one case.  Pair
-selection is by lowest lcm degree; the coprimality and chain criteria are
+a (position, exponents) pair and an ideal is the rank-one case.  Pairs come
+off a heap ordered by lcm degree, then lcm under the order, then index; each
+pair is keyed once, when it is pushed.  The coprimality and chain criteria are
 applied only on the rank-one path (the coprimality criterion is unsound for
 module monomials, and in syzygy extraction skipped pairs would lose
 generators).
@@ -13,6 +14,7 @@ here is deterministic.
 """
 
 import contextvars
+import heapq
 from contextlib import contextmanager
 
 from .errors import (DegreeOverflowError, EngineError, InexactDivisionError,
@@ -177,17 +179,23 @@ def buchberger(vecs, key, field, use_criteria):
             return None
         return mono_lcm(ei, ej)
 
-    pending = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            l = lcm_of(i, j)
-            if l is not None:
-                pending[(i, j)] = l
+    # pending mirrors the heap for the chain criterion's membership test
+    pending = set()
+    heap = []
 
-    while pending:
-        (i, j), l = min(pending.items(),
-                        key=lambda kv: (mono_degree(kv[1]), key((basis[kv[0][0]][0][0][0], kv[1])), kv[0]))
-        del pending[(i, j)]
+    def push(i, j):
+        l = lcm_of(i, j)
+        if l is not None:
+            pending.add((i, j))
+            heapq.heappush(heap, (mono_degree(l), key((basis[i][0][0][0], l)), (i, j), l))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+
+    while heap:
+        _, _, (i, j), l = heapq.heappop(heap)
+        pending.remove((i, j))
         (pos, ei), _ = basis[i][0]
         (_, ej), _ = basis[j][0]
         if use_criteria:
@@ -215,9 +223,7 @@ def buchberger(vecs, key, field, use_criteria):
         basis.append(r)
         prepared.append((r[0][0], r[0][1], r))
         for s in range(t):
-            l2 = lcm_of(s, t)
-            if l2 is not None:
-                pending[(s, t)] = l2
+            push(s, t)
 
     return _reduce_basis(basis, key, field)
 

@@ -9,7 +9,8 @@ syzygies.  Resolutions iterate that; Tor is the homology of a resolution
 tensored with the second module.
 """
 
-from .errors import EngineError, ResolutionError, RingMismatchError
+from .errors import (ConsistencyError, EngineError, ResolutionError,
+                     RingMismatchError)
 from .groebner import (Ideal, buchberger, module_order, split_module_order,
                        vec_from_polys, vec_reduce, vec_to_polys, _prepare)
 from .polyring import elimination_order
@@ -178,7 +179,8 @@ def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=No
         elem = FreeModuleElement(ring, coords)
         if banned:
             # the order argument guarantees this; keep it as a hard check
-            assert not any(set(c.support()) & set(banned) for c in coords)
+            if any(set(c.support()) & set(banned) for c in coords):
+                raise ConsistencyError("coefficient-module element meets an eliminated variable")
         out.append(elem)
     return out
 

@@ -14,7 +14,7 @@ from .errors import EngineError, HypothesisError
 from .geometry import Cycle, codim
 from .groebner import Ideal
 from .homology import FPModule, tor_modules
-from .primes import length_at_prime, minimal_primes
+from .primes import length_at_prime, minimal_primes, prime_cache_scope
 
 
 def _as_ideal(chart, data):
@@ -41,6 +41,7 @@ def intersects_properly(a, b):
     return True
 
 
+@prime_cache_scope()
 def tor_length_table(chart, I, K, up_to=None):
     """[(component, [length of Tor_0 at it, Tor_1, ...])] for the two
     structure modules A/I and A/K on the chart."""
@@ -130,6 +131,7 @@ def _cycle_dict(cycle):
     return [{"prime": list(p.key), "mult": m} for p, m in cycle.components()]
 
 
+@prime_cache_scope()
 def intersection_product(a, b, report=False):
     """The product cycle in codimension grade(a) + grade(b); bilinear over
     components, multiplicities from the torsion formula.  Raises on excess

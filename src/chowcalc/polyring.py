@@ -594,11 +594,7 @@ class _Parser:
         return total
 
     def term(self):
-        ring = self.ring
-        if self.peek()[0] == "int":
-            p = ring.const(self.coeff())
-        else:
-            p = self.factor()
+        p = self.factor()
         while self.peek()[0] == "*":
             self.take()
             p = p * self.factor()
@@ -617,23 +613,27 @@ class _Parser:
         return self.ring.field.coerce(num)
 
     def factor(self):
+        """A number, or a variable or parenthesized polynomial with an
+        optional ^exponent."""
         tok = self.peek()
+        if tok[0] == "int":
+            return self.ring.const(self.coeff())
         if tok[0] == "(":
             self.take()
             p = self.poly()
             self.take(")")
-            return p
-        if tok[0] == "name":
+        elif tok[0] == "name":
             self.take()
             if tok[1] not in self.ring._index:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
             p = self.ring.var(tok[1])
-            if self.peek()[0] == "^":
-                self.take()
-                etok = self.take("int")
-                p = p ** int(etok[1])
-            return p
-        raise ParseError(f"expected a variable, '(' or a number, found {tok[1]!r}", tok[2])
+        else:
+            raise ParseError(f"expected a variable, '(' or a number, found {tok[1]!r}", tok[2])
+        if self.peek()[0] == "^":
+            self.take()
+            etok = self.take("int")
+            p = p ** int(etok[1])
+        return p
 
 
 def _parse_polynomial(ring, text):

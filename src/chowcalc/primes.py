@@ -21,8 +21,10 @@ minimal primes.  A final radical-membership audit re-checks the covering.
 Shapes outside the fragment raise DecompositionError rather than guess.
 """
 
+import contextvars
 import itertools
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
@@ -239,7 +241,8 @@ def minimal_polynomial(I, lam):
     gens.append(big.var(big.nvars - 1) - transport(lam, big))
     elim = eliminate(Ideal(big, gens), ring.names)
     basis = elim.groebner_basis()
-    assert len(basis) == 1, "minimal polynomial of a non-zero-dimensional ideal"
+    if len(basis) != 1:
+        raise HypothesisError(f"{I} is not zero-dimensional: no minimal polynomial")
     return basis[0]
 
 
@@ -365,7 +368,8 @@ def _zero_dim_step(J):
     return branch ideals when an eliminant factors."""
     ring = J.ring
     vdim = vector_space_dimension(J)
-    assert vdim is not None and vdim > 0
+    if vdim is None or vdim == 0:
+        raise DecompositionError(f"{J} is not a proper zero-dimensional ideal")
     candidates = [ring.var(i) for i in range(ring.nvars)]
     for c in range(1, _LINEAR_FORM_TRIES):
         lam = ring.zero
@@ -419,12 +423,13 @@ def _localization_step(J, gb):
 def _process(J):
     """One decomposition step: ("prime", [PrimeIdeal..]) or
     ("split", [ideals]) or raise DecompositionError."""
+    gb = J.groebner_basis()
+    if all(g.total_degree() == 1 for g in gb):
+        # linear (or zero): the quotient is a polynomial ring
+        return ("prime", [PrimeIdeal(J)])
     branches = _split_on_factors(J)
     if branches is not None:
         return ("split", branches)
-    gb = J.groebner_basis()
-    if not gb:
-        return ("prime", [PrimeIdeal(J)])
     if len(gb) == 1:
         try:
             if is_irreducible(gb[0]):
@@ -446,17 +451,38 @@ def _process(J):
         f"ideal shape outside the certification fragment: {J}")
 
 
-_MINIMAL_PRIME_CACHE = {}
+# Minimal primes by ideal.  The cache lives for one top-level call: the
+# outermost prime_cache_scope opens it, nested scopes share it, and it is
+# dropped when that call returns, so a long-lived process keeps no answers.
+_prime_cache_var = contextvars.ContextVar("chowcalc_prime_cache", default=None)
 
 
+@contextmanager
+def prime_cache_scope():
+    """Share one minimal-prime cache among all calls inside the block; also
+    usable as a decorator on an engine entry point."""
+    cache = _prime_cache_var.get()
+    if cache is not None:
+        yield cache
+        return
+    cache = {}
+    token = _prime_cache_var.set(cache)
+    try:
+        yield cache
+    finally:
+        _prime_cache_var.reset(token)
+
+
+@prime_cache_scope()
 def minimal_primes(I, verify=True):
     """The minimal primes over I, certified, as a tuple sorted by canonical
     key.  Raises DecompositionError outside the supported fragment."""
-    hit = _MINIMAL_PRIME_CACHE.get(I)
+    cache = _prime_cache_var.get()
+    hit = cache.get(I)
     if hit is not None:
         return hit
     if I.is_unit():
-        _MINIMAL_PRIME_CACHE[I] = ()
+        cache[I] = ()
         return ()
     leaves = []
     seen = {I.key()}
@@ -486,24 +512,26 @@ def minimal_primes(I, verify=True):
     result = tuple(survivors)
     if verify:
         _audit_decomposition(I, result)
-    _MINIMAL_PRIME_CACHE[I] = result
+    cache[I] = result
     return result
 
 
 def _audit_decomposition(I, primes):
     for p in primes:
         for g in I.gens:
-            assert p.ideal.contains(g), f"component {p} misses the ideal"
+            if not p.ideal.contains(g):
+                raise DecompositionError(f"component {p} misses the ideal")
     for p, q in itertools.combinations(primes, 2):
-        assert not p.ideal.contains_ideal(q.ideal), "comparable components"
-        assert not q.ideal.contains_ideal(p.ideal), "comparable components"
+        if p.ideal.contains_ideal(q.ideal) or q.ideal.contains_ideal(p.ideal):
+            raise DecompositionError(f"comparable components {p} and {q}")
     if not primes:
         return
     total = primes[0].ideal
     for p in primes[1:]:
         total = intersect(total, p.ideal)
     for g in total.gens:
-        assert in_radical(g, I), "components do not cover the ideal"
+        if not in_radical(g, I):
+            raise DecompositionError("components do not cover the ideal")
 
 
 def is_prime(I):

@@ -52,6 +52,7 @@ from .intersection import identity_sides, intersection_product
 from .morphisms import ChartMap, flat_pullback, proper_pushforward
 from .morphisms import degree as map_degree
 from .polyring import PolynomialRing
+from .primes import prime_cache_scope
 
 SCHEMA = "chowcalc-report/1"
 
@@ -649,6 +650,7 @@ def serialize_object(kind, obj):
     raise EngineError(f"unserializable kind {kind!r}")
 
 
+@prime_cache_scope()
 def run_script(text, field=None, echo=None, trace=None):
     """Execute a script; returns (report dict, exit code 0|1)."""
     interp = Interpreter(field=field, echo=echo, trace=trace)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from chowcalc.errors import DegreeOverflowError, InexactDivisionError
@@ -256,3 +257,43 @@ def test_random_bases_pass_criterion(data):
     J = Ideal(ring, gens)
     gb = J.groebner_basis()
     assert_good_basis(gens, gb, ring.order)
+
+
+# ---------------------------------------------------------------------------
+# sympy's groebner as an independent implementation
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduced_basis_matches_sympy(data):
+    nvars = data.draw(st.integers(2, 3), label="nvars")
+    order_name = data.draw(st.sampled_from(["grevlex", "lex"]), label="order")
+    p = data.draw(st.sampled_from([0, 7, 101]), label="p")
+    field = QQ if p == 0 else GF(p)
+    names = ("x", "y", "z")[:nvars]
+    ring = PolynomialRing(field, names, grevlex if order_name == "grevlex" else lex)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    poly = st.dictionaries(exps, st.integers(-4, 4).filter(bool), min_size=1, max_size=3)
+    raw = data.draw(st.lists(poly, min_size=1, max_size=3), label="gens")
+    gens = [ring.from_dict({e: field.coerce(c) for e, c in d.items()}) for d in raw]
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+
+    syms = sympy.symbols(names)
+    exprs = [sympy.Add(*[int(c) * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                         for e, c in d.items()]) for d in raw]
+    opts = {"order": order_name}
+    if p:
+        opts["modulus"] = p
+    expected = set()
+    for q in sympy.groebner(exprs, *syms, **opts).exprs:
+        poly_q = sympy.Poly(q, *syms, **({"modulus": p} if p else {"domain": "QQ"}))
+        terms = {}
+        for e, c in poly_q.terms():
+            if p:
+                terms[e] = int(c) % p
+            else:
+                r = sympy.Rational(c)
+                terms[e] = Fraction(int(r.p), int(r.q))
+        expected.add(ring.from_dict(terms).monic())
+    assert set(Ideal(ring, gens).groebner_basis()) == expected

@@ -33,6 +33,21 @@ def test_field_basics():
     assert field_from_name("Fp(7)") == F7
 
 
+def test_prime_field_primality_check():
+    F = field_from_name("Fp:1000000000000037")  # 16-digit prime, instant
+    assert F.p == 1000000000000037 and F.inv(2) * 2 % F.p == 1
+    for carmichael in (561, 41041, 3215031751):  # the last fools bases 2, 3, 5, 7
+        with pytest.raises(EngineError, match="not prime"):
+            GF(carmichael)
+    with pytest.raises(EngineError, match="not prime"):
+        GF(1000000000000037 * 1000000007)
+    assert GF(3317044064679887385961813).p == 3317044064679887385961813
+    with pytest.raises(EngineError, match="cannot certify"):
+        GF(3317044064679887385961981)  # first strong pseudoprime to all 13 bases
+    with pytest.raises(EngineError, match="cannot certify"):
+        GF(2 ** 127 - 1)
+
+
 # ---------------------------------------------------------------------------
 # orders
 
@@ -116,7 +131,27 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         R.parse("x ^ y")
     with pytest.raises(ParseError):
-        R.parse("2*3")
+        R.parse("x*")
+    with pytest.raises(ParseError):
+        R.parse("2^3")  # exponents apply to variables and groups only
+
+
+def test_parse_number_after_star():
+    R = ring_xy()
+    assert R.parse("x*2") == R.parse("2*x")
+    assert R.parse("2*3") == R.const(6)
+    assert R.parse("x*1/2*y") == R.parse("1/2*x*y")
+    assert str(R.parse("y*3 - x*2")) == "-2*x + 3*y"
+
+
+def test_parse_power_of_group():
+    R = ring_xy()
+    p = R.parse("(x - 1)^2")
+    assert p == R.parse("x^2 - 2*x + 1")
+    assert R.parse("2*(x + y)^3*y") == 2 * R.parse("x + y") ** 3 * R.var("y")
+    assert R.parse("(x)^0") == R.one
+    assert str(p) == "x^2 - 2*x + 1"
+    assert R.parse(str(p)) == p
 
 
 def test_print_edge_cases():

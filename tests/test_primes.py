@@ -1,9 +1,16 @@
 """Factorization, minimal primes, certification, local lengths."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from chowcalc import primes as primes_module
 from chowcalc.errors import DecompositionError, HypothesisError, NotPrimeError
 from chowcalc.fields import GF, QQ
+from chowcalc.geometry import Chart, cycle_of_subscheme
 from chowcalc.groebner import Ideal, intersect
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
@@ -182,10 +189,75 @@ def test_assert_decomposition_escape_hatch():
     I = Ideal(R3, ("x^2 + y^2", "z"))
     primes = assert_decomposition(I, [Ideal(R3, ("x^2 + y^2", "z"))])
     assert len(primes) == 1 and not primes[0].certified
-    with pytest.raises(AssertionError):
-        assert_decomposition(I, [Ideal(R3, ("x", "z"))])  # fails the covering audit
+    with pytest.raises(DecompositionError):
+        assert_decomposition(I, [Ideal(R3, ("x", "z"))])  # (x, z) misses x^2 + y^2
     with pytest.raises(NotPrimeError):
         assert_prime(Ideal(R2, ("1",)))
+
+
+def test_decomposition_audit_survives_optimize_flag():
+    # python -O strips assert statements; the audit must still reject
+    code = (
+        "from chowcalc import DecompositionError, Ideal, PolynomialRing, QQ\n"
+        "from chowcalc.primes import assert_decomposition\n"
+        "assert False, 'asserts are live'\n"
+        "R = PolynomialRing(QQ, ('x', 'y', 'z'))\n"
+        "I = Ideal(R, ('x^2 + y^2', 'z'))\n"
+        "try:\n"
+        "    assert_decomposition(I, [Ideal(R, ('x', 'z'))])\n"
+        "except DecompositionError:\n"
+        "    print('rejected')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
+
+
+def _spy_on_process(monkeypatch):
+    """Record (ideal key, cache dict) for every decomposition step."""
+    calls = []
+    original = primes_module._process
+
+    def spy(J):
+        calls.append((J.key(), primes_module._prime_cache_var.get()))
+        return original(J)
+
+    monkeypatch.setattr(primes_module, "_process", spy)
+    return calls
+
+
+def test_prime_cache_does_not_outlive_a_call(monkeypatch):
+    calls = _spy_on_process(monkeypatch)
+    I = Ideal(R3, ("x*y", "x*z"))
+    first = minimal_primes(I)
+    steps = len(calls)
+    assert minimal_primes(I) == first
+    assert len(calls) == 2 * steps  # recomputed: nothing kept between calls
+    cycle_of_subscheme(I, Chart("A3", R3))
+    assert primes_module._prime_cache_var.get() is None
+    for value in vars(primes_module).values():
+        if isinstance(value, dict):
+            assert not any(isinstance(k, Ideal) for k in value)
+
+
+def test_prime_cache_is_shared_inside_one_call(monkeypatch):
+    calls = _spy_on_process(monkeypatch)
+    # the grade, the chart's components and the support all decompose
+    # ideals; (x*y) itself is asked for twice
+    cycle_of_subscheme(Ideal(R2, ("x*y",)), Chart("A2", R2))
+    keys = [k for k, _ in calls]
+    assert len(keys) == len(set(keys)) >= 3
+    assert len({id(cache) for _, cache in calls}) == 1
+    J = Ideal(R2, ("x*y",))
+    with primes_module.prime_cache_scope() as cache:
+        minimal_primes(J)
+        once = len(calls)
+        minimal_primes(J)
+        assert len(calls) == once and J in cache
 
 
 def test_vector_space_dimension_table():
