@@ -49,11 +49,7 @@ def main(argv=None):
     trace = (lambda line: print(f"+ {line}", file=sys.stderr)) \
         if args.verbose else None
     try:
-        if args.max_degree is not None:
-            with degree_limit(args.max_degree):
-                report, code = run_script(text, field=field,
-                                          echo=echo, trace=trace)
-        else:
+        with degree_limit(args.max_degree):
             report, code = run_script(text, field=field,
                                       echo=echo, trace=trace)
     except ScriptParseError as exc:

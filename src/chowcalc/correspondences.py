@@ -13,19 +13,8 @@ from .geometry import Chart, cycle_of_subscheme, transport_cycle
 from .groebner import Ideal
 from .intersection import intersection_product
 from .morphisms import ChartMap, flat_pullback, proper_pushforward, zariski_image
-from .polyring import PolynomialRing, transport
+from .polyring import PolynomialRing, fresh_names, transport
 from .primes import PrimeIdeal, prime_cache_scope
-
-
-def _fresh(names, taken):
-    out = []
-    for nm in names:
-        new = nm
-        while new in taken:
-            new += "_r"
-        out.append(new)
-        taken.add(new)
-    return tuple(out)
 
 
 class ProductChart:
@@ -35,8 +24,8 @@ class ProductChart:
         if left.ring.field != right.ring.field:
             raise EngineError("product of charts over different fields")
         taken = set()
-        lnames = _fresh(left.ring.names, taken)
-        rnames = _fresh(right.ring.names, taken)
+        lnames = fresh_names(left.ring.names, taken, "_r")
+        rnames = fresh_names(right.ring.names, taken, "_r")
         ring = PolynomialRing(left.ring.field, lnames + rnames)
         self.left = left
         self.right = right
@@ -169,9 +158,9 @@ def compose(first, second):
             f"cannot chain {first.target.name} => with => {second.source.name}")
     X, Y, Z = first.source, first.target, second.target
     taken = set()
-    xn = _fresh(X.ring.names, taken)
-    yn = _fresh(Y.ring.names, taken)
-    zn = _fresh(Z.ring.names, taken)
+    xn = fresh_names(X.ring.names, taken, "_r")
+    yn = fresh_names(Y.ring.names, taken, "_r")
+    zn = fresh_names(Z.ring.names, taken, "_r")
     ring = PolynomialRing(X.ring.field, xn + yn + zn)
     x_ren = dict(zip(X.ring.names, xn))
     y_ren = dict(zip(Y.ring.names, yn))

@@ -231,6 +231,11 @@ class Cycle:
         return f"<cycle {self} (codim {self.grade} on {self.chart.name})>"
 
 
+def serialize_cycle(c):
+    """The components of a cycle as [{"prime": basis strings, "mult": n}]."""
+    return [{"prime": list(p.key), "mult": m} for p, m in c.components()]
+
+
 def _cycle_from_support(M, ann, chart, grade):
     if ann.is_unit():
         return Cycle.zero(chart, grade)
@@ -345,10 +350,6 @@ def _principal_cycle(f, chart):
     if f.is_constant():
         return Cycle.zero(chart, 1)
     return cycle_of_subscheme(Ideal(chart.ring, (f,)), chart, grade=1)
-
-
-def weil_of_cartier(D):
-    return D.weil()
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from contextlib import contextmanager
 
 from .errors import (DegreeOverflowError, EngineError, InexactDivisionError,
                      RingMismatchError)
-from .polyring import (PolynomialRing, elimination_order, grevlex, lex,
-                       mono_degree, mono_div, mono_divides, mono_lcm, mono_mul,
-                       transport)
+from .polyring import (PolynomialRing, elimination_order, fresh_names, grevlex,
+                       lex, merge_terms, mono_degree, mono_div, mono_divides,
+                       mono_lcm, mono_mul, transport)
 
 _degree_limit_var = contextvars.ContextVar("chowcalc_degree_limit", default=None)
 
@@ -83,34 +83,6 @@ def vec_to_polys(v, rank, ring):
     return tuple(ring.from_dict(b) for b in buckets)
 
 
-def vec_combine(a, b, key, field, subtract=False):
-    """a + b (or a - b) for canonical sorted term tuples."""
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ma, ca = a[i]
-        mb, cb = b[j]
-        if ma == mb:
-            c = field.sub(ca, cb) if subtract else field.add(ca, cb)
-            if c != field.zero:
-                out.append((ma, c))
-            i += 1
-            j += 1
-        elif key(ma) > key(mb):
-            out.append((ma, ca))
-            i += 1
-        else:
-            out.append((mb, field.neg(cb) if subtract else cb))
-            j += 1
-    out.extend(a[i:])
-    if subtract:
-        out.extend((m, field.neg(c)) for m, c in b[j:])
-    else:
-        out.extend(b[j:])
-    return tuple(out)
-
-
 def vec_mul_term(v, exps, coeff, field):
     return tuple(((pos, mono_mul(e, exps)), field.mul(c, coeff)) for (pos, e), c in v)
 
@@ -147,7 +119,7 @@ def vec_reduce(v, prepared, key, field):
         else:
             lm, lc, terms = hit
             factor = field.div(c, lc)
-            work = vec_combine(work, vec_mul_term(terms, mono_div(e, lm[1]), factor, field),
+            work = merge_terms(work, vec_mul_term(terms, mono_div(e, lm[1]), factor, field),
                                key, field, subtract=True)
     return tuple(out)
 
@@ -162,7 +134,7 @@ def _spair(f, g, key, field):
     l = mono_lcm(ef, eg)
     a = vec_mul_term(f, mono_div(l, ef), field.inv(cf), field)
     b = vec_mul_term(g, mono_div(l, eg), field.inv(cg), field)
-    return vec_combine(a, b, key, field, subtract=True)
+    return merge_terms(a, b, key, field, subtract=True)
 
 
 def buchberger(vecs, key, field, use_criteria):
@@ -340,15 +312,6 @@ class Ideal:
         return f"Ideal{self}"
 
 
-def _fresh_name(ring, base):
-    if base not in ring.names:
-        return base
-    k = 0
-    while f"{base}{k}" in ring.names:
-        k += 1
-    return f"{base}{k}"
-
-
 def _result_order(order):
     # block orders do not survive variable removal; fall back to grevlex
     return order if order in (grevlex, lex) else grevlex
@@ -380,7 +343,7 @@ def intersect(I, J):
     ring = I.ring
     if not I.gens or not J.gens:
         return Ideal(ring, ())
-    tname = _fresh_name(ring, "t")
+    (tname,) = fresh_names(("t",), set(ring.names), "_")
     big = PolynomialRing(ring.field, (tname,) + ring.names, grevlex)
     t = big.var(0)
     gens = [t * transport(g, big) for g in I.gens]
@@ -438,7 +401,7 @@ def in_radical(f, I):
     ring = I.ring
     if isinstance(f, str):
         f = ring.parse(f)
-    tname = _fresh_name(ring, "t")
+    (tname,) = fresh_names(("t",), set(ring.names), "_")
     big = PolynomialRing(ring.field, (tname,) + ring.names, grevlex)
     t = big.var(0)
     gens = [transport(g, big) for g in I.gens]

@@ -8,10 +8,16 @@ lengths of the torsion modules of the two structure algebras at Z.  The
 torsion modules are required to die within the regular range (one past the
 chart dimension, double-checked two past); charts whose presentation is
 certifiably singular are rejected up front.
+
+One private kernel resolves the two structure algebras of a pair once and
+measures the torsion at each requested component; `tor_length_table`,
+`serre_multiplicity` and `intersection_product` all take their lengths from
+it, and `intersects_properly` shares the properness scan of
+`intersection_product`.
 """
 
 from .errors import EngineError, HypothesisError
-from .geometry import Cycle, codim
+from .geometry import Cycle, codim, serialize_cycle
 from .groebner import Ideal
 from .homology import FPModule, tor_modules
 from .primes import length_at_prime, minimal_primes, prime_cache_scope
@@ -23,22 +29,62 @@ def _as_ideal(chart, data):
     return Ideal(chart.ring, data)
 
 
+def _common_chart(a, b):
+    if a.chart != b.chart:
+        raise EngineError("cycles on different charts")
+    return a.chart
+
+
+def _require_regular(chart):
+    if chart.is_regular() is False:
+        raise EngineError(
+            f"chart {chart.name} is singular; the torsion formula needs a "
+            "regular chart")
+
+
+def _components(chart, I, K):
+    """Minimal primes of I + K on the chart; none when they do not meet."""
+    total = I + K + chart.ideal
+    return [] if total.is_unit() else minimal_primes(total)
+
+
+def _improper(chart, comps, want):
+    """The first component of codimension below `want`, or None."""
+    return next((z for z in comps if codim(z, chart) < want), None)
+
+
+def _tor_lengths(chart, I, K, comps, up_to=None):
+    """(z, [length at z of Tor_0, Tor_1, ...]) for A/I and A/K on the chart
+    and each z in comps, from one resolution shared by all of them (and no
+    resolution when comps is empty).  Lazy, so that a caller's check on one
+    row runs before the next row is measured."""
+    if not comps:
+        return
+    if up_to is None:
+        up_to = chart.dim() + 2
+    tors = tor_modules(FPModule.cyclic(I + chart.ideal),
+                       FPModule.cyclic(K + chart.ideal),
+                       modulo=chart.ideal, up_to=up_to)
+    for z in comps:
+        yield z, [length_at_prime(T, z, modulo=chart.ideal) if T.rank else 0
+                  for T in tors]
+
+
+def _alternating_sum(z, lengths):
+    if lengths[-1] or lengths[-2]:
+        raise HypothesisError(
+            f"torsion does not vanish past the chart dimension at {z}; "
+            "the chart is not regular there, outside the supported fragment")
+    return sum((-1) ** i * n for i, n in enumerate(lengths))
+
+
 def intersects_properly(a, b):
     """Every component of every pairwise intersection has codimension at
     least grade(a) + grade(b)."""
-    if a.chart != b.chart:
-        raise EngineError("cycles on different charts")
-    chart = a.chart
+    chart = _common_chart(a, b)
     want = a.grade + b.grade
-    for p in a.support():
-        for q in b.support():
-            total = p.ideal + q.ideal + chart.ideal
-            if total.is_unit():
-                continue
-            for z in minimal_primes(total):
-                if codim(z, chart) < want:
-                    return False
-    return True
+    return all(_improper(chart, _components(chart, p.ideal, q.ideal), want)
+               is None for p in a.support() for q in b.support())
 
 
 @prime_cache_scope()
@@ -47,45 +93,15 @@ def tor_length_table(chart, I, K, up_to=None):
     structure modules A/I and A/K on the chart."""
     I = _as_ideal(chart, I)
     K = _as_ideal(chart, K)
-    if up_to is None:
-        up_to = chart.dim() + 2
-    total = I + K + chart.ideal
-    if total.is_unit():
-        return []
-    tors = tor_modules(FPModule.cyclic(I + chart.ideal),
-                       FPModule.cyclic(K + chart.ideal),
-                       modulo=chart.ideal, up_to=up_to)
-    rows = []
-    for z in minimal_primes(total):
-        lengths = [length_at_prime(T, z, modulo=chart.ideal) if T.rank else 0
-                   for T in tors]
-        rows.append((z, lengths))
-    return rows
-
-
-def _check_tail(chart, z, lengths):
-    if lengths[-1] or lengths[-2]:
-        raise HypothesisError(
-            f"torsion does not vanish past the chart dimension at {z}; "
-            "the chart is not regular there, outside the supported fragment")
+    return list(_tor_lengths(chart, I, K, _components(chart, I, K), up_to))
 
 
 def serre_multiplicity(chart, I, K, z):
     """Alternating sum of local torsion lengths at the component z."""
-    if chart.is_regular() is False:
-        raise EngineError(
-            f"chart {chart.name} is singular; the torsion formula needs a "
-            "regular chart")
-    I = _as_ideal(chart, I)
-    K = _as_ideal(chart, K)
-    up_to = chart.dim() + 2
-    tors = tor_modules(FPModule.cyclic(I + chart.ideal),
-                       FPModule.cyclic(K + chart.ideal),
-                       modulo=chart.ideal, up_to=up_to)
-    lengths = [length_at_prime(T, z, modulo=chart.ideal) if T.rank else 0
-               for T in tors]
-    _check_tail(chart, z, lengths)
-    return sum((-1) ** i * n for i, n in enumerate(lengths))
+    _require_regular(chart)
+    [(z, lengths)] = _tor_lengths(chart, _as_ideal(chart, I),
+                                  _as_ideal(chart, K), [z])
+    return _alternating_sum(z, lengths)
 
 
 class IntersectionReport:
@@ -113,7 +129,7 @@ class IntersectionReport:
                 }
                 for r in self.rows
             ],
-            "cycle": _cycle_dict(self.cycle),
+            "cycle": serialize_cycle(self.cycle),
         }
 
     def __str__(self):
@@ -127,48 +143,28 @@ class IntersectionReport:
         return "\n".join(lines)
 
 
-def _cycle_dict(cycle):
-    return [{"prime": list(p.key), "mult": m} for p, m in cycle.components()]
-
-
 @prime_cache_scope()
 def intersection_product(a, b, report=False):
     """The product cycle in codimension grade(a) + grade(b); bilinear over
     components, multiplicities from the torsion formula.  Raises on excess
     (improper) intersections."""
-    if a.chart != b.chart:
-        raise EngineError("cycles on different charts")
-    chart = a.chart
-    if chart.is_regular() is False:
-        raise EngineError(
-            f"chart {chart.name} is singular; the torsion formula needs a "
-            "regular chart")
+    chart = _common_chart(a, b)
+    _require_regular(chart)
     want = a.grade + b.grade
     total_cycle = Cycle.zero(chart, want)
     rows = []
-    up_to = chart.dim() + 2
     for p, mp in a.components():
         for q, mq in b.components():
-            meet = p.ideal + q.ideal + chart.ideal
-            if meet.is_unit():
-                continue
-            comps = minimal_primes(meet)
-            for z in comps:
-                if codim(z, chart) < want:
-                    raise EngineError(
-                        f"improper intersection at component {z}: "
-                        f"{p} . {q} meets in codimension "
-                        f"{codim(z, chart)} < {want}")
-            tors = tor_modules(FPModule.cyclic(p.ideal + chart.ideal),
-                               FPModule.cyclic(q.ideal + chart.ideal),
-                               modulo=chart.ideal, up_to=up_to)
-            for z in comps:
-                if codim(z, chart) != want:
-                    continue
-                lengths = [length_at_prime(T, z, modulo=chart.ideal)
-                           if T.rank else 0 for T in tors]
-                _check_tail(chart, z, lengths)
-                mult = sum((-1) ** i * n for i, n in enumerate(lengths))
+            comps = _components(chart, p.ideal, q.ideal)
+            low = _improper(chart, comps, want)
+            if low is not None:
+                raise EngineError(
+                    f"improper intersection at component {low}: "
+                    f"{p} . {q} meets in codimension "
+                    f"{codim(low, chart)} < {want}")
+            exact = [z for z in comps if codim(z, chart) == want]
+            for z, lengths in _tor_lengths(chart, p.ideal, q.ideal, exact):
+                mult = _alternating_sum(z, lengths)
                 rows.append({"left": p, "right": q, "component": z,
                              "tor_lengths": lengths, "multiplicity": mult,
                              "weight": mp * mq})

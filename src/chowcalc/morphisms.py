@@ -17,8 +17,8 @@ from .errors import EngineError, RingMismatchError
 from .geometry import Chart, Cycle, codim, cycle_of_subscheme
 from .groebner import Ideal, eliminate
 from .homology import FPModule, FreeModuleElement, coefficient_module
-from .polyring import PolynomialRing, elimination_order, transport
-from .primes import PrimeIdeal, generic_rank
+from .polyring import PolynomialRing, elimination_order, fresh_names, transport
+from .primes import PrimeIdeal, generic_rank, standard_exponents
 
 
 class ChartMap:
@@ -78,7 +78,7 @@ class ChartMap:
         if self._finite_checked is None:
             P, G, src_names, _ = self.graph()
             self._finite_checked = (
-                _standard_source_monomials(P, G, src_names) is not None)
+                _source_standard_exponents(P, G, src_names)[1] is not None)
             if self._finite_checked:
                 self.finite = True
         return self._finite_checked
@@ -106,14 +106,7 @@ def inclusion_of_subscheme(chart, ideal):
 def _build_graph(m):
     src = m.source.ring
     tgt = m.target.ring
-    rename = {}
-    taken = set(src.names)
-    for nm in tgt.names:
-        new = nm
-        while new in taken:
-            new = new + "_t"
-        rename[nm] = new
-        taken.add(new)
+    rename = dict(zip(tgt.names, fresh_names(tgt.names, set(src.names), "_t")))
     P = PolynomialRing(src.field, src.names + tuple(rename[nm] for nm in tgt.names))
     gens = [transport(g, P) for g in m.source.ideal.gens]
     for nm in tgt.names:
@@ -122,42 +115,21 @@ def _build_graph(m):
     return P, Ideal(P, gens), src.names, rename
 
 
-def _standard_source_monomials(P, G, src_names, bound=100000):
-    """Monomials in the source variables outside the leading ideal of the
-    block-order basis; None when some source variable has no pure power
-    (the map is then not finite)."""
-    if G.is_unit():
-        return []  # empty locus: the zero module is finite
+def _source_standard_exponents(P, G, src_names, bound=100000):
+    """Positions of the source variables in P, and the exponents over them
+    of the source monomials outside the leading ideal of the block-order
+    basis; None in place of the exponents when some source variable has no
+    pure power (the map is then not finite)."""
     idx = [P.index_of(nm) for nm in src_names]
+    if G.is_unit():
+        return idx, []  # empty locus: the zero module is finite
     order = elimination_order(idx, P.nvars)
     lead = []
     for g in G.groebner_basis(order):
         e = max((t[0] for t in g.terms), key=order.key)
         if all(e[i] == 0 for i in range(P.nvars) if i not in idx):
             lead.append(tuple(e[i] for i in idx))
-    caps = [None] * len(idx)
-    for e in lead:
-        nz = [i for i, k in enumerate(e) if k]
-        if len(nz) == 1 and (caps[nz[0]] is None or e[nz[0]] < caps[nz[0]]):
-            caps[nz[0]] = e[nz[0]]
-    if any(c is None for c in caps):
-        return None
-    import itertools
-    total = 1
-    for c in caps:
-        total *= max(c, 1)
-        if total > bound:
-            raise EngineError("standard monomial count exceeds bound")
-    out = []
-    for exps in itertools.product(*[range(c) for c in caps]):
-        if not any(all(exps[i] >= e[i] for i in range(len(idx))) for e in lead):
-            mono = P.one
-            for i, k in enumerate(exps):
-                if k:
-                    mono = mono * P.var(idx[i]) ** k
-            out.append(mono)
-    out.sort(key=lambda m: P.order.key(m.lm()))
-    return out
+    return idx, standard_exponents(lead, len(idx), bound)
 
 
 def zariski_image(m, ideal=None):
@@ -188,11 +160,18 @@ def pushforward_module(m, M=None, extra=None):
     total = G
     if extra is not None:
         total = total + Ideal(P, [transport(g, P) for g in extra.gens])
-    monos = _standard_source_monomials(P, total, src_names)
-    if monos is None:
+    idx, std = _source_standard_exponents(P, total, src_names)
+    if std is None:
         raise EngineError(
             f"map {m.source.name} -> {m.target.name} is not finite here; "
             "pushforward needs module-finiteness")
+    monos = []
+    for exps in std:
+        full = [0] * P.nvars
+        for i, k in zip(idx, exps):
+            full[i] = k
+        monos.append(P.monomial(full))
+    monos.sort(key=lambda mono: P.order.key(mono.lm()))
     rank = M.rank
     gens = [FreeModuleElement.unit(P, rank, a).scale(mono)
             for mono in monos for a in range(rank)]
@@ -279,14 +258,8 @@ def fiber_product(f, g):
     if f.target != g.target:
         raise EngineError("fiber product needs a common base chart")
     X, Y, Z = f.source, g.source, f.target
-    rename = {}
-    taken = set(X.ring.names)
-    for nm in Y.ring.names:
-        new = nm
-        while new in taken:
-            new = new + "_r"
-        rename[nm] = new
-        taken.add(new)
+    rename = dict(zip(Y.ring.names,
+                      fresh_names(Y.ring.names, set(X.ring.names), "_r")))
     P = PolynomialRing(X.ring.field,
                        X.ring.names + tuple(rename[nm] for nm in Y.ring.names))
     gens = [transport(h, P) for h in X.ideal.gens]

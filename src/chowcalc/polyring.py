@@ -243,6 +243,18 @@ def transport(p, target, rename=None):
     return target.from_dict(d)
 
 
+def fresh_names(names, taken, suffix):
+    """Each name with `suffix` appended until it is not in `taken`; every
+    result joins `taken`, so the results are distinct."""
+    out = []
+    for nm in names:
+        while nm in taken:
+            nm += suffix
+        taken.add(nm)
+        out.append(nm)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -319,13 +331,16 @@ class Polynomial:
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check(other)
-        return Polynomial(self.ring, _merge(self.terms, other.terms, self.ring, 1))
+        return Polynomial(self.ring, merge_terms(
+            self.terms, other.terms, self.ring.order.key, self.ring.field))
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
         self._check(other)
-        return Polynomial(self.ring, _merge(self.terms, other.terms, self.ring, -1))
+        return Polynomial(self.ring, merge_terms(
+            self.terms, other.terms, self.ring.order.key, self.ring.field,
+            subtract=True))
 
     def __neg__(self):
         f = self.ring.field
@@ -460,33 +475,32 @@ class Polynomial:
         return bool(self.terms)
 
 
-def _merge(a, b, ring, sign):
-    """Add two canonical term tuples (b negated when sign == -1)."""
-    f = ring.field
-    key = ring.order.key
+def merge_terms(a, b, key, field, subtract=False):
+    """a + b (or a - b) for term tuples sorted descending by `key`: the
+    polynomial terms here and the module vectors of the Buchberger engine."""
     out = []
     i = j = 0
     la, lb = len(a), len(b)
     while i < la and j < lb:
-        ea, ca = a[i]
-        eb, cb = b[j]
-        if ea == eb:
-            c = f.add(ca, cb) if sign > 0 else f.sub(ca, cb)
-            if c != f.zero:
-                out.append((ea, c))
+        ma, ca = a[i]
+        mb, cb = b[j]
+        if ma == mb:
+            c = field.sub(ca, cb) if subtract else field.add(ca, cb)
+            if c != field.zero:
+                out.append((ma, c))
             i += 1
             j += 1
-        elif key(ea) > key(eb):
-            out.append((ea, ca))
+        elif key(ma) > key(mb):
+            out.append((ma, ca))
             i += 1
         else:
-            out.append((eb, cb if sign > 0 else f.neg(cb)))
+            out.append((mb, field.neg(cb) if subtract else cb))
             j += 1
     out.extend(a[i:])
-    if sign > 0:
-        out.extend(b[j:])
+    if subtract:
+        out.extend((m, field.neg(c)) for m, c in b[j:])
     else:
-        out.extend((e, f.neg(c)) for e, c in b[j:])
+        out.extend(b[j:])
     return tuple(out)
 
 

@@ -34,7 +34,8 @@ from .errors import (DecompositionError, EngineError, HypothesisError,
 from .fields import RationalField
 from .groebner import Ideal, eliminate, in_radical, intersect, krull_dim
 from .homology import FreeModuleElement, _fold, coefficient_module
-from .polyring import BlockOrder, PolynomialRing, lex, transport
+from .polyring import (BlockOrder, PolynomialRing, fresh_names, lex,
+                       mono_divides, transport)
 
 
 class FactorizationUnavailable(EngineError):
@@ -42,17 +43,7 @@ class FactorizationUnavailable(EngineError):
     factorization backend supports (multivariate over F_p)."""
 
 
-_SYMBOL_CACHE = {}
-
-
-def _symbols(ring):
-    if ring.names not in _SYMBOL_CACHE:
-        _SYMBOL_CACHE[ring.names] = tuple(sympy.Symbol(nm) for nm in ring.names)
-    return _SYMBOL_CACHE[ring.names]
-
-
-def _to_sympy(f):
-    syms = _symbols(f.ring)
+def _to_sympy(f, syms):
     rational = isinstance(f.ring.field, RationalField)
     total = sympy.Integer(0)
     for e, c in f.terms:
@@ -117,8 +108,8 @@ def factor(f):
     ring = f.ring
     if f.is_zero() or f.is_constant():
         return []
-    syms = _symbols(ring)
-    expr = _to_sympy(f)
+    syms = tuple(sympy.Symbol(nm) for nm in ring.names)
+    expr = _to_sympy(f, syms)
     if isinstance(ring.field, RationalField):
         _, raw = sympy.Poly(expr, *syms, domain="QQ").factor_list()
     else:
@@ -200,19 +191,17 @@ def assert_prime(I):
     return PrimeIdeal(I, certified=False)
 
 
-def vector_space_dimension(I, bound=200000):
-    """dim_k ring/I when finite, else None."""
-    ring = I.ring
-    if I.is_unit():
-        return 0
-    lead = I.leading_exponents()
-    caps = [None] * ring.nvars
+def standard_exponents(lead, nvars, bound):
+    """Exponent tuples in nvars variables divisible by no exponent in `lead`,
+    or None when some variable has no pure power in `lead` (there are then
+    infinitely many).  Raises when the enclosing box exceeds `bound`."""
+    if any(not any(e) for e in lead):
+        return []  # 1 leads: the unit ideal
+    caps = [None] * nvars
     for e in lead:
         nz = [i for i, k in enumerate(e) if k]
-        if len(nz) == 1:
-            i = nz[0]
-            if caps[i] is None or e[i] < caps[i]:
-                caps[i] = e[i]
+        if len(nz) == 1 and (caps[nz[0]] is None or e[nz[0]] < caps[nz[0]]):
+            caps[nz[0]] = e[nz[0]]
     if any(c is None for c in caps):
         return None
     box = 1
@@ -220,11 +209,14 @@ def vector_space_dimension(I, bound=200000):
         box *= c
         if box > bound:
             raise EngineError(f"standard monomial count exceeds bound {bound}")
-    count = 0
-    for exps in itertools.product(*[range(c) for c in caps]):
-        if not any(all(exps[i] >= e[i] for i in range(ring.nvars)) for e in lead):
-            count += 1
-    return count
+    return [exps for exps in itertools.product(*[range(c) for c in caps])
+            if not any(mono_divides(e, exps) for e in lead)]
+
+
+def vector_space_dimension(I, bound=200000):
+    """dim_k ring/I when finite, else None."""
+    std = standard_exponents(I.leading_exponents(), I.ring.nvars, bound)
+    return None if std is None else len(std)
 
 
 def minimal_polynomial(I, lam):
@@ -233,9 +225,7 @@ def minimal_polynomial(I, lam):
     ring = I.ring
     if isinstance(lam, str):
         lam = ring.parse(lam)
-    sname = "s" if "s" not in ring.names else "s_"
-    while sname in ring.names:
-        sname += "_"
+    (sname,) = fresh_names(("s",), set(ring.names), "_")
     big = PolynomialRing(ring.field, ring.names + (sname,))
     gens = [transport(g, big) for g in I.gens]
     gens.append(big.var(big.nvars - 1) - transport(lam, big))

@@ -35,6 +35,10 @@ Cycle arguments to verbs may be declared names or bracket literals such as
 `[I]` (fundamental cycle of a declared ideal) or `[(y - x^2)]`.  Reports
 serialize cycles as arrays of {"prime": [...], "mult": n} and products
 carry their full torsion length tables.
+
+The verbs product, pullback, pushforward and compose make their result with
+the same call as the let kind of the same name: the let form declares it,
+the verb records it in the report and echoes it.
 """
 
 import json
@@ -46,7 +50,8 @@ from .correspondences import graph as graph_of_map
 from .errors import EngineError
 from .fields import QQ, field_from_name
 from .geometry import (CartierDivisor, Chart, cycle_of_subscheme,
-                       point_cycle, principal_atlas, restrict_cycle)
+                       point_cycle, principal_atlas, restrict_cycle,
+                       serialize_cycle)
 from .groebner import Ideal
 from .intersection import identity_sides, intersection_product
 from .morphisms import ChartMap, flat_pullback, proper_pushforward
@@ -108,6 +113,14 @@ def _split_words(text):
     return parts
 
 
+def _verb_pair(rest, usage):
+    """The two whitespace-separated arguments of a verb."""
+    toks = _split_words(rest)
+    if len(toks) != 2:
+        raise ScriptParseError(usage)
+    return toks
+
+
 def _signed_terms(text):
     """[(sign, chunk)] at top-level +/- boundaries."""
     out, buf, depth, pending = [], [], 0, 1
@@ -132,6 +145,11 @@ def _signed_terms(text):
 
 
 _TERM_RE = re.compile(r"(?:(\d+)\s*\*\s*)?\[(.+)\]\Z", re.S)
+
+
+def _is_cycle_literal(token):
+    """A bracket literal such as `[I]` or `2*[(x)]`, not a declared name."""
+    return token.startswith("[") or ("*" in token and "[" in token)
 
 
 class Interpreter:
@@ -242,12 +260,12 @@ class Interpreter:
         return total
 
     def _resolve_cycle(self, token, chart=None):
-        if token.startswith("[") or "*" in token and "[" in token:
+        if _is_cycle_literal(token):
             return self._parse_cycle(token, chart)
         return self._lookup(token, {"cycle"})[1]
 
     def _resolve_any(self, token):
-        if token.startswith("[") or ("*" in token and "[" in token):
+        if _is_cycle_literal(token):
             return "cycle", self._parse_cycle(token)
         return self._lookup(token)
 
@@ -365,16 +383,17 @@ class Interpreter:
         return self._declare(name, "map", m)
 
     def _build_product(self, name, sections):
-        a, b = self._two_cycles(sections, "product(A, B)")
-        return self._declare(name, "cycle", intersection_product(a, b))
+        rep = self._make_product(self._let_pair(sections, "product(A, B)"))
+        return self._declare(name, "cycle", rep.cycle)
 
     def _build_pullback(self, name, sections):
-        f, c = self._map_and_cycle(sections, "pullback(F, C)", "target")
-        return self._declare(name, "cycle", flat_pullback(f, c))
+        out = self._make_pullback(self._let_pair(sections, "pullback(F, C)"))
+        return self._declare(name, "cycle", out)
 
     def _build_pushforward(self, name, sections):
-        f, c = self._map_and_cycle(sections, "pushforward(F, C)", "source")
-        return self._declare(name, "cycle", proper_pushforward(f, c))
+        out = self._make_pushforward(
+            self._let_pair(sections, "pushforward(F, C)"))
+        return self._declare(name, "cycle", out)
 
     def _build_graph(self, name, sections):
         if len(sections) != 1:
@@ -389,84 +408,70 @@ class Interpreter:
         return self._declare(name, "corr", c.transpose())
 
     def _build_compose(self, name, sections):
-        args = self._args(sections[0]) if len(sections) == 1 else None
-        if not args or len(args) != 2:
-            raise ScriptParseError("compose(FIRST, SECOND)")
-        first = self._lookup(args[0], {"corr"})[1]
-        second = self._lookup(args[1], {"corr"})[1]
-        return self._declare(name, "corr",
-                             compose_correspondences(first, second))
+        out = self._make_compose(
+            self._let_pair(sections, "compose(FIRST, SECOND)"))
+        return self._declare(name, "corr", out)
 
     def _build_restrict(self, name, sections):
-        args = self._args(sections[0]) if len(sections) == 1 else None
-        if not args or len(args) != 2:
-            raise ScriptParseError("restrict(CYCLE, CHART)")
+        args = self._let_pair(sections, "restrict(CYCLE, CHART)")
         c = self._resolve_cycle(args[0])
         loc = self._chart(args[1])
         return self._declare(name, "cycle", restrict_cycle(c, loc))
 
-    def _two_cycles(self, sections, usage):
+    def _let_pair(self, sections, usage):
         args = self._args(sections[0]) if len(sections) == 1 else None
         if not args or len(args) != 2:
             raise ScriptParseError(usage)
-        return self._resolve_cycle(args[0]), self._resolve_cycle(args[1])
+        return args
 
-    def _map_and_cycle(self, sections, usage, end):
-        args = self._args(sections[0]) if len(sections) == 1 else None
-        if not args or len(args) != 2:
-            raise ScriptParseError(usage)
+    # ------------------------------------------------------------------
+    # engine calls shared by a let kind and the verb of the same name; each
+    # takes the two argument tokens
+
+    def _make_product(self, args):
+        a, b = [self._resolve_cycle(t) for t in args]
+        return intersection_product(a, b, report=True)
+
+    def _make_pullback(self, args):
         f = self._lookup(args[0], {"map"})[1]
-        return f, self._resolve_cycle(args[1], getattr(f, end))
+        return flat_pullback(f, self._resolve_cycle(args[1], f.target))
+
+    def _make_pushforward(self, args):
+        f = self._lookup(args[0], {"map"})[1]
+        return proper_pushforward(f, self._resolve_cycle(args[1], f.source))
+
+    def _make_compose(self, args):
+        first, second = [self._lookup(t, {"corr"})[1] for t in args]
+        return compose_correspondences(first, second)
 
     # ------------------------------------------------------------------
     # verbs
 
     def _verb_product(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 2:
-            raise ScriptParseError("product A B")
-        a = self._resolve_cycle(toks[0])
-        b = self._resolve_cycle(toks[1])
-        rep = intersection_product(a, b, report=True)
-        self.results.append({
-            "op": "product", "args": toks,
-            "cycle": serialize_cycle(rep.cycle),
-            "tor_table": rep.as_dict()["rows"],
-        })
-        self.echo(str(rep.cycle))
+        toks = _verb_pair(rest, "product A B")
+        rep = self._make_product(toks)
+        self._record("product", toks, rep.cycle,
+                     tor_table=rep.as_dict()["rows"])
 
     def _verb_pullback(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 2:
-            raise ScriptParseError("pullback F C")
-        f = self._lookup(toks[0], {"map"})[1]
-        out = flat_pullback(f, self._resolve_cycle(toks[1], f.target))
-        self.results.append({"op": "pullback", "args": toks,
-                             "cycle": serialize_cycle(out)})
-        self.echo(str(out))
+        toks = _verb_pair(rest, "pullback F C")
+        self._record("pullback", toks, self._make_pullback(toks))
 
     def _verb_pushforward(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 2:
-            raise ScriptParseError("pushforward F C")
-        f = self._lookup(toks[0], {"map"})[1]
-        out = proper_pushforward(f, self._resolve_cycle(toks[1], f.source))
-        self.results.append({"op": "pushforward", "args": toks,
-                             "cycle": serialize_cycle(out)})
-        self.echo(str(out))
+        toks = _verb_pair(rest, "pushforward F C")
+        self._record("pushforward", toks, self._make_pushforward(toks))
 
     def _verb_compose(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 2:
-            raise ScriptParseError("compose FIRST SECOND")
-        first = self._lookup(toks[0], {"corr"})[1]
-        second = self._lookup(toks[1], {"corr"})[1]
-        out = compose_correspondences(first, second)
-        self.results.append({"op": "compose", "args": toks,
-                             "source": out.source.name,
-                             "target": out.target.name,
-                             "cycle": serialize_cycle(out.cycle)})
-        self.echo(str(out.cycle))
+        toks = _verb_pair(rest, "compose FIRST SECOND")
+        out = self._make_compose(toks)
+        self._record("compose", toks, out.cycle,
+                     source=out.source.name, target=out.target.name)
+
+    def _record(self, op, toks, cycle, **extra):
+        """Append the result of an engine verb and echo its cycle."""
+        self.results.append({"op": op, "args": toks, **extra,
+                             "cycle": serialize_cycle(cycle)})
+        self.echo(str(cycle))
 
     def _verb_degree(self, rest):
         toks = _split_words(rest)
@@ -516,10 +521,7 @@ class Interpreter:
             label, token = label.strip(), token.strip()
             if label not in space.charts:
                 raise EngineError(f"no chart {label!r} in {space_name.strip()!r}")
-            if token.startswith("[") or ("*" in token and "[" in token):
-                data[label] = self._parse_cycle(token, space.charts[label])
-            else:
-                data[label] = self._lookup(token, {"cycle"})[1]
+            data[label] = self._resolve_cycle(token, space.charts[label])
         ok, messages = space.glue_cycles(data)
         self.results.append({"op": "glue", "space": space_name.strip(),
                              "pass": ok, "messages": messages})
@@ -612,10 +614,6 @@ class Interpreter:
 
 # ----------------------------------------------------------------------
 # serialization
-
-def serialize_cycle(c):
-    return [{"prime": list(p.key), "mult": m} for p, m in c.components()]
-
 
 def serialize_object(kind, obj):
     if kind == "ring":

@@ -8,8 +8,7 @@ from chowcalc.errors import EngineError, GlueError
 from chowcalc.fields import QQ
 from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim,
                                cycle_of_module, cycle_of_subscheme, point_cycle,
-                               principal_atlas, restrict_cycle, transport_cycle,
-                               weil_of_cartier)
+                               principal_atlas, restrict_cycle, transport_cycle)
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
@@ -125,7 +124,7 @@ def test_cartier_divisor_weil_cycles():
     assert str(D.weil()) == "2*[(x)] + [(y)]"
     F = CartierDivisor(PLANE, "x", "y")
     assert str(F.weil()) == "[(x)] - [(y)]"
-    assert str(weil_of_cartier(-F)) == "-[(x)] + [(y)]"
+    assert str((-F).weil()) == "-[(x)] + [(y)]"
     assert (D + (-D)).weil().is_zero()
     assert (2 * F).weil() == 2 * F.weil()
 

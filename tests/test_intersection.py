@@ -261,3 +261,67 @@ def test_pullback_distributes_over_product():
 def test_unknown_identity_name():
     with pytest.raises(EngineError):
         verify_identity("abracadabra")
+
+
+# ---------------------------------------------------------------------------
+# the report rows, the length table, the multiplicity and the properness
+# predicate all read the same torsion lengths
+
+def _agreement_cases():
+    A4 = four_space()
+    union = cycle_of_subscheme(planes_union_ideal(A4), A4, grade=2)
+    slant = cycle_of_subscheme(Ideal(A4.ring, ["x - z", "y - w"]), A4, grade=2)
+    A2 = plane()
+    return [(union, slant),
+            (curve_cycle(A2, "y - x^2"), curve_cycle(A2, "y - 1")),
+            (curve_cycle(A2, "y^2 - x^3"), curve_cycle(A2, "y"))]
+
+
+def test_report_rows_agree_with_table_and_multiplicity():
+    for a, b in _agreement_cases():
+        chart = a.chart
+        rep = intersection_product(a, b, report=True)
+        assert rep.rows
+        for row in rep.rows:
+            left, right = row["left"].ideal, row["right"].ideal
+            table = dict(tor_length_table(chart, left, right))
+            assert table[row["component"]] == row["tor_lengths"]
+            alternating = sum((-1) ** i * n
+                              for i, n in enumerate(row["tor_lengths"]))
+            assert row["multiplicity"] == alternating
+            assert serre_multiplicity(chart, left, right,
+                                      row["component"]) == alternating
+
+
+def test_two_planes_table_sums_to_the_product():
+    A4 = four_space()
+    union = planes_union_ideal(A4)
+    slant = Ideal(A4.ring, ["x - z", "y - w"])
+    [(z, lengths)] = tor_length_table(A4, union, slant)
+    alternating = sum((-1) ** i * n for i, n in enumerate(lengths))
+    assert serre_multiplicity(A4, union, slant, z) == alternating == 2
+    union_cycle, slant_cycle = _agreement_cases()[0]
+    assert intersection_product(union_cycle, slant_cycle) == Cycle(A4, 4, {z: 2})
+
+
+def test_properness_predicate_matches_the_product():
+    A2 = plane()
+    A4 = four_space()
+    plane_xy = cycle_of_subscheme(Ideal(A4.ring, ["x", "y"]), A4, grade=2)
+    union, slant = _agreement_cases()[0]
+    pairs = [(curve_cycle(A2, "y - x^2"), curve_cycle(A2, "y - x^2")),
+             (curve_cycle(A2, "x"), curve_cycle(A2, "y")),
+             (curve_cycle(A2, "x"), curve_cycle(A2, "x - 1")),
+             (curve_cycle(A2, "x*y"), curve_cycle(A2, "x")),
+             (union, slant), (union, plane_xy)]
+    outcomes = []
+    for a, b in pairs:
+        try:
+            intersection_product(a, b)
+            improper = False
+        except EngineError as exc:
+            assert "improper intersection" in str(exc)
+            improper = True
+        assert intersects_properly(a, b) is not improper
+        outcomes.append(improper)
+    assert outcomes == [True, False, False, True, False, True]

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowcalc import primes as primes_module
 from chowcalc.errors import DecompositionError, HypothesisError, NotPrimeError
@@ -18,6 +19,11 @@ from chowcalc.primes import (FactorizationUnavailable, PrimeIdeal, assert_decomp
                              assert_prime, factor, generic_rank, is_irreducible,
                              is_prime, length_at_prime, minimal_polynomial,
                              minimal_primes, vector_space_dimension)
+from chowcalc.errors import EngineError
+from chowcalc.primes import standard_exponents
+from chowcalc.script import run_script
+
+from oracles import count_standard_monomials
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -260,6 +266,30 @@ def test_prime_cache_is_shared_inside_one_call(monkeypatch):
         assert len(calls) == once and J in cache
 
 
+def _module_level_sizes():
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name != "chowcalc" and not name.startswith("chowcalc."):
+            continue
+        for attr, value in vars(module).items():
+            if not attr.startswith("__") and isinstance(value, (dict, list, set)):
+                sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def test_no_module_level_state_grows_with_new_rings():
+    before = _module_level_sizes()
+    assert before  # the engine does keep module-level tables
+    for k in range(24):
+        ring = PolynomialRing(QQ, (f"fresh{k}", f"other{k}"))
+        u, v = ring.names
+        # a principal ideal that only factoring can split
+        assert len(minimal_primes(Ideal(ring, [f"{u}^2*{v} - {v}"]))) == 3
+    _, code = run_script("let R = ring(p, q)\nproduct [(q - p^2)] [(q)]")
+    assert code == 0
+    assert _module_level_sizes() == before
+
+
 def test_vector_space_dimension_table():
     cases = [
         (R2, ("x", "y"), 1),
@@ -276,6 +306,32 @@ def test_vector_space_dimension_table():
     ]
     for ring, gens, expected in cases:
         assert vector_space_dimension(Ideal(ring, gens)) == expected, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(nvars=st.integers(2, 3), data=st.data())
+def test_standard_exponents_match_the_oracle_count(nvars, data):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    lead = data.draw(st.lists(exps, max_size=5))
+    for i in range(nvars):
+        power = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        if power is not None:
+            lead.append(tuple(power if j == i else 0 for j in range(nvars)))
+    lead = data.draw(st.permutations(lead))
+    std = standard_exponents(lead, nvars, bound=1000)
+    expected = count_standard_monomials(lead, bound=100)
+    assert (None if std is None else len(std)) == expected
+    if std is not None:
+        assert len(set(std)) == len(std)
+        assert not any(all(x >= y for x, y in zip(m, e))
+                       for m in std for e in lead)
+
+
+def test_standard_exponents_bound_names_its_value():
+    with pytest.raises(EngineError, match="exceeds bound 10"):
+        standard_exponents([(4, 0), (0, 3)], 2, bound=10)
+    assert standard_exponents([(0, 0), (1, 0)], 2, bound=10) == []
+    assert standard_exponents([], 0, bound=10) == [()]
 
 
 def test_minimal_polynomial():

@@ -176,6 +176,61 @@ def test_correspondence_verbs():
     assert entry["source"] == "Tgt" and entry["target"] == "Tgt"
 
 
+MAPS = """
+    let S = ring(t)
+    let T = ring(x)
+    let Src = chart(S)
+    let Tgt = chart(T)
+    let f = map(Src -> Tgt; x = t^2; flat, finite, proper)
+    let g = graph(f)
+    let gt = transpose(g)
+    let alpha = fundamental(Src)
+    let beta = points(Tgt; x - 1)
+    let Q = ring(u, v)
+    let Plane = chart(Q)
+    let C = cycle(Plane; [(v - u^2)])
+    let D = cycle(Plane; [(v)])
+"""
+
+# (verb statement, let statement, the let form's declared kind)
+VERB_AND_LET = [
+    ("product C D", "let V = product(C, D)", "cycle"),
+    ("pullback f beta", "let V = pullback(f, beta)", "cycle"),
+    ("pushforward f alpha", "let V = pushforward(f, alpha)", "cycle"),
+    ("compose gt g", "let V = compose(gt, g)", "correspondence"),
+]
+
+
+@pytest.mark.parametrize("verb, let, kind", VERB_AND_LET)
+def test_verb_and_let_forms_give_the_same_cycle(verb, let, kind):
+    verb_report, verb_code, lines = run(MAPS + verb)
+    let_report, let_code, _ = run(MAPS + let)
+    assert verb_code == let_code == 0
+    entry = verb_report["results"][0]
+    declared = let_report["objects"]["V"]
+    assert declared["kind"] == kind
+    cycle = declared["cycle" if kind == "correspondence" else "components"]
+    assert entry["op"] == verb.split()[0]
+    assert entry["args"] == verb.split()[1:]
+    assert entry["cycle"] == cycle and cycle
+    assert len(lines) == 1
+
+
+@pytest.mark.parametrize("verb, let, usage", [
+    ("product C", "let V = product(C)", ("product A B", "product(A, B)")),
+    ("pullback f", "let V = pullback(f)", ("pullback F C", "pullback(F, C)")),
+    ("pushforward f alpha beta", "let V = pushforward(f; alpha)",
+     ("pushforward F C", "pushforward(F, C)")),
+    ("compose g", "let V = compose(g, gt, g)",
+     ("compose FIRST SECOND", "compose(FIRST, SECOND)")),
+])
+def test_verb_and_let_forms_keep_their_usage(verb, let, usage):
+    for text, message in zip((verb, let), usage):
+        with pytest.raises(ScriptParseError) as info:
+            run(MAPS + text)
+        assert str(info.value) == f"line 15: {message}"
+
+
 def test_glue_accepts_consistent_and_rejects_corrupted():
     report, code, lines = run("""
         let R = ring(x, y)
