@@ -19,6 +19,15 @@ every minimal prime survives into some branch; leaves are certified primes
 containing the input; dropping the comparable ones leaves exactly the
 minimal primes.  A final radical-membership audit re-checks the covering.
 Shapes outside the fragment raise DecompositionError rather than guess.
+
+Local lengths take one of two routes, chosen by the dimension of the prime.
+At a closed point z, length(M_z) = dim_k(M / z^N M) / [k(z):k] once
+z^N M_z = 0; each N costs one module basis and a standard-monomial count,
+and the first N at which the dimension repeats gives z^N M_z = z^(N+1) M_z,
+hence z^N M_z = 0 by Nakayama.  At a positive-dimensional prime the length
+is summed over the filtration by powers of the prime, each graded piece
+measured over the residue field.  Both routes stop at max_steps and report a
+prime that is not isolated in the support as HypothesisError.
 """
 
 import contextvars
@@ -29,10 +38,11 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import (DecompositionError, EngineError, HypothesisError,
-                     NotPrimeError)
+from .errors import (ConsistencyError, DecompositionError, EngineError,
+                     HypothesisError, NotPrimeError)
 from .fields import RationalField
-from .groebner import Ideal, eliminate, in_radical, intersect, krull_dim
+from .groebner import (Ideal, buchberger, eliminate, in_radical, intersect,
+                       krull_dim, module_order, vec_from_polys)
 from .homology import FreeModuleElement, _fold, coefficient_module
 from .polyring import (BlockOrder, PolynomialRing, fresh_names, lex,
                        mono_divides, transport)
@@ -588,19 +598,69 @@ def generic_rank(M, p, modulo=None):
 def length_at_prime(M, p, modulo=None, max_steps=60):
     """Length of the localization of M at p (p minimal over Ann M).
 
-    Filtration by powers of p: each graded piece is a vector space over the
-    residue field of p; its dimension is the number of degree-i generators
-    minus the generic rank of their relation module.  The first empty piece
-    ends the sum (Nakayama).  Non-termination means p was not minimal over
-    the annihilator, reported as HypothesisError."""
-    ring = M.ring
+    At a closed point (p maximal) the length is dim_k(M / p^N M) / [k(p):k]
+    for any N with p^N M_p = 0, found by the point rule (see _point_length).
+    Elsewhere it is the p-adic filtration (see _filtration_length).
+    Non-termination means p was not minimal over the annihilator, reported
+    as HypothesisError."""
     if M.rank == 0:
         return 0
-    pgens = list(p.ideal.groebner_basis())
-    rels = list(M.relations) + _fold(modulo, ring, M.rank)
-    if not pgens:
+    if not p.ideal.groebner_basis():
         # generic point of the whole chart: length = generic rank
         return generic_rank(M, p)
+    if p.dim() == 0:
+        return _point_length(M, p, modulo, max_steps)
+    return _filtration_length(M, p, modulo, max_steps)
+
+
+def _not_minimal(p, max_steps):
+    return HypothesisError(
+        f"length at {p} did not stabilize after {max_steps} steps; "
+        "the prime is not minimal over the annihilator")
+
+
+def _point_length(M, p, modulo, max_steps):
+    """Length of M_p for a maximal p, from one module basis per power of p.
+
+    M / p^N M is supported at p alone, so it equals M_p / p^N M_p and its
+    dimension over k counts the standard monomials of a basis of
+    relations + J + p^N * A^rank.  The dimensions grow with N; once two in a
+    row are equal, p^N M_p = p^(N+1) M_p, so p^N M_p = 0 by Nakayama and the
+    last dimension is [k(p):k] * length(M_p)."""
+    ring, rank = M.ring, M.rank
+    key = module_order(ring.order, rank).key
+    rels = [vec_from_polys(v.coords, key)
+            for v in list(M.relations) + _fold(modulo, ring, rank)]
+    zgens = p.ideal.groebner_basis()
+    zero = (ring.zero,) * rank
+    power = (ring.one,)
+    dim = 0
+    for _ in range(max_steps):
+        products = {q.terms: q for q in (g * h for g in power for h in zgens)}
+        power = Ideal(ring, products.values()).groebner_basis()
+        vecs = rels + [vec_from_polys(zero[:a] + (g,) + zero[a + 1:], key)
+                       for g in power for a in range(rank)]
+        lead = [v[0][0] for v in buchberger(vecs, key, ring.field, use_criteria=False)]
+        prev, dim = dim, sum(
+            len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, 200000))
+            for a in range(rank))
+        if dim == prev:
+            degree = vector_space_dimension(p.ideal)
+            if dim % degree:
+                raise ConsistencyError(
+                    f"dimension {dim} at {p} is not a multiple of its residue degree {degree}")
+            return dim // degree
+    raise _not_minimal(p, max_steps)
+
+
+def _filtration_length(M, p, modulo, max_steps):
+    """Length of M_p by the filtration by powers of p: each graded piece is a
+    vector space over the residue field of p; its dimension is the number of
+    degree-i generators minus the generic rank of their relation module.  The
+    first empty piece ends the sum (Nakayama)."""
+    ring = M.ring
+    pgens = list(p.ideal.groebner_basis())
+    rels = list(M.relations) + _fold(modulo, ring, M.rank)
     level = [ring.one]
     total = 0
     for _ in range(max_steps):
@@ -620,6 +680,4 @@ def length_at_prime(M, p, modulo=None, max_steps=60):
             return total
         total += d
         level = nxt
-    raise HypothesisError(
-        f"length at {p} did not stabilize after {max_steps} steps; "
-        "the prime is not minimal over the annihilator")
+    raise _not_minimal(p, max_steps)

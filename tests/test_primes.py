@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import primes as primes_module
-from chowcalc.errors import DecompositionError, HypothesisError, NotPrimeError
+from chowcalc.errors import (ConsistencyError, DecompositionError, HypothesisError,
+                             NotPrimeError)
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, cycle_of_subscheme
 from chowcalc.groebner import Ideal, intersect
@@ -420,3 +421,90 @@ def test_tor_lengths_of_crossing_planes():
     tors = tor_modules(FPModule.cyclic(I), FPModule.cyclic(K), up_to=4)
     lengths = [length_at_prime(T, origin) if T.rank else 0 for T in tors]
     assert lengths == [3, 1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the point kernel against the filtration
+
+def _point_case(data):
+    """A module supported near a closed point z, the point, and a chart ideal.
+
+    z = (t_0, ..., t_{n-1}) in local coordinates t_0 = x - a (residue degree 1)
+    or t_0 = x^2 + 2 (degree 2; irreducible over QQ and F_7), t_i = x_i - a_i.
+    Every position carries t_i^k (one of them times a factor that vanishes
+    elsewhere), so z is isolated in the support; the other relations are
+    random combinations of products of the t_i.  The chart, when there is
+    one, is the smooth hypersurface t_{n-1} = f * t_0 through z."""
+    field = data.draw(st.sampled_from([QQ, GF(7)]), label="field")
+    nvars = data.draw(st.integers(2, 3), label="nvars")
+    ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
+    shift = [data.draw(st.integers(-2, 2)) for _ in range(nvars)]
+    coords = [ring.var(i) - ring.const(shift[i]) for i in range(nvars)]
+    if data.draw(st.booleans(), label="residue degree 2"):
+        coords[0] = ring.var(0) ** 2 + ring.const(2)
+    z = assert_prime(Ideal(ring, coords))
+    rank = data.draw(st.integers(1, 2), label="rank")
+    top = 3 if nvars == 2 and rank == 1 else 2
+
+    def local_poly():
+        f = ring.zero
+        for _ in range(data.draw(st.integers(1, 3))):
+            term = ring.const(data.draw(st.integers(-3, 3)))
+            for t in coords:
+                term = term * t ** data.draw(st.integers(0, top - 1))
+            f = f + term
+        return f
+
+    rels = []
+    for a in range(rank):
+        for i, t in enumerate(coords):
+            g = t ** data.draw(st.integers(1, top))
+            if i == 0 and data.draw(st.booleans(), label="second point"):
+                g = g * (ring.var(0) - ring.const(shift[0] + 1))
+            rels.append(tuple(g if b == a else ring.zero for b in range(rank)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        rels.append(tuple(local_poly() for _ in range(rank)))
+    modulo = None
+    if data.draw(st.booleans(), label="chart"):
+        modulo = Ideal(ring, (coords[-1] - local_poly() * coords[0],))
+    return FPModule(ring, rank, rels), z, modulo
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_point_kernel_matches_filtration(data):
+    M, z, modulo = _point_case(data)
+    assert z.dim() == 0
+    expected = primes_module._filtration_length(M, z, modulo, 60)
+    assert primes_module._point_length(M, z, modulo, 60) == expected
+
+
+def test_only_positive_dimensional_primes_use_the_filtration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient_module called")
+
+    monkeypatch.setattr(primes_module, "coefficient_module", refuse)
+    origin = assert_prime(Ideal(R2, ("x", "y")))
+    assert length_at_prime(FPModule.cyclic(Ideal(R2, ("x^2", "x*y", "y^2"))), origin) == 3
+    with pytest.raises(AssertionError, match="coefficient_module"):
+        length_at_prime(FPModule.cyclic(Ideal(R2, ("x^2", "x*y"))),
+                        assert_prime(Ideal(R2, ("x",))))
+
+
+def test_point_length_on_a_non_isolated_point_raises():
+    # position 0 is k[x, y]/(x^2, xy): the origin lies on its line x = 0
+    zero = R2.zero
+    M = FPModule(R2, 2, [(R2.parse("x^2"), zero), (R2.parse("x*y"), zero),
+                         (zero, R2.parse("x")), (zero, R2.parse("y"))])
+    origin = assert_prime(Ideal(R2, ("x", "y")))
+    with pytest.raises(HypothesisError, match="after 8 steps"):
+        length_at_prime(M, origin, max_steps=8)
+
+
+def test_point_length_rejects_a_dimension_off_the_residue_degree():
+    # (x^2 - 1) is trusted as a point of degree 2, but R/(x - 1) meets it in
+    # a space of dimension 1: no length is returned
+    R1 = PolynomialRing(QQ, ("x",))
+    z = assert_prime(Ideal(R1, ("x^2 - 1",)))
+    with pytest.raises(ConsistencyError, match="residue degree 2"):
+        length_at_prime(FPModule.cyclic(Ideal(R1, ("x - 1",))), z)
