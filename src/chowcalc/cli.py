@@ -1,7 +1,8 @@
 """Command-line front end: run a script file, print results, emit a report.
 
 Exit codes: 0 success, 1 semantic failure (engine error or a failed
-verify/glue/assert), 2 malformed script.
+verify/glue/assert), 2 malformed script, or a script file that cannot be
+read or a report file that cannot be written.
 """
 
 import argparse
@@ -61,8 +62,12 @@ def main(argv=None):
         if args.report == "-":
             sys.stdout.write(rendered)
         else:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+            try:
+                with open(args.report, "w", encoding="utf-8") as handle:
+                    handle.write(rendered)
+            except OSError as exc:
+                print(f"chowcalc: {exc}", file=sys.stderr)
+                return 2
     return code
 
 

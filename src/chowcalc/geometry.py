@@ -8,6 +8,8 @@ checked to be mutually inverse ring isomorphisms, and cycles on a glued
 space can be audited for consistency on the overlaps.
 """
 
+from itertools import combinations
+
 from .errors import ConsistencyError, EngineError, GlueError, HypothesisError
 from .groebner import Ideal, divide_exact, krull_dim, quotient
 from .homology import FPModule, annihilator
@@ -99,7 +101,6 @@ class Chart:
 
 def _jacobian_minors(gens, ring, c):
     """All c x c minors of the Jacobian of gens."""
-    from itertools import combinations
     rows = [[g.diff(j) for j in range(ring.nvars)] for g in gens]
     out = []
     for cols in combinations(range(ring.nvars), c):

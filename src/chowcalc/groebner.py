@@ -16,6 +16,7 @@ here is deterministic.
 import contextvars
 import heapq
 from contextlib import contextmanager
+from itertools import combinations
 
 from .errors import (DegreeOverflowError, EngineError, InexactDivisionError,
                      RingMismatchError)
@@ -427,7 +428,6 @@ def krull_dim(I):
     for e in I.leading_exponents():
         supports.append(frozenset(i for i, k in enumerate(e) if k))
     n = ring.nvars
-    from itertools import combinations
     for size in range(n, -1, -1):
         for S in combinations(range(n), size):
             S = set(S)

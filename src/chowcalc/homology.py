@@ -11,8 +11,9 @@ tensored with the second module.
 
 from .errors import (ConsistencyError, EngineError, ResolutionError,
                      RingMismatchError)
-from .groebner import (Ideal, buchberger, module_order, split_module_order,
-                       vec_from_polys, vec_reduce, vec_to_polys, _prepare)
+from .groebner import (Ideal, buchberger, intersect, module_order,
+                       split_module_order, vec_from_polys, vec_reduce,
+                       vec_to_polys, _prepare)
 from .polyring import elimination_order
 
 
@@ -337,7 +338,6 @@ def annihilator(M, modulo=None):
     ring = M.ring
     if M.rank == 0:
         return Ideal(ring, (ring.one,))
-    from .groebner import intersect
     total = None
     for a in range(M.rank):
         unit = FreeModuleElement.unit(ring, M.rank, a)

@@ -20,6 +20,7 @@ from .errors import EngineError, HypothesisError
 from .geometry import Cycle, codim, serialize_cycle
 from .groebner import Ideal
 from .homology import FPModule, tor_modules
+from .morphisms import flat_pullback, proper_pushforward
 from .primes import length_at_prime, minimal_primes, prime_cache_scope
 
 
@@ -188,14 +189,12 @@ def _sides_associativity(a, b, c):
 
 def _sides_pullback_product(f, a, b):
     """Flat pullback distributes over products."""
-    from .morphisms import flat_pullback
     return (flat_pullback(f, intersection_product(a, b)),
             intersection_product(flat_pullback(f, a), flat_pullback(f, b)))
 
 
 def _sides_projection_formula(f, alpha, beta):
     """push(alpha . pull(beta)) == push(alpha) . beta."""
-    from .morphisms import flat_pullback, proper_pushforward
     return (proper_pushforward(
                 f, intersection_product(alpha, flat_pullback(f, beta))),
             intersection_product(proper_pushforward(f, alpha), beta))

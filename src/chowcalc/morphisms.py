@@ -1,4 +1,4 @@
-"""Maps between charts: images, graphs, finiteness, pullback, pushforward.
+"""Chart maps, product charts, graphs, finiteness, pullback, pushforward.
 
 A ChartMap is a morphism of charts source -> target, stored through its
 algebra map: each target variable gets a polynomial image over the source
@@ -89,6 +89,54 @@ class ChartMap:
         return f"<map {self.source.name} -> {self.target.name}: {pairs}>"
 
 
+def product_ring(*rings):
+    """The ring on the variables of all `rings` renamed apart in factor
+    order, and one {old name: new name} dict per factor."""
+    field = rings[0].field
+    if any(R.field != field for R in rings):
+        raise EngineError("product of charts over different fields")
+    taken = set()
+    names = [fresh_names(R.names, taken, "_r") for R in rings]
+    renames = [dict(zip(R.names, nm)) for R, nm in zip(rings, names)]
+    return PolynomialRing(field, sum(names, ())), renames
+
+
+class ProductChart:
+    """X1 x ... x Xn: the chart on the factors' variables renamed apart
+    (`renames[i]` sends the names of factor i to their names here), with
+    the flat projections to single factors and to products of some."""
+
+    def __init__(self, *factors):
+        ring, self.renames = product_ring(*(X.ring for X in factors))
+        self.factors = factors
+        gens = [transport(g, ring, ren)
+                for X, ren in zip(factors, self.renames) for g in X.ideal.gens]
+        self.chart = Chart("x".join(X.name for X in factors), ring,
+                           Ideal(ring, gens))
+
+    def projection(self, i):
+        """The flat map to factor i."""
+        return ChartMap(self.chart, self.factors[i], self.renames[i], flat=True)
+
+    def onto(self, other, picks):
+        """The flat map to `other`, the product of the factors at `picks`."""
+        if other.factors != tuple(self.factors[i] for i in picks):
+            raise EngineError(f"{other.chart.name} is not a product of "
+                              f"factors of {self.chart.name}")
+        images = {ren[nm]: self.renames[i][nm]
+                  for i, ren in zip(picks, other.renames) for nm in ren}
+        return ChartMap(self.chart, other.chart, images, flat=True)
+
+    def __eq__(self, other):
+        return isinstance(other, ProductChart) and other.factors == self.factors
+
+    def __hash__(self):
+        return hash(self.factors)
+
+    def __repr__(self):
+        return f"<product {self.chart.name}>"
+
+
 def identity_map(chart):
     return ChartMap(chart, chart, {nm: nm for nm in chart.ring.names},
                     flat=True, finite=True, proper=True)
@@ -104,15 +152,12 @@ def inclusion_of_subscheme(chart, ideal):
 
 
 def _build_graph(m):
-    src = m.source.ring
-    tgt = m.target.ring
-    rename = dict(zip(tgt.names, fresh_names(tgt.names, set(src.names), "_t")))
-    P = PolynomialRing(src.field, src.names + tuple(rename[nm] for nm in tgt.names))
+    P, (_, rename) = product_ring(m.source.ring, m.target.ring)
     gens = [transport(g, P) for g in m.source.ideal.gens]
-    for nm in tgt.names:
+    for nm in m.target.ring.names:
         yvar = P.var(P.index_of(rename[nm]))
         gens.append(yvar - transport(m.images[nm], P))
-    return P, Ideal(P, gens), src.names, rename
+    return P, Ideal(P, gens), m.source.ring.names, rename
 
 
 def _source_standard_exponents(P, G, src_names, bound=100000):
@@ -257,20 +302,16 @@ def fiber_product(f, g):
     Flatness and finiteness of g transfer to the projection to X."""
     if f.target != g.target:
         raise EngineError("fiber product needs a common base chart")
-    X, Y, Z = f.source, g.source, f.target
-    rename = dict(zip(Y.ring.names,
-                      fresh_names(Y.ring.names, set(X.ring.names), "_r")))
-    P = PolynomialRing(X.ring.field,
-                       X.ring.names + tuple(rename[nm] for nm in Y.ring.names))
-    gens = [transport(h, P) for h in X.ideal.gens]
-    gens += [transport(h, P, rename) for h in Y.ideal.gens]
-    for nm in Z.ring.names:
-        left = transport(f.images[nm], P)
-        right = transport(g.images[nm], P, rename)
-        gens.append(left - right)
-    W = Chart(f"{X.name}x{Y.name}", P, Ideal(P, gens))
-    to_x = ChartMap(W, X, {nm: nm for nm in X.ring.names},
+    prod = ProductChart(f.source, g.source)
+    P = prod.chart.ring
+    ren_x, ren_y = prod.renames
+    gens = list(prod.chart.ideal.gens)
+    for nm in f.target.ring.names:
+        gens.append(transport(f.images[nm], P, ren_x)
+                    - transport(g.images[nm], P, ren_y))
+    W = Chart(prod.chart.name, P, Ideal(P, gens))
+    to_x = ChartMap(W, f.source, ren_x,
                     flat=g.flat, finite=g.finite, proper=g.proper)
-    to_y = ChartMap(W, Y, {nm: rename[nm] for nm in Y.ring.names},
+    to_y = ChartMap(W, g.source, ren_y,
                     flat=f.flat, finite=f.finite, proper=f.proper)
     return W, to_x, to_y

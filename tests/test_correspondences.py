@@ -27,8 +27,28 @@ def test_product_chart_renames_clashes():
     X = line("X", "t")
     prod = ProductChart(X, line("Y", "t"))
     assert prod.chart.ring.names == ("t", "t_r")
-    assert prod.right_rename == {"t": "t_r"}
-    assert prod.to_left.images["t"].__str__() == "t"
+    assert prod.renames[1] == {"t": "t_r"}
+    assert prod.projection(0).images["t"].__str__() == "t"
+
+
+def test_triple_product_names_match_compose():
+    X, Y, Z = line("X", "t"), line("Y", "t"), line("Z", "t")
+    triple = ProductChart(X, Y, Z)
+    assert triple.chart.ring.names == ("t", "t_r", "t_r_r")
+    assert triple.chart.name == "XxYxZ"
+    assert triple.renames == [{"t": "t"}, {"t": "t_r"}, {"t": "t_r_r"}]
+    outer = triple.onto(ProductChart(X, Z), (0, 2))
+    assert {nm: str(v) for nm, v in outer.images.items()} == {
+        "t": "t", "t_r": "t_r_r"}
+    with pytest.raises(EngineError):
+        triple.onto(ProductChart(Z, X), (0, 2))
+    with pytest.raises(EngineError, match="two charts"):
+        Correspondence.from_gens(triple, ["t - t_r", "t_r - t_r_r"])
+
+
+def test_product_of_charts_over_different_fields_is_rejected():
+    with pytest.raises(EngineError, match="different fields"):
+        ProductChart(line("X", "t"), line("Y", "t", GF(5)))
 
 
 def test_graph_of_doubling():

@@ -11,6 +11,7 @@ from chowcalc.morphisms import (ChartMap, degree, fiber_product, flat_pullback,
                                 identity_map, inclusion_of_subscheme,
                                 proper_pushforward, pullback_module,
                                 pushforward_module, zariski_image)
+from chowcalc.morphisms import ProductChart
 from chowcalc.polyring import PolynomialRing
 from chowcalc.primes import minimal_primes
 
@@ -161,6 +162,16 @@ def test_fiber_product_renames_clashing_variables():
     assert W.ring.names == ("t", "t_r")
     assert W.ideal.contains(W.ring.parse("t^2 - t_r^3"))
     assert str(to_second.images["t"]) == "t_r"
+
+
+def test_fiber_product_names_its_ring_as_the_product_chart():
+    f = ChartMap(LINE_T, LINE_X, {"x": "t^2"})
+    g = ChartMap(LINE_T, LINE_X, {"x": "t^3"})
+    W, to_first, to_second = fiber_product(f, g)
+    prod = ProductChart(f.source, g.source)
+    assert W.ring == prod.chart.ring and W.name == prod.chart.name
+    assert to_first.images == prod.projection(0).images
+    assert to_second.images == prod.projection(1).images
 
 
 def test_functoriality_of_pushforward():

@@ -391,6 +391,17 @@ def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_unwritable_report_exits_2(tmp_path, capsys):
+    script = write(tmp_path, "let R = ring(x)\nlet A = chart(R)\n")
+    report = tmp_path / "missing" / "r.json"
+    code = cli.main(["--script", script, "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chowcalc: ") and str(report) in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
 def test_cli_semantic_error_exits_1(tmp_path, capsys):
     script = write(tmp_path, "let R = ring(x, y)\n"
                              "product [(x)] [(x)]\n")
