@@ -3,10 +3,12 @@
 One engine serves ideals and submodules of free modules: a module monomial is
 a (position, exponents) pair and an ideal is the rank-one case.  Pairs come
 off a heap ordered by lcm degree, then lcm under the order, then index; each
-pair is keyed once, when it is pushed.  The coprimality and chain criteria are
-applied only on the rank-one path (the coprimality criterion is unsound for
-module monomials, and in syzygy extraction skipped pairs would lose
-generators).
+pair is keyed once, when it is pushed.  Buchberger's chain criterion skips
+pairs on every run: it holds for pairs at one position of a free module.  The
+coprime (product) criterion skips pairs only when every input term sits at
+one position, so the run is an ideal's; for vectors spread over positions it
+is unsound.  Skipped pairs change the route, never the answer: the reduced
+basis is unique, so syzygies read off it do not depend on which pairs ran.
 
 Reduced bases (monic, fully auto-reduced, sorted by descending leading
 monomial) are canonical, cached per ideal per order, and every computation
@@ -138,29 +140,34 @@ def _spair(f, g, key, field):
     return merge_terms(a, b, key, field, subtract=True)
 
 
-def buchberger(vecs, key, field, use_criteria):
-    """Reduced basis of the submodule generated by `vecs`."""
+def buchberger(vecs, key, field):
+    """Reduced basis of the submodule generated by `vecs`.
+
+    A pair (i, j) is skipped by the chain criterion when some other k at the
+    same position has a leading monomial dividing their lcm and neither
+    (i, k) nor (j, k) is still queued.  It is skipped by the coprime
+    criterion when the leading monomials are coprime and every input term
+    sits at one position.  The coprime rule rests on S(f, g) being a
+    combination tail(g)*f - tail(f)*g, which needs f and g to be ring
+    elements; for vectors, (x, 1) and (y, 0) have coprime heads x*e_0 and
+    y*e_0, but their S-vector (0, y) does not reduce to zero against them."""
     limit = _degree_limit_var.get()
     basis = [v for v in vecs if v]
     basis.sort(key=lambda v: key(v[0][0]))
     prepared = _prepare(basis)
-
-    def lcm_of(i, j):
-        (pi, ei), _ = basis[i][0]
-        (pj, ej), _ = basis[j][0]
-        if pi != pj:
-            return None
-        return mono_lcm(ei, ej)
+    coprime_ok = len({pos for v in basis for (pos, _), _ in v}) <= 1
 
     # pending mirrors the heap for the chain criterion's membership test
     pending = set()
     heap = []
 
     def push(i, j):
-        l = lcm_of(i, j)
-        if l is not None:
+        (pi, ei), _ = basis[i][0]
+        (pj, ej), _ = basis[j][0]
+        if pi == pj:
+            l = mono_lcm(ei, ej)
             pending.add((i, j))
-            heapq.heappush(heap, (mono_degree(l), key((basis[i][0][0][0], l)), (i, j), l))
+            heapq.heappush(heap, (mono_degree(l), key((pi, l)), (i, j), l))
 
     for j in range(len(basis)):
         for i in range(j):
@@ -170,22 +177,13 @@ def buchberger(vecs, key, field, use_criteria):
         _, _, (i, j), l = heapq.heappop(heap)
         pending.remove((i, j))
         (pos, ei), _ = basis[i][0]
-        (_, ej), _ = basis[j][0]
-        if use_criteria:
-            if l == mono_mul(ei, ej):
-                continue  # coprime leading monomials
-            chained = False
-            for k in range(len(basis)):
-                if k in (i, j):
-                    continue
-                (pk, ek), _ = basis[k][0]
-                if pk != pos or not mono_divides(ek, l):
-                    continue
-                if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
-                    chained = True
-                    break
-            if chained:
-                continue
+        if coprime_ok and l == mono_mul(ei, basis[j][0][0][1]):
+            continue
+        if any(k != i and k != j and pk == pos and mono_divides(ek, l)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k, ((pk, ek), _, _) in enumerate(prepared)):
+            continue
         r = vec_reduce(_spair(basis[i], basis[j], key, field), prepared, key, field)
         if not r:
             continue
@@ -244,7 +242,7 @@ class Ideal:
         if tag not in self._cache:
             key = module_order(order, 1).key
             vecs = [vec_from_polys((g,), key) for g in self.gens]
-            basis = buchberger(vecs, key, self.ring.field, use_criteria=True) if vecs else ()
+            basis = buchberger(vecs, key, self.ring.field) if vecs else ()
             polys = tuple(vec_to_polys(v, 1, self.ring)[0] for v in basis)
             lms = tuple(v[0][0][1] for v in basis)
             self._cache[tag] = (polys, lms, basis, key)

@@ -5,8 +5,10 @@ with J folded into every relation list, so one Gröbner engine serves both the
 polynomial ring and its quotients.  Syzygies are computed by the witness
 trick: run Buchberger on (g_t, e_t) under an order whose main block dominates
 the witness block; basis elements with zero main part are exactly the
-syzygies.  Resolutions iterate that; Tor is the homology of a resolution
-tensored with the second module.
+syzygies.  That basis is the reduced one, which is unique, so the syzygies
+do not depend on which S-pairs Buchberger's chain criterion skipped.
+Resolutions iterate that; Tor is the homology of a resolution tensored with
+the second module.
 """
 
 from .errors import (ConsistencyError, EngineError, ResolutionError,
@@ -122,7 +124,7 @@ def module_basis(vectors, rank, ring, modulo=None):
     vecs = list(vectors) + _fold(modulo, ring, rank)
     order = module_order(ring.order, rank)
     raw = [vec_from_polys(v.coords, order.key) for v in vecs]
-    basis = buchberger(raw, order.key, ring.field, use_criteria=False)
+    basis = buchberger(raw, order.key, ring.field)
     return [FreeModuleElement(ring, vec_to_polys(v, rank, ring)) for v in basis]
 
 
@@ -169,7 +171,7 @@ def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=No
             witness_order = ring.order
     order = split_module_order(rank, m, ring.order, witness_order)
     raw = [vec_from_polys(v, order.key) for v in vectors]
-    basis = buchberger(raw, order.key, ring.field, use_criteria=False)
+    basis = buchberger(raw, order.key, ring.field)
     out = []
     for b in basis:
         if not b or b[0][0][0] < rank:

@@ -42,10 +42,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mono_degree(a):
     return sum(a)
 
@@ -290,13 +286,6 @@ class Polynomial:
             raise EngineError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def constant_value(self):
-        if self.is_zero():
-            return self.ring.field.zero
-        if not self.is_constant():
-            raise EngineError(f"{self} is not constant")
-        return self.terms[0][1]
-
     def total_degree(self):
         if not self.terms:
             return -1
@@ -448,11 +437,6 @@ class Polynomial:
                     piece = piece * power(i, k)
             total = total + piece
         return total
-
-    def sort_key(self):
-        """Canonical comparison key: leading monomials first."""
-        key = self.ring.order.key
-        return tuple(key(e) for e, _ in self.terms)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -640,7 +640,7 @@ def _point_length(M, p, modulo, max_steps):
         power = Ideal(ring, products.values()).groebner_basis()
         vecs = rels + [vec_from_polys(zero[:a] + (g,) + zero[a + 1:], key)
                        for g in power for a in range(rank)]
-        lead = [v[0][0] for v in buchberger(vecs, key, ring.field, use_criteria=False)]
+        lead = [v[0][0] for v in buchberger(vecs, key, ring.field)]
         prev, dim = dim, sum(
             len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, 200000))
             for a in range(rank))

@@ -1,10 +1,13 @@
 """Independent oracles used to derive and then pin expected test values.
 
-Everything here works through the public Polynomial API only (leading terms,
-term multiplication, subtraction) so it does not share code paths with the
-engine's vector machinery it is checking.
+Everything here works through the public Polynomial and FreeModuleElement
+APIs only (leading terms, term multiplication, subtraction) so it does not
+share code paths with the engine's vector machinery it is checking.
 """
 
+from itertools import product
+
+from chowcalc.homology import FreeModuleElement
 from chowcalc.polyring import mono_div, mono_divides, mono_lcm, transport
 
 
@@ -102,10 +105,101 @@ def count_standard_monomials(lead_exponents, bound=60):
         caps.append(min(pures))
     count = 0
     boxes = [range(c) for c in caps]
-    from itertools import product
     for point in product(*boxes):
         if not any(mono_divides(e, point) for e in lead_exponents):
             count += 1
         if count > bound:
             raise AssertionError("standard monomial count exploded")
     return count
+
+
+# ---------------------------------------------------------------------------
+# submodules of free modules: a term is (position, exponents, coefficient)
+
+def position_order(main_rank, main_order, witness_order=None):
+    """Sort key on (position, exponents): positions below main_rank beat the
+    rest, then the block's monomial order decides, then the lower position.
+    With witness_order None this is term-over-position on A^main_rank."""
+    def key(pos, exps):
+        if pos < main_rank:
+            return (1, main_order.key(exps), -pos)
+        return (0, witness_order.key(exps), -pos)
+    return key
+
+
+def leading_term(v, key):
+    """(position, exponents, coefficient) of the largest term of v."""
+    best = None
+    for pos, p in enumerate(v.coords):
+        for e, c in p.terms:
+            if best is None or key(pos, e) > key(best[0], best[1]):
+                best = (pos, e, c)
+    return best
+
+
+def reduce_vector(f, basis, key):
+    """Plain division by position: full normal form of f against basis."""
+    ring, rank = f.ring, f.rank
+    heads = [(leading_term(g, key), g) for g in basis if not g.is_zero()]
+    remainder = FreeModuleElement(ring, [ring.zero] * rank)
+    work = f
+    while not work.is_zero():
+        pos, e, c = leading_term(work, key)
+        for (gp, ge, gc), g in heads:
+            if gp == pos and mono_divides(ge, e):
+                work = work - g.scale(ring.monomial(mono_div(e, ge), ring.field.div(c, gc)))
+                break
+        else:
+            head = FreeModuleElement(ring, [ring.monomial(e, c) if i == pos else ring.zero
+                                            for i in range(rank)])
+            remainder = remainder + head
+            work = work - head
+    return remainder
+
+
+def s_vector(f, g, key):
+    """S-vector of two vectors whose leading terms share a position."""
+    ring = f.ring
+    _, ef, cf = leading_term(f, key)
+    _, eg, cg = leading_term(g, key)
+    l = mono_lcm(ef, eg)
+    inv = ring.field.inv
+    return (f.scale(ring.monomial(mono_div(l, ef), inv(cf)))
+            - g.scale(ring.monomial(mono_div(l, eg), inv(cg))))
+
+
+def is_module_groebner(basis, key):
+    """Buchberger criterion for modules: every S-vector of two elements with
+    leading terms at one position reduces to zero."""
+    basis = [g for g in basis if not g.is_zero()]
+    heads = [leading_term(g, key) for g in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if heads[i][0] != heads[j][0]:
+                continue
+            if not reduce_vector(s_vector(basis[i], basis[j], key), basis, key).is_zero():
+                return False
+    return True
+
+
+def is_reduced_module_basis(basis, key):
+    """Monic, and no term of any element is divisible by the leading term of
+    another element at the same position."""
+    heads = [leading_term(g, key) for g in basis]
+    for i, g in enumerate(basis):
+        if heads[i] is None or heads[i][2] != g.ring.field.one:
+            return False
+        for j, (hp, he, _) in enumerate(heads):
+            if i != j and any(mono_divides(he, e) for e, _ in g.coords[hp].terms):
+                return False
+    return True
+
+
+def assert_good_module_basis(gens, basis, key):
+    """The combined module oracle: basis is a reduced Groebner basis whose
+    span contains every original generator."""
+    assert basis or all(g.is_zero() for g in gens)
+    assert is_module_groebner(basis, key)
+    assert is_reduced_module_basis(basis, key)
+    for g in gens:
+        assert reduce_vector(g, basis, key).is_zero()
