@@ -109,15 +109,25 @@ def _jacobian_minors(gens, ring, c):
 
 
 def _det(m, ring):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = ring.zero
-    for j in range(n):
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _det(minor, ring)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968): after
+    step k every entry is a (k+1)-minor, so the division by the previous
+    pivot is exact in the polynomial ring.  A zero pivot swaps in a lower
+    row with a nonzero entry, or the determinant is zero."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, ring.one
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return ring.zero
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = divide_exact(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+        prev = a[k][k]
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 def codim(prime, chart):

@@ -17,7 +17,12 @@ the leaves land in a certifiable shape:
 Splitting only ever branches on factors q of an element of the ideal, so
 every minimal prime survives into some branch; leaves are certified primes
 containing the input; dropping the comparable ones leaves exactly the
-minimal primes.  A final radical-membership audit re-checks the covering.
+minimal primes.  A final audit re-checks containment, incomparability and
+the covering p_1 ∩ ... ∩ p_r ⊆ rad(I).  For zero-dimensional I the covering
+certificate uses normal forms against I's basis only: the products of the
+components' generators must be nilpotent in the Artinian ring R/I.  For
+positive-dimensional I the components are intersected and each generator of
+the intersection passes the Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
 Local lengths take one of two routes, chosen by the dimension of the prime.
@@ -32,6 +37,7 @@ prime that is not isolated in the support as HypothesisError.
 
 import contextvars
 import itertools
+import math
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -50,7 +56,8 @@ from .polyring import (BlockOrder, PolynomialRing, fresh_names, lex,
 
 class FactorizationUnavailable(EngineError):
     """Raised when the coefficient field/shape falls outside what the
-    factorization backend supports (multivariate over F_p)."""
+    factorization backend supports (multivariate over F_p, apart from linear
+    forms and homogeneous bivariate polynomials)."""
 
 
 def _to_sympy(f, syms):
@@ -109,15 +116,24 @@ def _factor_homogeneous_bivariate(f):
     return out
 
 
-def factor(f):
-    """[(irreducible factor, multiplicity)], constants dropped.
+def _primitive_linear(f):
+    """The normalization sympy gives an irreducible linear form: over QQ
+    integer, primitive and positive on its first variable; over F_p monic in
+    its first variable."""
+    field = f.ring.field
+    first = min(f.support())
+    lead = next(c for e, c in f.terms if e[first])
+    if isinstance(field, RationalField):
+        den = math.lcm(*(c.denominator for _, c in f.terms))
+        num = math.gcd(*(c.numerator * (den // c.denominator) for _, c in f.terms))
+        scale = Fraction(den if lead > 0 else -den, num)
+    else:
+        scale = field.inv(lead)
+    return f * scale
 
-    Exact over QQ in any number of variables; over F_p univariate
-    generators and homogeneous bivariate ones are supported
-    (FactorizationUnavailable otherwise)."""
+
+def _factor_with_sympy(f):
     ring = f.ring
-    if f.is_zero() or f.is_constant():
-        return []
     syms = tuple(sympy.Symbol(nm) for nm in ring.names)
     expr = _to_sympy(f, syms)
     if isinstance(ring.field, RationalField):
@@ -139,6 +155,28 @@ def factor(f):
         if not g.is_constant():
             out.append((g, e))
     return out
+
+
+def factor(f):
+    """[(irreducible factor, multiplicity)], constants dropped.
+
+    Exact over QQ in any number of variables; over F_p linear forms,
+    univariate polynomials and homogeneous bivariate ones are supported
+    (FactorizationUnavailable otherwise).  Linear forms are answered without
+    sympy; other answers are kept in the prime_cache_scope dict, so sympy
+    sees each polynomial once per top-level call."""
+    if f.is_zero() or f.is_constant():
+        return []
+    if f.total_degree() == 1:
+        return [(_primitive_linear(f), 1)]
+    cache = _prime_cache_var.get()
+    if cache is None:
+        return _factor_with_sympy(f)
+    key = ("factor", f.ring, f.terms)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = tuple(_factor_with_sympy(f))
+    return list(hit)
 
 
 def is_irreducible(f):
@@ -451,15 +489,16 @@ def _process(J):
         f"ideal shape outside the certification fragment: {J}")
 
 
-# Minimal primes by ideal.  The cache lives for one top-level call: the
-# outermost prime_cache_scope opens it, nested scopes share it, and it is
-# dropped when that call returns, so a long-lived process keeps no answers.
+# Minimal primes by ideal, and factorizations by ("factor", ring, terms).  The
+# cache lives for one top-level call: the outermost prime_cache_scope opens
+# it, nested scopes share it, and it is dropped when that call returns, so a
+# long-lived process keeps no answers.
 _prime_cache_var = contextvars.ContextVar("chowcalc_prime_cache", default=None)
 
 
 @contextmanager
 def prime_cache_scope():
-    """Share one minimal-prime cache among all calls inside the block; also
+    """Share one prime and factor cache among all calls inside the block; also
     usable as a decorator on an engine entry point."""
     cache = _prime_cache_var.get()
     if cache is not None:
@@ -517,6 +556,15 @@ def minimal_primes(I, verify=True):
 
 
 def _audit_decomposition(I, primes):
+    """Reject unless every component contains I, no two are comparable, and
+    the components cover I: p_1 ∩ ... ∩ p_r ⊆ rad(I).  An empty list is the
+    unit ideal, so it covers only the unit ideal.
+
+    The covering certificate depends on dim_k R/I.  When it is a finite D,
+    the normal-form certificate runs (_covers_by_normal_forms) and builds no
+    Gröbner basis; otherwise the Rabinowitsch route runs
+    (_covers_by_rabinowitsch).  Both accept exactly when the intersection
+    lies in rad(I), whether or not the components are prime."""
     for p in primes:
         for g in I.gens:
             if not p.ideal.contains(g):
@@ -524,14 +572,64 @@ def _audit_decomposition(I, primes):
     for p, q in itertools.combinations(primes, 2):
         if p.ideal.contains_ideal(q.ideal) or q.ideal.contains_ideal(p.ideal):
             raise DecompositionError(f"comparable components {p} and {q}")
-    if not primes:
-        return
-    total = primes[0].ideal
-    for p in primes[1:]:
-        total = intersect(total, p.ideal)
-    for g in total.gens:
-        if not in_radical(g, I):
-            raise DecompositionError("components do not cover the ideal")
+    ideals = [p.ideal for p in primes]
+    dim = vector_space_dimension(I)
+    if dim is None:
+        covered = _covers_by_rabinowitsch(I, ideals)
+    else:
+        covered = _covers_by_normal_forms(I, ideals, dim)
+    if not covered:
+        raise DecompositionError("components do not cover the ideal")
+
+
+def _covers_by_rabinowitsch(I, ideals):
+    """J_1 ∩ ... ∩ J_r ⊆ rad(I) by r - 1 eliminations, then one Rabinowitsch
+    basis per generator of the intersection."""
+    if not ideals:
+        return I.is_unit()
+    total = ideals[0]
+    for J in ideals[1:]:
+        total = intersect(total, J)
+    return all(in_radical(g, I) for g in total.gens)
+
+
+def _covers_by_normal_forms(I, ideals, dim):
+    """J_1 ∩ ... ∩ J_r ⊆ rad(I) for I with dim_k R/I = dim, by normal forms
+    against I's basis alone.
+
+    The intersection and the product J_1⋯J_r have one radical, and the
+    products g_1⋯g_r of basis elements generate the product, so the covering
+    holds iff each of those products is nilpotent in R/I.  Their normal forms
+    span a subspace of R/I, built one factor at a time as an echelon set of
+    at most dim elements (_span_times).  R/I is Artinian of length at most
+    dim, so h is nilpotent iff h^(2^m) lies in I for 2^m >= dim (Cox, Little
+    & O'Shea, Using Algebraic Geometry, ch. 4)."""
+    if not dim:
+        return True  # I is the unit ideal
+    span = [I.ring.one]
+    for J in ideals:
+        span = _span_times(I, span, J.groebner_basis())
+    squarings = (dim - 1).bit_length()
+    for h in span:
+        for _ in range(squarings):
+            h = I.normal_form(h * h)
+        if not h.is_zero():
+            return False
+    return True
+
+
+def _span_times(I, span, gens):
+    """An echelon basis, by leading monomial, of the span of the normal forms
+    of h*g for h in span and g in gens."""
+    rows = {}
+    for h in span:
+        for g in gens:
+            r = I.normal_form(h * g)
+            while not r.is_zero() and r.lm() in rows:
+                r = r - rows[r.lm()] * r.lc()
+            if not r.is_zero():
+                rows[r.lm()] = r.monic()
+    return list(rows.values())
 
 
 def is_prime(I):
@@ -544,7 +642,7 @@ def is_prime(I):
 
 def assert_decomposition(I, ideals):
     """Escape hatch: trust primality of the given ideals, but still audit
-    containment, incomparability and covering."""
+    containment, incomparability and covering (see _audit_decomposition)."""
     primes = tuple(PrimeIdeal(J, certified=False) for J in ideals)
     _audit_decomposition(I, primes)
     return primes

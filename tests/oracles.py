@@ -2,11 +2,15 @@
 
 Everything here works through the public Polynomial and FreeModuleElement
 APIs only (leading terms, term multiplication, subtraction) so it does not
-share code paths with the engine's vector machinery it is checking.
+share code paths with the engine's vector machinery it is checking.  The
+decomposition-audit reference is the one exception: it intersects and tests
+radical membership through the engine's eliminations, the route that the
+zero-dimensional covering certificate no longer takes.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 
+from chowcalc.groebner import in_radical, intersect
 from chowcalc.homology import FreeModuleElement
 from chowcalc.polyring import mono_div, mono_divides, mono_lcm, transport
 
@@ -203,3 +207,43 @@ def assert_good_module_basis(gens, basis, key):
     assert is_reduced_module_basis(basis, key)
     for g in gens:
         assert reduce_vector(g, basis, key).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# determinants and decomposition audits
+
+def laplace_det(m, ring):
+    """Determinant as the signed sum over all permutations (n! terms)."""
+    n = len(m)
+    total = ring.zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = ring.one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def radical_covers(I, ideals):
+    """J_1 ∩ ... ∩ J_r ⊆ rad(I) by elimination: the ideals are intersected
+    one at a time and every generator of the intersection is tested by
+    Rabinowitsch.  This is a Gröbner route that the engine's zero-dimensional
+    covering certificate does not take.  No ideals: the unit ideal."""
+    if not ideals:
+        return in_radical(I.ring.one, I)
+    total = ideals[0]
+    for J in ideals[1:]:
+        total = intersect(total, J)
+    return all(in_radical(g, I) for g in total.gens)
+
+
+def audit_accepts(I, ideals):
+    """Reference decomposition audit: every ideal contains I, no two are
+    comparable, and together they cover I."""
+    if not all(J.contains_ideal(I) for J in ideals):
+        return False
+    if any(J.contains_ideal(K) or K.contains_ideal(J)
+           for J, K in combinations(ideals, 2)):
+        return False
+    return radical_covers(I, ideals)

@@ -3,15 +3,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chowcalc import geometry as geometry_module
 from chowcalc.errors import EngineError, GlueError
-from chowcalc.fields import QQ
+from chowcalc.fields import GF, QQ
 from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim,
                                cycle_of_module, cycle_of_subscheme, point_cycle,
                                principal_atlas, restrict_cycle, transport_cycle)
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
+
+from oracles import laplace_det
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -231,3 +235,17 @@ def test_transport_cycle_through_isomorphism():
     # x = 2 corresponds to y = 1/2
     expected_prime = next(iter(moved.coeffs))
     assert expected_prime.contains(rec.overlap2.ring.parse("2*y - 1"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bareiss_determinant_matches_laplace(data):
+    # sparse entries make zero pivots, and so row swaps, common
+    ring = PolynomialRing(data.draw(st.sampled_from([QQ, GF(7)])), ("x", "y"))
+    n = data.draw(st.integers(1, 5))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    entry = st.dictionaries(mono, st.integers(-3, 3), max_size=3).map(ring.from_dict)
+    m = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans(), label="dependent rows"):
+        m[-1] = [a * ring.var(0) + b for a, b in zip(m[0], m[1])]
+    assert geometry_module._det(m, ring) == laplace_det(m, ring)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import primes as primes_module
@@ -70,6 +71,75 @@ def test_factor_finite_field():
         ("x", 1), ("x + 2*y", 1), ("x + 3*y", 1), ("y", 2)]
     with pytest.raises(FactorizationUnavailable):
         factor(F5.parse("x^2 + y^2 + 1"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_linear_shortcut_matches_the_sympy_route(data):
+    # QQ: 1-3 variables, sympy's normalization is integer, primitive and
+    # positive on the first variable; F_p: univariate and monic
+    p = data.draw(st.sampled_from([None, 2, 7, 101]), label="field")
+    if p is None:
+        ring = PolynomialRing(QQ, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+        coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    else:
+        ring = PolynomialRing(GF(p), ("t",))
+        coeff = st.integers(0, p - 1)
+    n = ring.nvars
+    terms = {tuple(int(j == i) for j in range(n)): data.draw(coeff) for i in range(n)}
+    terms[(0,) * n] = data.draw(coeff)
+    f = ring.from_dict(terms)
+    if f.total_degree() != 1:
+        return
+    got = factor(f)
+    want = primes_module._factor_with_sympy(f)
+    assert [(q.terms, str(q), e) for q, e in got] == [(q.terms, str(q), e) for q, e in want]
+
+
+def test_factor_reaches_sympy_once_per_polynomial_in_a_scope(monkeypatch):
+    calls = []
+    depth = [0]
+
+    def counted(label, real):
+        # sympy.factor_list goes through Poly.factor_list: count the outer call
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(label)
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", counted("QQ", sympy.Poly.factor_list))
+    monkeypatch.setattr(sympy, "factor_list", counted("Fp", sympy.factor_list))
+    F7 = PolynomialRing(GF(7), ("x", "y"))
+    RUV = PolynomialRing(QQ, ("u", "v"))  # same exponent tuples, another ring
+    polys = [R2.parse("x^2 - y^2"), R2.parse("x^2 + 1"), RUV.parse("u^2 + 1"),
+             F7.parse("x^2 + 1"), F7.parse("x^3 - 1"), F7.parse("x^2 + y^2"),
+             R2.parse("2*x - 3*y + 1"), F7.parse("x + 3*y")]
+    with primes_module.prime_cache_scope() as cache:
+        first = [factor(f) for f in polys]
+        assert [factor(f) for f in reversed(polys)] == first[::-1]
+        assert factor(R2.parse("x^2 - y^2")) == first[0]
+    # linear forms never reach sympy; x^2 + y^2 over F_7 does through its
+    # dehomogenization x^2 + 1, already factored in the same scope
+    assert sorted(calls) == ["Fp", "Fp", "QQ", "QQ", "QQ"]
+    assert ("factor", R2, R2.parse("x^2 + 1").terms) in cache
+    with primes_module.prime_cache_scope():
+        assert [factor(f) for f in polys] == first
+    assert len(calls) == 10
+    assert primes_module._prime_cache_var.get() is None
+
+
+def test_factor_finite_field_multivariate_linear_form():
+    # a linear form is irreducible: no finite-field backend is needed
+    F5 = PolynomialRing(GF(5), ("x", "y", "z"))
+    f = F5.parse("x + 2*y + 3*z + 1")
+    assert factor(f) == [(f, 1)]
+    assert [(str(q), e) for q, e in factor(F5.parse("2*y + z + 4"))] == [("y + 3*z + 2", 1)]
+    assert is_irreducible(f)
 
 
 def test_prime_ideal_identity():
