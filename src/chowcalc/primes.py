@@ -239,18 +239,26 @@ def assert_prime(I):
     return PrimeIdeal(I, certified=False)
 
 
-def standard_exponents(lead, nvars, bound):
-    """Exponent tuples in nvars variables divisible by no exponent in `lead`,
-    or None when some variable has no pure power in `lead` (there are then
-    infinitely many).  Raises when the enclosing box exceeds `bound`."""
+def _pure_power_caps(lead, nvars):
+    """The least k with x_i^k in `lead`, for each of nvars variables (all 0
+    when 1 leads), or None when some variable has no pure power in `lead`.
+    Every standard exponent lies in the box range(k_1) x ... x range(k_n)."""
     if any(not any(e) for e in lead):
-        return []  # 1 leads: the unit ideal
+        return [0] * nvars  # 1 leads: the unit ideal
     caps = [None] * nvars
     for e in lead:
         nz = [i for i, k in enumerate(e) if k]
         if len(nz) == 1 and (caps[nz[0]] is None or e[nz[0]] < caps[nz[0]]):
             caps[nz[0]] = e[nz[0]]
-    if any(c is None for c in caps):
+    return None if any(c is None for c in caps) else caps
+
+
+def standard_exponents(lead, nvars, bound):
+    """Exponent tuples in nvars variables divisible by no exponent in `lead`,
+    or None when some variable has no pure power in `lead` (there are then
+    infinitely many).  Raises when the enclosing box exceeds `bound`."""
+    caps = _pure_power_caps(lead, nvars)
+    if caps is None:
         return None
     box = 1
     for c in caps:
@@ -560,11 +568,12 @@ def _audit_decomposition(I, primes):
     the components cover I: p_1 ∩ ... ∩ p_r ⊆ rad(I).  An empty list is the
     unit ideal, so it covers only the unit ideal.
 
-    The covering certificate depends on dim_k R/I.  When it is a finite D,
-    the normal-form certificate runs (_covers_by_normal_forms) and builds no
-    Gröbner basis; otherwise the Rabinowitsch route runs
-    (_covers_by_rabinowitsch).  Both accept exactly when the intersection
-    lies in rad(I), whether or not the components are prime."""
+    The covering certificate depends on dim_k R/I.  When it is finite (every
+    variable has a pure power among I's leading monomials), the normal-form
+    certificate runs (_covers_by_normal_forms) and builds no Gröbner basis;
+    otherwise the Rabinowitsch route runs (_covers_by_rabinowitsch).  Both
+    accept exactly when the intersection lies in rad(I), whether or not the
+    components are prime."""
     for p in primes:
         for g in I.gens:
             if not p.ideal.contains(g):
@@ -573,11 +582,11 @@ def _audit_decomposition(I, primes):
         if p.ideal.contains_ideal(q.ideal) or q.ideal.contains_ideal(p.ideal):
             raise DecompositionError(f"comparable components {p} and {q}")
     ideals = [p.ideal for p in primes]
-    dim = vector_space_dimension(I)
-    if dim is None:
+    caps = _pure_power_caps(I.leading_exponents(), I.ring.nvars)
+    if caps is None:
         covered = _covers_by_rabinowitsch(I, ideals)
     else:
-        covered = _covers_by_normal_forms(I, ideals, dim)
+        covered = _covers_by_normal_forms(I, ideals, math.prod(caps))
     if not covered:
         raise DecompositionError("components do not cover the ideal")
 
@@ -593,23 +602,21 @@ def _covers_by_rabinowitsch(I, ideals):
     return all(in_radical(g, I) for g in total.gens)
 
 
-def _covers_by_normal_forms(I, ideals, dim):
-    """J_1 ∩ ... ∩ J_r ⊆ rad(I) for I with dim_k R/I = dim, by normal forms
+def _covers_by_normal_forms(I, ideals, box):
+    """J_1 ∩ ... ∩ J_r ⊆ rad(I) for I with dim_k R/I <= box, by normal forms
     against I's basis alone.
 
     The intersection and the product J_1⋯J_r have one radical, and the
     products g_1⋯g_r of basis elements generate the product, so the covering
     holds iff each of those products is nilpotent in R/I.  Their normal forms
     span a subspace of R/I, built one factor at a time as an echelon set of
-    at most dim elements (_span_times).  R/I is Artinian of length at most
-    dim, so h is nilpotent iff h^(2^m) lies in I for 2^m >= dim (Cox, Little
-    & O'Shea, Using Algebraic Geometry, ch. 4)."""
-    if not dim:
-        return True  # I is the unit ideal
+    at most dim_k R/I elements (_span_times).  R/I is Artinian of length at
+    most box, so h is nilpotent iff h^(2^m) lies in I for 2^m >= box (Cox,
+    Little & O'Shea, Using Algebraic Geometry, ch. 4)."""
     span = [I.ring.one]
     for J in ideals:
         span = _span_times(I, span, J.groebner_basis())
-    squarings = (dim - 1).bit_length()
+    squarings = (box - 1).bit_length()
     for h in span:
         for _ in range(squarings):
             h = I.normal_form(h * h)

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from chowcalc import groebner as groebner_module
 from chowcalc import primes as primes_module
-from chowcalc.errors import DecompositionError
+from chowcalc.errors import DecompositionError, EngineError
 from chowcalc.fields import GF, QQ
 from chowcalc.groebner import Ideal
 from chowcalc.polyring import PolynomialRing
-from chowcalc.primes import assert_decomposition, vector_space_dimension
+from chowcalc.primes import (assert_decomposition, minimal_primes,
+                             vector_space_dimension)
 
 from oracles import audit_accepts, radical_covers
 
@@ -111,6 +112,15 @@ def test_nilpotency_needs_every_power_up_to_the_dimension():
     assert len(assert_decomposition(I, [Ideal(R2, ("x", "y"))])) == 1
     assert primes_module._covers_by_normal_forms(I, [Ideal(R2, ("x", "y"))], 4)
     assert not primes_module._covers_by_normal_forms(I, [Ideal(R2, ("x - 1", "y"))], 4)
+
+
+def test_small_quotient_in_a_large_box_is_certified():
+    # dim_k R/I = 899, but the pure powers span a 450 x 450 box of 202,500
+    # monomials, more than vector_space_dimension enumerates
+    I = Ideal(R2, ("x*y", "x^450", "y^450"))
+    with pytest.raises(EngineError):
+        vector_space_dimension(I)
+    assert [p.key for p in minimal_primes(I)] == [("x", "y")]
 
 
 def _grid():
