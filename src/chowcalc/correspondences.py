@@ -14,7 +14,6 @@ from .groebner import Ideal
 from .intersection import intersection_product
 from .morphisms import (ChartMap, ProductChart, flat_pullback, identity_map,
                         proper_pushforward, zariski_image)
-from .polyring import transport
 from .primes import PrimeIdeal, prime_cache_scope
 
 
@@ -95,12 +94,8 @@ class Correspondence:
 def graph(f):
     """The graph of a chart map as a correspondence from its source to its
     target; always elementary (it projects isomorphically to the source)."""
-    prod = ProductChart(f.source, f.target)
-    ring = prod.chart.ring
-    src, tgt = prod.renames
-    gens = [ring.parse(tgt[nm]) - transport(f.images[nm], ring, src)
-            for nm in f.target.ring.names]
-    return Correspondence.from_gens(prod, gens)
+    return Correspondence.from_gens(ProductChart(f.source, f.target),
+                                    f.graph()[1].gens)
 
 
 def identity_correspondence(chart):

@@ -115,9 +115,7 @@ class PrimeField:
         if isinstance(v, int):
             return v % self.p
         if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return v.numerator % self.p
-            return self.div(v.numerator % self.p, v.denominator % self.p)
+            return self.fraction(v.numerator, v.denominator)
         raise EngineError(f"cannot coerce {v!r} into {self.name}")
 
     def add(self, a, b):
@@ -168,13 +166,9 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache = {}
-
 
 def GF(p):
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)
 
 
 def field_from_name(name):

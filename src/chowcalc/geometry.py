@@ -11,7 +11,7 @@ space can be audited for consistency on the overlaps.
 from itertools import combinations
 
 from .errors import ConsistencyError, EngineError, GlueError, HypothesisError
-from .groebner import Ideal, divide_exact, krull_dim, quotient
+from .groebner import Ideal, divide_exact, is_regular_element, krull_dim
 from .homology import FPModule, annihilator
 from .polyring import PolynomialRing, transport
 from .primes import (PrimeIdeal, length_at_prime, minimal_primes,
@@ -302,7 +302,7 @@ class CartierDivisor:
         for part in (num, den):
             if part.ring != ring:
                 raise EngineError("divisor data from a different ring")
-            if not _regular_on(part, chart):
+            if not is_regular_element(part, chart.ideal):
                 raise EngineError(f"{part} is a zero divisor on chart {chart.name}")
         self.chart = chart
         self.num = num
@@ -349,12 +349,6 @@ class CartierDivisor:
 
     def __repr__(self):
         return f"<cartier {self} on {self.chart.name}>"
-
-
-def _regular_on(f, chart):
-    if chart.ideal.contains(f):
-        return False
-    return quotient(chart.ideal, f) == chart.ideal
 
 
 def _principal_cycle(f, chart):

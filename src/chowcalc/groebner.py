@@ -132,8 +132,8 @@ def _prepare(basis):
 
 
 def _spair(f, g, key, field):
-    (pf, ef), cf = f[0]
-    (pg, eg), cg = g[0]
+    (_, ef), cf = f[0]
+    (_, eg), cg = g[0]
     l = mono_lcm(ef, eg)
     a = vec_mul_term(f, mono_div(l, ef), field.inv(cf), field)
     b = vec_mul_term(g, mono_div(l, eg), field.inv(cg), field)

@@ -107,16 +107,16 @@ class FPModule:
         return f"<module rank {self.rank}, {len(self.relations)} relations over {self.ring}>"
 
 
+def unit_multiples(gens, ring, rank):
+    """g * e_a for every g in gens and a < rank, g in the outer loop."""
+    zero = (ring.zero,) * rank
+    return [FreeModuleElement(ring, zero[:a] + (g,) + zero[a + 1:])
+            for g in gens for a in range(rank)]
+
+
 def _fold(modulo, ring, rank):
     """J * e_a relation copies for working over R/J."""
-    if modulo is None or not modulo.gens:
-        return []
-    out = []
-    for g in modulo.gens:
-        for a in range(rank):
-            out.append(FreeModuleElement(
-                ring, tuple(g if i == a else ring.zero for i in range(rank))))
-    return out
+    return [] if modulo is None else unit_multiples(modulo.gens, ring, rank)
 
 
 def module_basis(vectors, rank, ring, modulo=None):
@@ -281,7 +281,7 @@ def _slot_relations(N, slots, ring):
     return out
 
 
-def _tensor_columns(cols, source_rank, N, ring):
+def _tensor_columns(cols, N, ring):
     """Columns of d tensor id_N on free covers.
 
     d has `len(cols)` columns in A^{target_rank}; the tensored map sends
@@ -317,12 +317,11 @@ def tor_modules(M, N, modulo=None, up_to=None):
             out.append(FPModule(ring, 0, ()))
             continue
         u_here = _slot_relations(N, res.ranks[i], ring)
-        boundary = (_tensor_columns(res.mats[i], res.ranks[i], N, ring)
-                    if i < res.length() else [])
+        boundary = _tensor_columns(res.mats[i], N, ring) if i < res.length() else []
         if i == 0:
             out.append(FPModule(ring, rank_i, boundary + u_here))
             continue
-        d_cols = _tensor_columns(res.mats[i - 1], res.ranks[i - 1], N, ring)
+        d_cols = _tensor_columns(res.mats[i - 1], N, ring)
         u_prev = _slot_relations(N, res.ranks[i - 1], ring)
         kernel = coefficient_module(d_cols, u_prev, res.ranks[i - 1] * N.rank,
                                     ring, modulo=modulo)

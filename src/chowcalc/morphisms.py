@@ -16,7 +16,8 @@ modules over the target block present pushforward modules.
 from .errors import EngineError, RingMismatchError
 from .geometry import Chart, Cycle, codim, cycle_of_subscheme
 from .groebner import Ideal, eliminate
-from .homology import FPModule, FreeModuleElement, coefficient_module
+from .homology import (FPModule, FreeModuleElement, coefficient_module,
+                       unit_multiples)
 from .polyring import PolynomialRing, elimination_order, fresh_names, transport
 from .primes import PrimeIdeal, generic_rank, standard_exponents
 
@@ -170,8 +171,7 @@ def _source_standard_exponents(P, G, src_names, bound=100000):
         return idx, []  # empty locus: the zero module is finite
     order = elimination_order(idx, P.nvars)
     lead = []
-    for g in G.groebner_basis(order):
-        e = max((t[0] for t in g.terms), key=order.key)
+    for e in G.leading_exponents(order):
         if all(e[i] == 0 for i in range(P.nvars) if i not in idx):
             lead.append(tuple(e[i] for i in idx))
     return idx, standard_exponents(lead, len(idx), bound)
@@ -218,8 +218,7 @@ def pushforward_module(m, M=None, extra=None):
         monos.append(P.monomial(full))
     monos.sort(key=lambda mono: P.order.key(mono.lm()))
     rank = M.rank
-    gens = [FreeModuleElement.unit(P, rank, a).scale(mono)
-            for mono in monos for a in range(rank)]
+    gens = unit_multiples(monos, P, rank)
     rels = [FreeModuleElement(P, [transport(c, P) for c in v.coords])
             for v in M.relations]
     ynames = tuple(rename[nm] for nm in m.target.ring.names)

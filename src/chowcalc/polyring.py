@@ -155,7 +155,7 @@ class PolynomialRing:
 
     def var(self, i):
         if isinstance(i, str):
-            i = self._index[i]
+            i = self.index_of(i)
         e = [0] * self.nvars
         e[i] = 1
         return Polynomial(self, ((tuple(e), self.field.one),))
@@ -187,7 +187,7 @@ class PolynomialRing:
         return Polynomial(self, tuple(items))
 
     def parse(self, text):
-        return _parse_polynomial(self, text)
+        return _Parser(self, text).parse()
 
     def with_order(self, order):
         if order == self.order:
@@ -317,14 +317,14 @@ class Polynomial:
             raise RingMismatchError(f"mixing {self.ring} and {other.ring}")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
         return Polynomial(self.ring, merge_terms(
             self.terms, other.terms, self.ring.order.key, self.ring.field))
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
         return Polynomial(self.ring, merge_terms(
@@ -338,7 +338,7 @@ class Polynomial:
     def __mul__(self, other):
         ring = self.ring
         f = ring.field
-        if isinstance(other, int) or type(other) is type(f.zero):
+        if not isinstance(other, Polynomial):
             c = f.coerce(other)
             if c == f.zero:
                 return ring.zero
@@ -491,10 +491,6 @@ def merge_terms(a, b, key, field, subtract=False):
 # ---------------------------------------------------------------------------
 # printer
 
-def _coeff_str(field, c):
-    return field.to_str(c)
-
-
 def _print_polynomial(p):
     if not p.terms:
         return "0"
@@ -511,11 +507,11 @@ def _print_polynomial(p):
             elif k > 1:
                 factors.append(f"{ring.names[i]}^{k}")
         if not factors:
-            body = _coeff_str(f, mag)
+            body = f.to_str(mag)
         elif mag == f.one:
             body = "*".join(factors)
         else:
-            body = "*".join([_coeff_str(f, mag)] + factors)
+            body = "*".join([f.to_str(mag)] + factors)
         if idx == 0:
             pieces.append("-" + body if neg else body)
         else:
@@ -632,7 +628,3 @@ class _Parser:
             etok = self.take("int")
             p = p ** int(etok[1])
         return p
-
-
-def _parse_polynomial(ring, text):
-    return _Parser(ring, text).parse()

@@ -49,7 +49,7 @@ from .errors import (ConsistencyError, DecompositionError, EngineError,
 from .fields import RationalField
 from .groebner import (Ideal, buchberger, eliminate, in_radical, intersect,
                        krull_dim, module_order, vec_from_polys)
-from .homology import FreeModuleElement, _fold, coefficient_module
+from .homology import _fold, coefficient_module, unit_multiples
 from .polyring import (BlockOrder, PolynomialRing, fresh_names, lex,
                        mono_divides, transport)
 
@@ -182,8 +182,13 @@ def factor(f):
 def is_irreducible(f):
     if f.is_constant():
         return False
-    facs = factor(f)
-    return len(facs) == 1 and facs[0][1] == 1
+    return not _splits(factor(f))
+
+
+def _splits(facs):
+    """Whether `facs`, the factorization of a nonconstant polynomial, shows
+    it reducible: two factors, or one of multiplicity above 1."""
+    return len(facs) > 1 or facs[0][1] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +329,7 @@ def _triangular_under(I, order):
     """All leading monomials are distinct single variables of degree one:
     quotient is a polynomial ring in the remaining variables."""
     lead_vars = set()
-    for g in I.groebner_basis(order):
-        e = max((t[0] for t in g.terms), key=order.key)
+    for e in I.leading_exponents(order):
         nz = [i for i, k in enumerate(e) if k]
         if sum(e) != 1 or len(nz) != 1 or nz[0] in lead_vars:
             return False
@@ -367,16 +371,19 @@ def _localization_shape(I, gb):
 
 
 def _split_on_factors(J):
-    """Branch J along a reducible reduced-basis element; None if all are
-    irreducible (or unfactorable)."""
-    for g in J.groebner_basis():
+    """("split", branches) along a reducible reduced-basis element, or
+    ("prime", [J]) when J is principal with an irreducible generator; None
+    when every element is irreducible or unfactorable."""
+    gb = J.groebner_basis()
+    for g in gb:
         try:
             facs = factor(g)
         except FactorizationUnavailable:
             continue
-        if len(facs) >= 2 or (len(facs) == 1 and facs[0][1] > 1
-                              and facs[0][0].total_degree() < g.total_degree()):
-            return [J + Ideal(J.ring, (q,)) for q, _ in facs]
+        if _splits(facs):
+            return ("split", [J + Ideal(J.ring, (q,)) for q, _ in facs])
+        if len(gb) == 1:
+            return ("prime", [PrimeIdeal(J)])
     return None
 
 
@@ -395,9 +402,7 @@ def _eliminant_split(J):
                 facs = factor(g)
             except FactorizationUnavailable:
                 continue
-            proper_power = (len(facs) == 1 and facs[0][1] > 1
-                            and facs[0][0].total_degree() < g.total_degree())
-            if not (len(facs) >= 2 or proper_power):
+            if not _splits(facs):
                 continue
             lifted = [transport(q, ring) for q, _ in facs]
             if any(J.normal_form(q).is_zero() for q in lifted):
@@ -430,7 +435,7 @@ def _zero_dim_step(J):
         except FactorizationUnavailable:
             stuck = True
             continue
-        if len(facs) >= 2 or facs[0][1] > 1:
+        if _splits(facs):
             return ("split", [J + Ideal(ring, (_evaluate_univariate(q, lam),))
                               for q, _ in facs])
         if m.total_degree() == vdim:
@@ -473,15 +478,9 @@ def _process(J):
     if all(g.total_degree() == 1 for g in gb):
         # linear (or zero): the quotient is a polynomial ring
         return ("prime", [PrimeIdeal(J)])
-    branches = _split_on_factors(J)
-    if branches is not None:
-        return ("split", branches)
-    if len(gb) == 1:
-        try:
-            if is_irreducible(gb[0]):
-                return ("prime", [PrimeIdeal(J)])
-        except FactorizationUnavailable:
-            pass
+    step = _split_on_factors(J)
+    if step is not None:
+        return step
     for order in _candidate_orders(J.ring):
         if _triangular_under(J, order):
             return ("prime", [PrimeIdeal(J)])
@@ -521,7 +520,7 @@ def prime_cache_scope():
 
 
 @prime_cache_scope()
-def minimal_primes(I, verify=True):
+def minimal_primes(I):
     """The minimal primes over I, certified, as a tuple sorted by canonical
     key.  Raises DecompositionError outside the supported fragment."""
     cache = _prime_cache_var.get()
@@ -557,8 +556,7 @@ def minimal_primes(I, verify=True):
             survivors.append(p)
     survivors.sort(key=lambda p: (len(p.key), p.key))
     result = tuple(survivors)
-    if verify:
-        _audit_decomposition(I, result)
+    _audit_decomposition(I, result)
     cache[I] = result
     return result
 
@@ -737,14 +735,13 @@ def _point_length(M, p, modulo, max_steps):
     rels = [vec_from_polys(v.coords, key)
             for v in list(M.relations) + _fold(modulo, ring, rank)]
     zgens = p.ideal.groebner_basis()
-    zero = (ring.zero,) * rank
     power = (ring.one,)
     dim = 0
     for _ in range(max_steps):
         products = {q.terms: q for q in (g * h for g in power for h in zgens)}
         power = Ideal(ring, products.values()).groebner_basis()
-        vecs = rels + [vec_from_polys(zero[:a] + (g,) + zero[a + 1:], key)
-                       for g in power for a in range(rank)]
+        vecs = rels + [vec_from_polys(v.coords, key)
+                       for v in unit_multiples(power, ring, rank)]
         lead = [v[0][0] for v in buchberger(vecs, key, ring.field)]
         prev, dim = dim, sum(
             len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, 200000))
@@ -775,10 +772,8 @@ def _filtration_length(M, p, modulo, max_steps):
                 q = m * g
                 nxt_set[q.terms] = q
         nxt = list(nxt_set.values())
-        targets = [FreeModuleElement.unit(ring, M.rank, a).scale(m)
-                   for m in level for a in range(M.rank)]
-        ambient = [FreeModuleElement.unit(ring, M.rank, a).scale(m)
-                   for m in nxt for a in range(M.rank)] + rels
+        targets = unit_multiples(level, ring, M.rank)
+        ambient = unit_multiples(nxt, ring, M.rank) + rels
         W = coefficient_module(targets, ambient, M.rank, ring)
         d = len(targets) - _matrix_rank_mod_prime([w.coords for w in W], p)
         if d == 0:

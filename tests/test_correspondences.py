@@ -58,6 +58,18 @@ def test_graph_of_doubling():
     assert correspondence_degree(g) == 1
 
 
+def test_graph_from_a_chart_with_relations():
+    R = PolynomialRing(QQ, ("x", "y"))
+    parabola = Chart("P", R, Ideal(R, ["y - x^2"]))
+    f = ChartMap(parabola, line("A", "x"), {"x": "x"}, flat=True)
+    prod = ProductChart(parabola, f.target)
+    assert prod.renames[1] == {"x": "x_r"}
+    g = graph(f)
+    assert g == Correspondence.from_gens(prod, ["x_r - x"])
+    assert g.is_elementary()
+    assert correspondence_degree(g) == 1
+
+
 def test_identity_correspondence_is_diagonal():
     X = line("X", "t")
     d = identity_correspondence(X)

@@ -204,6 +204,34 @@ def test_ring_mismatch():
         R.var("x") + S.var("x")
 
 
+def test_unknown_variable_name_raises_engine_error():
+    with pytest.raises(EngineError):
+        ring_xy().var("z")
+
+
+def test_sum_and_difference_coerce_field_elements():
+    R = ring_xy()
+    x = R.var("x")
+    assert x + Fraction(1, 2) == R.parse("x + 1/2")
+    assert x - Fraction(1, 2) == R.parse("x - 1/2")
+    assert Fraction(1, 2) - x == R.parse("1/2 - x")
+    F = PolynomialRing(GF(7), ("x",))
+    assert F.var("x") + Fraction(3, 2) == F.parse("x + 5")
+    assert F.var("x") * Fraction(3, 2) == F.parse("5*x")
+
+
+def test_arithmetic_with_an_uncoercible_operand_raises_engine_error():
+    R = ring_xy()
+    x = R.var("x")
+    for bad in (0.5, "y", None):
+        for op in (lambda: x + bad, lambda: x - bad, lambda: x * bad):
+            with pytest.raises(EngineError):
+                op()
+    F = PolynomialRing(GF(7), ("x",))
+    with pytest.raises(EngineError):
+        F.var("x") + Fraction(1, 7)  # 7 has no inverse in F_7
+
+
 def test_diff():
     R = ring_xy()
     p = R.parse("x^3*y + 2*x")

@@ -358,6 +358,12 @@ def test_no_module_level_state_grows_with_new_rings():
         assert len(minimal_primes(Ideal(ring, [f"{u}^2*{v} - {v}"]))) == 3
     _, code = run_script("let R = ring(p, q)\nproduct [(q - p^2)] [(q)]")
     assert code == 0
+    for p in (10007, 10009, 10037, 10039):
+        ring = PolynomialRing(GF(p), ("u", "v"))
+        assert len(minimal_primes(Ideal(ring, ["u^2 - 1", "v"]))) == 2
+        _, code = run_script(
+            f"field Fp:{p}\nlet R = ring(p, q)\nproduct [(q - p^2)] [(q)]")
+        assert code == 0
     assert _module_level_sizes() == before
 
 

@@ -28,3 +28,22 @@ def test_engine_imports_only_at_module_level():
                   if isinstance(node, (ast.Import, ast.ImportFrom))
                   and node not in top]
     assert found == []
+
+
+def test_engine_functions_read_every_parameter():
+    # a module-level function's parameter that its body never reads is dead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            found += [f"{path.name}:{fn.name}({a.arg})" for a in params
+                      if a.arg not in read]
+    assert found == []
