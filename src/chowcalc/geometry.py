@@ -302,7 +302,9 @@ class CartierDivisor:
         for part in (num, den):
             if part.ring != ring:
                 raise EngineError("divisor data from a different ring")
-            if not is_regular_element(part, chart.ideal):
+            # a nonzero constant is a unit, and ring/(0) is a domain
+            obvious = not part.is_zero() and (part.is_constant() or not chart.ideal.gens)
+            if not (obvious or is_regular_element(part, chart.ideal)):
                 raise EngineError(f"{part} is a zero divisor on chart {chart.name}")
         self.chart = chart
         self.num = num
@@ -394,6 +396,9 @@ class GlueRecord:
         self.backward = backward
 
 
+_GLUE_INV1, _GLUE_INV2 = "w1", "w2"  # inverse variables of the two overlap sides
+
+
 class ChartedSpace:
     """Charts glued along principal localizations with verified data."""
 
@@ -408,8 +413,7 @@ class ChartedSpace:
         self.charts[chart.name] = chart
         return chart
 
-    def add_glue(self, name1, f1, name2, f2, forward, backward,
-                 inv1="w1", inv2="w2"):
+    def add_glue(self, name1, f1, name2, f2, forward, backward):
         """Glue chart1 localized at f1 to chart2 localized at f2.
 
         forward maps every variable of the first overlap ring to a
@@ -417,8 +421,8 @@ class ChartedSpace:
         are verified to be well defined and mutually inverse modulo the
         overlap ideals."""
         c1, c2 = self.charts[name1], self.charts[name2]
-        L1 = c1.localize(f1, inv_name=inv1, name=f"{name1}&{name2}")
-        L2 = c2.localize(f2, inv_name=inv2, name=f"{name2}&{name1}")
+        L1 = c1.localize(f1, inv_name=_GLUE_INV1, name=f"{name1}&{name2}")
+        L2 = c2.localize(f2, inv_name=_GLUE_INV2, name=f"{name2}&{name1}")
         fwd = _parse_images(forward, L1.ring, L2.ring)
         bwd = _parse_images(backward, L2.ring, L1.ring)
         for g in L1.ideal.gens:

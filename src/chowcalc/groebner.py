@@ -13,6 +13,11 @@ basis is unique, so syzygies read off it do not depend on which pairs ran.
 Reduced bases (monic, fully auto-reduced, sorted by descending leading
 monomial) are canonical, cached per ideal per order, and every computation
 here is deterministic.
+
+The witness trick lives here too (`witness_syzygies`); `intersect`,
+`quotient` and `homology.annihilator` are colon computations on it.  Of the
+ideal operations, only `in_radical` (Rabinowitsch) and
+`primes.minimal_polynomial` adjoin a variable.
 """
 
 import contextvars
@@ -20,7 +25,7 @@ import heapq
 from contextlib import contextmanager
 from itertools import combinations
 
-from .errors import (DegreeOverflowError, EngineError, InexactDivisionError,
+from .errors import (ConsistencyError, DegreeOverflowError, InexactDivisionError,
                      RingMismatchError)
 from .polyring import (PolynomialRing, elimination_order, fresh_names, grevlex,
                        lex, merge_terms, mono_degree, mono_div, mono_divides,
@@ -336,22 +341,6 @@ def eliminate(I, kill):
     return Ideal(target, out)
 
 
-def intersect(I, J):
-    if I.ring != J.ring:
-        raise RingMismatchError("intersecting ideals across rings")
-    ring = I.ring
-    if not I.gens or not J.gens:
-        return Ideal(ring, ())
-    (tname,) = fresh_names(("t",), set(ring.names), "_")
-    big = PolynomialRing(ring.field, (tname,) + ring.names, grevlex)
-    t = big.var(0)
-    gens = [t * transport(g, big) for g in I.gens]
-    gens += [(big.one - t) * transport(h, big) for h in J.gens]
-    elim = eliminate(Ideal(big, gens), (tname,))
-    target = ring
-    return Ideal(target, [transport(g, target) for g in elim.gens])
-
-
 def divide_exact(g, h):
     """g / h when h divides g in the ambient polynomial ring."""
     ring = g.ring
@@ -368,21 +357,71 @@ def divide_exact(g, h):
     return ring.from_dict(q)
 
 
+def witness_syzygies(targets, ambient, rank, ring, keep=None):
+    """Generators of {(c_1..c_m) : sum c_t * targets_t in span(ambient)} for
+    rank-tuples of polynomials, read off the reduced basis of (u, 0) and
+    (targets_t, e_t) under an order whose main block dominates the witness
+    block.  With variable indices `keep`, the witness block eliminates the
+    other variables and only vectors over `keep` are returned."""
+    m = len(targets)
+    if m == 0:
+        return []
+    zero = (ring.zero,) * m
+    vectors = [tuple(u) + zero for u in ambient]
+    vectors += [tuple(v) + e for v, e in zip(targets, block_copies([(ring.one,)], 1, m, ring))]
+    banned = [] if keep is None else [i for i in range(ring.nvars) if i not in keep]
+    witness_order = elimination_order(banned, ring.nvars) if banned else ring.order
+    order = split_module_order(rank, m, ring.order, witness_order)
+    out = []
+    for b in buchberger([vec_from_polys(v, order.key) for v in vectors], order.key, ring.field):
+        (pos, e), _ = b[0]
+        if pos < rank or any(e[i] for i in banned):
+            continue  # led in the main block, or by an eliminated variable
+        coords = vec_to_polys(b, rank + m, ring)[rank:]
+        # the order argument guarantees this; keep it as a hard check
+        if banned and any(set(c.support()) & set(banned) for c in coords):
+            raise ConsistencyError("coefficient-module element meets an eliminated variable")
+        out.append(coords)
+    return out
+
+
+def block_copies(vectors, rank, slots, ring):
+    """Each rank-tuple of `vectors` placed in each of `slots` consecutive
+    blocks of size rank, block by block."""
+    zero = (ring.zero,) * rank
+    return [zero * t + tuple(v) + zero * (slots - 1 - t)
+            for t in range(slots) for v in vectors]
+
+
+def colon(targets, ambient, rank, ring):
+    """The ideal of c with c*t in span(ambient) for every rank-tuple t in
+    targets: one witness run on the concatenated targets against one copy
+    of the ambient span per target.  No targets: the unit ideal."""
+    slots = len(targets)
+    joined = tuple(c for t in targets for c in t)
+    gens = witness_syzygies([joined], block_copies(ambient, rank, slots, ring),
+                            rank * slots, ring)
+    return Ideal(ring, [c for (c,) in gens])
+
+
+def intersect(I, J):
+    """I ∩ J: the c with c*(1, 1) in I*e_1 + J*e_2."""
+    if I.ring != J.ring:
+        raise RingMismatchError("intersecting ideals across rings")
+    ring = I.ring
+    ambient = [(g, ring.zero) for g in I.gens] + [(ring.zero, h) for h in J.gens]
+    return colon([(ring.one, ring.one)], ambient, 2, ring)
+
+
 def quotient(I, J):
-    """Ideal quotient (I : J) = {g : g*J inside I}."""
+    """Ideal quotient (I : J) = {g : g*J inside I}: the c with
+    c*(h_1, ..., h_m) in I^m for the generators h of J."""
     ring = I.ring
     if not isinstance(J, Ideal):
         J = Ideal(ring, (J,))
     if J.ring != ring:
         raise RingMismatchError("ideal quotient across rings")
-    if not J.gens:
-        return Ideal(ring, (ring.one,))
-    result = None
-    for h in J.gens:
-        K = intersect(I, Ideal(ring, (h,)))
-        Qh = Ideal(ring, [divide_exact(g, h) for g in K.gens])
-        result = Qh if result is None else intersect(result, Qh)
-    return result
+    return colon([(h,) for h in J.gens], [(g,) for g in I.gens], 1, ring)
 
 
 def saturation(I, f):
@@ -410,10 +449,7 @@ def in_radical(f, I):
 
 def is_regular_element(f, I):
     """f is a non-zerodivisor on ring/I iff (I : f) == I."""
-    ring = I.ring
-    if isinstance(f, str):
-        f = ring.parse(f)
-    return quotient(I, Ideal(ring, (f,))) == I
+    return quotient(I, f) == I
 
 
 def krull_dim(I):

@@ -2,21 +2,17 @@
 
 A module over a chart algebra A = R/J is presented over the polynomial ring R
 with J folded into every relation list, so one Gröbner engine serves both the
-polynomial ring and its quotients.  Syzygies are computed by the witness
-trick: run Buchberger on (g_t, e_t) under an order whose main block dominates
-the witness block; basis elements with zero main part are exactly the
-syzygies.  That basis is the reduced one, which is unique, so the syzygies
-do not depend on which S-pairs Buchberger's chain criterion skipped.
-Resolutions iterate that; Tor is the homology of a resolution tensored with
-the second module.
+polynomial ring and its quotients.  Syzygies, coefficient modules and
+annihilators call the witness-trick kernel of `groebner` (`witness_syzygies`
+and `colon`) on coordinate tuples; this module converts, folds J and names
+the coefficient variables.  Resolutions iterate syzygies; Tor is the
+homology of a resolution tensored with the second module.
 """
 
-from .errors import (ConsistencyError, EngineError, ResolutionError,
-                     RingMismatchError)
-from .groebner import (Ideal, buchberger, intersect, module_order,
-                       split_module_order, vec_from_polys, vec_reduce,
-                       vec_to_polys, _prepare)
-from .polyring import elimination_order
+from .errors import EngineError, ResolutionError, RingMismatchError
+from .groebner import (Ideal, block_copies, buchberger, colon, module_order,
+                       vec_from_polys, vec_reduce, vec_to_polys,
+                       witness_syzygies, _prepare)
 
 
 class FreeModuleElement:
@@ -147,45 +143,12 @@ def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=No
     those variables are returned (and they generate the restricted module
     over that subring: module elimination).
     """
-    targets = [_as_element(ring, rank, t) for t in targets]
-    ambient = [_as_element(ring, rank, u) for u in ambient]
-    m = len(targets)
-    if m == 0:
-        return []
-    big = rank + m
-    vectors = []
-    for u in ambient + _fold(modulo, ring, rank):
-        vectors.append(tuple(u.coords) + (ring.zero,) * m)
-    for t, v in enumerate(targets):
-        unit = tuple(ring.one if i == t else ring.zero for i in range(m))
-        vectors.append(tuple(v.coords) + unit)
-    if coeff_names is None:
-        witness_order = ring.order
-        banned = None
-    else:
-        keep = {ring.index_of(nm) for nm in coeff_names}
-        banned = [i for i in range(ring.nvars) if i not in keep]
-        if banned:
-            witness_order = elimination_order(banned, ring.nvars)
-        else:
-            witness_order = ring.order
-    order = split_module_order(rank, m, ring.order, witness_order)
-    raw = [vec_from_polys(v, order.key) for v in vectors]
-    basis = buchberger(raw, order.key, ring.field)
-    out = []
-    for b in basis:
-        if not b or b[0][0][0] < rank:
-            continue  # leading term in the main block
-        if banned and any(b[0][0][1][i] for i in banned):
-            continue  # witness head meets an eliminated variable
-        coords = vec_to_polys(b, big, ring)[rank:]
-        elem = FreeModuleElement(ring, coords)
-        if banned:
-            # the order argument guarantees this; keep it as a hard check
-            if any(set(c.support()) & set(banned) for c in coords):
-                raise ConsistencyError("coefficient-module element meets an eliminated variable")
-        out.append(elem)
-    return out
+    targets = [_as_element(ring, rank, t).coords for t in targets]
+    ambient = [_as_element(ring, rank, u).coords
+               for u in list(ambient) + _fold(modulo, ring, rank)]
+    keep = None if coeff_names is None else {ring.index_of(nm) for nm in coeff_names}
+    return [FreeModuleElement(ring, c)
+            for c in witness_syzygies(targets, ambient, rank, ring, keep)]
 
 
 def syzygies(vectors, rank, ring, modulo=None):
@@ -269,16 +232,8 @@ def free_resolution(M, modulo=None, max_length=None, partial=False):
 
 
 def _slot_relations(N, slots, ring):
-    """Copies of N.relations in each of `slots` blocks of size N.rank."""
-    out = []
-    total = slots * N.rank
-    for t in range(slots):
-        for rel in N.relations:
-            coords = [ring.zero] * total
-            for b in range(N.rank):
-                coords[t * N.rank + b] = rel[b]
-            out.append(FreeModuleElement(ring, coords))
-    return out
+    """N.relations, as tuples, copied into each of `slots` blocks of size N.rank."""
+    return block_copies([rel.coords for rel in N.relations], N.rank, slots, ring)
 
 
 def _tensor_columns(cols, N, ring):
@@ -335,19 +290,11 @@ def tor_modules(M, N, modulo=None, up_to=None):
 
 def annihilator(M, modulo=None):
     """Ann(M) over ring/modulo, as an ideal of the polynomial ring
-    (contains the chart ideal)."""
+    (contains the chart ideal): the c with c*e_a in relations + J*A^rank
+    for every a."""
     ring = M.ring
-    if M.rank == 0:
-        return Ideal(ring, (ring.one,))
-    total = None
-    for a in range(M.rank):
-        unit = FreeModuleElement.unit(ring, M.rank, a)
-        gens = coefficient_module([unit], M.relations, M.rank, ring, modulo=modulo)
-        Ia = Ideal(ring, [g[0] for g in gens])
-        if modulo is not None:
-            Ia = Ia + modulo
-        total = Ia if total is None else intersect(total, Ia)
-    return total
+    rels = [v.coords for v in list(M.relations) + _fold(modulo, ring, M.rank)]
+    return colon(block_copies([(ring.one,)], 1, M.rank, ring), rels, M.rank, ring)
 
 
 def is_zero_module(M, modulo=None):

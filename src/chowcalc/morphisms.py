@@ -161,7 +161,10 @@ def _build_graph(m):
     return P, Ideal(P, gens), m.source.ring.names, rename
 
 
-def _source_standard_exponents(P, G, src_names, bound=100000):
+_PUSHFORWARD_BOUND = 100000  # largest box of source standard monomials
+
+
+def _source_standard_exponents(P, G, src_names):
     """Positions of the source variables in P, and the exponents over them
     of the source monomials outside the leading ideal of the block-order
     basis; None in place of the exponents when some source variable has no
@@ -174,7 +177,7 @@ def _source_standard_exponents(P, G, src_names, bound=100000):
     for e in G.leading_exponents(order):
         if all(e[i] == 0 for i in range(P.nvars) if i not in idx):
             lead.append(tuple(e[i] for i in idx))
-    return idx, standard_exponents(lead, len(idx), bound)
+    return idx, standard_exponents(lead, len(idx), _PUSHFORWARD_BOUND)
 
 
 def zariski_image(m, ideal=None):

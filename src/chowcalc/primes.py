@@ -274,9 +274,12 @@ def standard_exponents(lead, nvars, bound):
             if not any(mono_divides(e, exps) for e in lead)]
 
 
-def vector_space_dimension(I, bound=200000):
+_VDIM_BOUND = 200000  # largest box of standard monomials that is counted
+
+
+def vector_space_dimension(I):
     """dim_k ring/I when finite, else None."""
-    std = standard_exponents(I.leading_exponents(), I.ring.nvars, bound)
+    std = standard_exponents(I.leading_exponents(), I.ring.nvars, _VDIM_BOUND)
     return None if std is None else len(std)
 
 
@@ -744,7 +747,7 @@ def _point_length(M, p, modulo, max_steps):
                        for v in unit_multiples(power, ring, rank)]
         lead = [v[0][0] for v in buchberger(vecs, key, ring.field)]
         prev, dim = dim, sum(
-            len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, 200000))
+            len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, _VDIM_BOUND))
             for a in range(rank))
         if dim == prev:
             degree = vector_space_dimension(p.ideal)

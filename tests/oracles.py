@@ -3,16 +3,18 @@
 Everything here works through the public Polynomial and FreeModuleElement
 APIs only (leading terms, term multiplication, subtraction) so it does not
 share code paths with the engine's vector machinery it is checking.  The
-decomposition-audit reference is the one exception: it intersects and tests
-radical membership through the engine's eliminations, the route that the
-zero-dimensional covering certificate no longer takes.
+ideal-operation references are the exception: they intersect by adjoining a
+variable and eliminating it, divide exactly and test radical membership
+through the engine's eliminations, routes that neither the engine's witness
+kernel nor its zero-dimensional covering certificate takes.
 """
 
 from itertools import combinations, permutations, product
 
-from chowcalc.groebner import in_radical, intersect
+from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
 from chowcalc.homology import FreeModuleElement
-from chowcalc.polyring import mono_div, mono_divides, mono_lcm, transport
+from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
+                               mono_divides, mono_lcm, transport)
 
 
 def order_view(p, order):
@@ -210,6 +212,35 @@ def assert_good_module_basis(gens, basis, key):
 
 
 # ---------------------------------------------------------------------------
+# ideal operations by elimination
+
+def elimination_intersect(I, J):
+    """I ∩ J as the t-free part of t*I + (1 - t)*J."""
+    ring = I.ring
+    if not I.gens or not J.gens:
+        return Ideal(ring, ())
+    (tname,) = fresh_names(("t",), set(ring.names), "_")
+    big = PolynomialRing(ring.field, (tname,) + ring.names, grevlex)
+    t = big.var(0)
+    gens = [t * transport(g, big) for g in I.gens]
+    gens += [(big.one - t) * transport(h, big) for h in J.gens]
+    elim = eliminate(Ideal(big, gens), (tname,))
+    return Ideal(ring, [transport(g, ring) for g in elim.gens])
+
+
+def division_quotient(I, J):
+    """(I : J) as the intersection over the generators h of J of
+    (I ∩ (h)) / h, each generator divided exactly."""
+    ring = I.ring
+    result = Ideal(ring, (ring.one,))
+    for h in J.gens:
+        K = elimination_intersect(I, Ideal(ring, (h,)))
+        Qh = Ideal(ring, [divide_exact(g, h) for g in K.gens])
+        result = Qh if result.is_unit() else elimination_intersect(result, Qh)
+    return result
+
+
+# ---------------------------------------------------------------------------
 # determinants and decomposition audits
 
 def laplace_det(m, ring):
@@ -234,7 +265,7 @@ def radical_covers(I, ideals):
         return in_radical(I.ring.one, I)
     total = ideals[0]
     for J in ideals[1:]:
-        total = intersect(total, J)
+        total = elimination_intersect(total, J)
     return all(in_radical(g, I) for g in total.gens)
 
 

@@ -144,6 +144,24 @@ def test_cartier_divisor_validation_and_equality():
     assert str(on_curve.weil()) == "2*[(y, x)]" or str(on_curve.weil()) == "2*[(x, y)]"
 
 
+def test_cartier_divisor_tests_only_nonconstant_parts_on_charts_with_relations(monkeypatch):
+    tested = []
+    original = geometry_module.is_regular_element
+
+    def spy(f, I):
+        tested.append(str(f))
+        return original(f, I)
+
+    monkeypatch.setattr(geometry_module, "is_regular_element", spy)
+    CartierDivisor(PARABOLA, "x")
+    assert tested == ["x"]  # the denominator 1 is a unit
+    CartierDivisor(PLANE, "x", "y")
+    assert tested == ["x"]  # the plane's ring is a domain
+    for chart in (PARABOLA, PLANE):
+        with pytest.raises(EngineError, match="zero divisor"):
+            CartierDivisor(chart, "0")
+
+
 DIVISOR_POOL_PLANE = ["x", "y", "x - 1", "y - 1", "x + y", "x - y", "y - x^2"]
 DIVISOR_POOL_PARABOLA = ["x", "x - 1", "x + 1", "y - 1", "x + y"]
 

@@ -1,9 +1,12 @@
 """Rules that every engine module keeps, checked on the source itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chowcalc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chowcalc"
 
 
 def test_engine_has_no_assert_statements():
@@ -47,3 +50,22 @@ def test_engine_functions_read_every_parameter():
             found += [f"{path.name}:{fn.name}({a.arg})" for a in params
                       if a.arg not in read]
     assert found == []
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark wraps these by name and fails mid-run on a missing one;
+    # its list is read as text, so nothing of the benchmark is imported
+    path = ROOT / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (traced,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)]
+    assert traced
+    missing = []
+    for module, name in traced:
+        target = importlib.import_module(f"chowcalc.{module}")
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if not inspect.isfunction(target):
+            missing.append(f"{module}.{name}")
+    assert missing == []
