@@ -366,9 +366,9 @@ def witness_syzygies(targets, ambient, rank, ring, keep=None):
     m = len(targets)
     if m == 0:
         return []
-    zero = (ring.zero,) * m
-    vectors = [tuple(u) + zero for u in ambient]
-    vectors += [tuple(v) + e for v, e in zip(targets, block_copies([(ring.one,)], 1, m, ring))]
+    units = block_copies([(ring.one,)], 1, m, ring)  # e_1, ..., e_m
+    vectors = [tuple(u) + (ring.zero,) * m for u in ambient]
+    vectors += [tuple(v) + e for v, e in zip(targets, units)]
     banned = [] if keep is None else [i for i in range(ring.nvars) if i not in keep]
     witness_order = elimination_order(banned, ring.nvars) if banned else ring.order
     order = split_module_order(rank, m, ring.order, witness_order)

@@ -293,8 +293,9 @@ def annihilator(M, modulo=None):
     (contains the chart ideal): the c with c*e_a in relations + J*A^rank
     for every a."""
     ring = M.ring
+    units = block_copies([(ring.one,)], 1, M.rank, ring)  # e_1, ..., e_rank
     rels = [v.coords for v in list(M.relations) + _fold(modulo, ring, M.rank)]
-    return colon(block_copies([(ring.one,)], 1, M.rank, ring), rels, M.rank, ring)
+    return colon(units, rels, M.rank, ring)
 
 
 def is_zero_module(M, modulo=None):
