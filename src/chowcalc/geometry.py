@@ -310,13 +310,20 @@ class CartierDivisor:
         self.num = num
         self.den = den
 
+    def _proven(self, num, den):
+        """A divisor on this chart from products, powers or a swap of parts
+        already proven regular, which are regular too: no test is rerun."""
+        D = object.__new__(CartierDivisor)
+        D.chart, D.num, D.den = self.chart, num, den
+        return D
+
     def __add__(self, other):
         if not isinstance(other, CartierDivisor) or other.chart != self.chart:
             raise EngineError("divisor arithmetic across charts")
-        return CartierDivisor(self.chart, self.num * other.num, self.den * other.den)
+        return self._proven(self.num * other.num, self.den * other.den)
 
     def __neg__(self):
-        return CartierDivisor(self.chart, self.den, self.num)
+        return self._proven(self.den, self.num)
 
     def __sub__(self, other):
         return self + (-other)
@@ -325,8 +332,8 @@ class CartierDivisor:
         if not isinstance(n, int):
             return NotImplemented
         if n >= 0:
-            return CartierDivisor(self.chart, self.num ** n, self.den ** n)
-        return CartierDivisor(self.chart, self.den ** (-n), self.num ** (-n))
+            return self._proven(self.num ** n, self.den ** n)
+        return self._proven(self.den ** (-n), self.num ** (-n))
 
     __mul__ = __rmul__
 
@@ -425,22 +432,18 @@ class ChartedSpace:
         L2 = c2.localize(f2, inv_name=_GLUE_INV2, name=f"{name2}&{name1}")
         fwd = _parse_images(forward, L1.ring, L2.ring)
         bwd = _parse_images(backward, L2.ring, L1.ring)
-        for g in L1.ideal.gens:
-            if not L2.ideal.contains(_apply_images(g, fwd, L2.ring)):
-                raise GlueError(
-                    f"gluing {name1}->{name2} does not preserve relations: {g}")
-        for g in L2.ideal.gens:
-            if not L1.ideal.contains(_apply_images(g, bwd, L1.ring)):
-                raise GlueError(
-                    f"gluing {name2}->{name1} does not preserve relations: {g}")
-        for nm in L1.ring.names:
-            back = _apply_images(fwd[nm], bwd, L1.ring)
-            if not L1.ideal.contains(back - L1.ring.var(L1.ring.index_of(nm))):
-                raise GlueError(f"gluing maps are not mutually inverse at {nm!r}")
-        for nm in L2.ring.names:
-            there = _apply_images(bwd[nm], fwd, L2.ring)
-            if not L2.ideal.contains(there - L2.ring.var(L2.ring.index_of(nm))):
-                raise GlueError(f"gluing maps are not mutually inverse at {nm!r}")
+        # per direction: names, overlap charts, images there and back
+        sides = ((name1, name2, L1, L2, fwd, bwd), (name2, name1, L2, L1, bwd, fwd))
+        for a, b, La, Lb, there, _ in sides:
+            for g in La.ideal.gens:
+                if not Lb.ideal.contains(_apply_images(g, there, Lb.ring)):
+                    raise GlueError(
+                        f"gluing {a}->{b} does not preserve relations: {g}")
+        for _, _, La, _, there, back in sides:
+            for nm in La.ring.names:
+                round_trip = _apply_images(there[nm], back, La.ring)
+                if not La.ideal.contains(round_trip - La.ring.var(nm)):
+                    raise GlueError(f"gluing maps are not mutually inverse at {nm!r}")
         rec = GlueRecord(name1, name2, L1, L2, fwd, bwd)
         self.glues.append(rec)
         return rec

@@ -95,19 +95,11 @@ def vec_mul_term(v, exps, coeff, field):
     return tuple(((pos, mono_mul(e, exps)), field.mul(c, coeff)) for (pos, e), c in v)
 
 
-def vec_scale(v, coeff, field):
-    if coeff == field.zero:
-        return ()
-    return tuple((m, field.mul(c, coeff)) for m, c in v)
-
-
 def vec_monic(v, field):
-    if not v:
+    if not v or v[0][1] == field.one:
         return v
-    c = v[0][1]
-    if c == field.one:
-        return v
-    return vec_scale(v, field.inv(c), field)
+    inv = field.inv(v[0][1])
+    return tuple((m, field.mul(c, inv)) for m, c in v)
 
 
 def vec_reduce(v, prepared, key, field):

@@ -204,7 +204,7 @@ class PrimeIdeal:
     def __init__(self, ideal, certified=True):
         self.ideal = ideal
         self.certified = certified
-        self.key = tuple(str(g) for g in ideal.groebner_basis())
+        self.key = ideal.key()
         self._dim = None
 
     @property
@@ -298,19 +298,6 @@ def minimal_polynomial(I, lam):
     if len(basis) != 1:
         raise HypothesisError(f"{I} is not zero-dimensional: no minimal polynomial")
     return basis[0]
-
-
-def _evaluate_univariate(m, lam):
-    """m(lam) for univariate m, inside lam's ring (Horner)."""
-    ring = lam.ring
-    coeffs = {e[0]: c for e, c in m.terms}
-    top = max(coeffs)
-    total = ring.zero
-    for k in range(top, -1, -1):
-        total = total * lam
-        if k in coeffs:
-            total = total + ring.const(coeffs[k])
-    return total
 
 
 def _candidate_orders(ring):
@@ -439,7 +426,7 @@ def _zero_dim_step(J):
             stuck = True
             continue
         if _splits(facs):
-            return ("split", [J + Ideal(ring, (_evaluate_univariate(q, lam),))
+            return ("split", [J + Ideal(ring, (q.substitute([lam]),))
                               for q, _ in facs])
         if m.total_degree() == vdim:
             return ("prime", [PrimeIdeal(J)])

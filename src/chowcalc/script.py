@@ -32,7 +32,9 @@ let-kinds (sections separated by `;`):
     restrict(C, LOCALIZED-CHART)
 
 Cycle arguments to verbs may be declared names or bracket literals such as
-`[I]` (fundamental cycle of a declared ideal) or `[(y - x^2)]`.  Reports
+`[I]` (fundamental cycle of a declared ideal) or `[(y - x^2)]`.  Unbalanced
+`()` or `[]` anywhere in a `let` statement or in a verb's arguments make the
+script malformed (ScriptParseError, exit code 2 from the CLI).  Reports
 serialize cycles as arrays of {"prime": [...], "mult": n} and products
 carry their full torsion length tables.
 
@@ -73,9 +75,11 @@ def field_name(field):
         else f"Fp:{field.p}"
 
 
-def _split_top(text, sep):
-    """Split on `sep` outside any (), [] nesting."""
-    parts, buf, depth = [], [], 0
+def _scan(text, seps=None):
+    """[(separator, chunk)]: `text` split at the characters of `seps`
+    (whitespace when None) outside any (), [] nesting; each chunk comes
+    with the separator before it, None for the first."""
+    pairs, buf, depth, before = [], [], 0, None
     for ch in text:
         if ch in "([":
             depth += 1
@@ -83,64 +87,39 @@ def _split_top(text, sep):
             depth -= 1
             if depth < 0:
                 raise ScriptParseError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and ch == sep:
-            parts.append("".join(buf))
-            buf = []
+        if depth == 0 and (ch.isspace() if seps is None else ch in seps):
+            pairs.append((before, "".join(buf)))
+            buf, before = [], ch
         else:
             buf.append(ch)
     if depth:
         raise ScriptParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(buf))
-    return parts
+    pairs.append((before, "".join(buf)))
+    return pairs
 
 
-def _split_words(text):
-    """Whitespace-split outside brackets (verb arguments)."""
-    parts, buf, depth = [], [], 0
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch.isspace():
-            if buf:
-                parts.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    return parts
+def _split_top(text, sep):
+    """Split on `sep` outside any (), [] nesting."""
+    return [chunk for _, chunk in _scan(text, sep)]
 
 
-def _verb_pair(rest, usage):
-    """The two whitespace-separated arguments of a verb."""
-    toks = _split_words(rest)
-    if len(toks) != 2:
+def _verb_args(rest, count, usage):
+    """The whitespace-separated arguments of a verb: exactly `count` of
+    them, or two or more when `count` is None."""
+    args = [chunk for _, chunk in _scan(rest) if chunk]
+    if len(args) < 2 if count is None else len(args) != count:
         raise ScriptParseError(usage)
-    return toks
+    return args
 
 
 def _signed_terms(text):
     """[(sign, chunk)] at top-level +/- boundaries."""
-    out, buf, depth, pending = [], [], 0, 1
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-":
-            chunk = "".join(buf).strip()
-            buf = []
-            if chunk:
-                out.append((pending, chunk))
-                pending = 1
-            pending *= 1 if ch == "+" else -1
-            continue
-        buf.append(ch)
-    chunk = "".join(buf).strip()
-    if chunk:
-        out.append((pending, chunk))
+    out, sign = [], 1
+    for sep, chunk in _scan(text, "+-"):
+        sign *= -1 if sep == "-" else 1
+        if chunk.strip():
+            out.append((sign, chunk.strip()))
+            sign = 1
     return out
 
 
@@ -448,21 +427,21 @@ class Interpreter:
     # verbs
 
     def _verb_product(self, rest):
-        toks = _verb_pair(rest, "product A B")
+        toks = _verb_args(rest, 2, "product A B")
         rep = self._make_product(toks)
         self._record("product", toks, rep.cycle,
                      tor_table=rep.as_dict()["rows"])
 
     def _verb_pullback(self, rest):
-        toks = _verb_pair(rest, "pullback F C")
+        toks = _verb_args(rest, 2, "pullback F C")
         self._record("pullback", toks, self._make_pullback(toks))
 
     def _verb_pushforward(self, rest):
-        toks = _verb_pair(rest, "pushforward F C")
+        toks = _verb_args(rest, 2, "pushforward F C")
         self._record("pushforward", toks, self._make_pushforward(toks))
 
     def _verb_compose(self, rest):
-        toks = _verb_pair(rest, "compose FIRST SECOND")
+        toks = _verb_args(rest, 2, "compose FIRST SECOND")
         out = self._make_compose(toks)
         self._record("compose", toks, out.cycle,
                      source=out.source.name, target=out.target.name)
@@ -474,9 +453,7 @@ class Interpreter:
         self.echo(str(cycle))
 
     def _verb_degree(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 1:
-            raise ScriptParseError("degree X")
+        toks = _verb_args(rest, 1, "degree X")
         kind, obj = self._resolve_any(toks[0])
         if kind == "map":
             value = map_degree(obj)
@@ -490,10 +467,7 @@ class Interpreter:
         self.echo(str(value))
 
     def _verb_verify(self, rest):
-        toks = _split_words(rest)
-        if len(toks) < 2:
-            raise ScriptParseError("verify IDENTITY ARG...")
-        identity, raw = toks[0], toks[1:]
+        identity, *raw = _verb_args(rest, None, "verify IDENTITY ARG...")
         objs = [self._resolve_any(t)[1] for t in raw]
         lhs, rhs = identity_sides(identity, *objs)
         ok = lhs == rhs
@@ -506,10 +480,12 @@ class Interpreter:
         self.echo(f"verify {identity}: {'pass' if ok else 'FAIL'}")
 
     def _verb_glue(self, rest):
+        usage = "glue SPACE: chart = cycle, ..."
         space_name, colon, assigns = rest.partition(":")
         if not colon:
-            raise ScriptParseError("glue SPACE: chart = cycle, ...")
-        space = self._lookup(space_name.strip(), {"atlas"})[1]
+            raise ScriptParseError(usage)
+        (space_name,) = _verb_args(space_name, 1, usage)
+        space = self._lookup(space_name, {"atlas"})[1]
         data = {}
         for piece in _split_top(assigns, ","):
             piece = piece.strip()
@@ -520,20 +496,18 @@ class Interpreter:
                 raise ScriptParseError(f"bad glue assignment {piece!r}")
             label, token = label.strip(), token.strip()
             if label not in space.charts:
-                raise EngineError(f"no chart {label!r} in {space_name.strip()!r}")
+                raise EngineError(f"no chart {label!r} in {space_name!r}")
             data[label] = self._resolve_cycle(token, space.charts[label])
         ok, messages = space.glue_cycles(data)
-        self.results.append({"op": "glue", "space": space_name.strip(),
+        self.results.append({"op": "glue", "space": space_name,
                              "pass": ok, "messages": messages})
         if not ok:
             self.failed = True
-        self.echo(f"glue {space_name.strip()}: "
+        self.echo(f"glue {space_name}: "
                   f"{'consistent' if ok else 'INCONSISTENT'}")
 
     def _verb_assert_equal(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 2:
-            raise ScriptParseError("assert_equal A B")
+        toks = _verb_args(rest, 2, "assert_equal A B")
         a = self._resolve_any(toks[0])[1]
         b = self._resolve_any(toks[1])[1]
         ok = a == b
@@ -543,9 +517,7 @@ class Interpreter:
         self.echo(f"assert_equal: {'pass' if ok else 'FAIL'}")
 
     def _verb_print(self, rest):
-        toks = _split_words(rest)
-        if len(toks) != 1:
-            raise ScriptParseError("print X")
+        toks = _verb_args(rest, 1, "print X")
         kind, obj = self._resolve_any(toks[0])
         self.results.append({"op": "print", "arg": toks[0],
                              "value": serialize_object(kind, obj)})

@@ -162,6 +162,29 @@ def test_cartier_divisor_tests_only_nonconstant_parts_on_charts_with_relations(m
             CartierDivisor(chart, "0")
 
 
+def test_cartier_divisor_arithmetic_does_not_retest_regularity(monkeypatch):
+    ring = PolynomialRing(QQ, ("x", "y", "z"))
+    chart = Chart("C", ring, ("y^2 - x^3 - x*z", "z^2 - y"))
+    D = CartierDivisor(chart, "x", "y + 1")
+    tested = []
+    original = geometry_module.is_regular_element
+
+    def spy(f, I):
+        tested.append(str(f))
+        return original(f, I)
+
+    monkeypatch.setattr(geometry_module, "is_regular_element", spy)
+    total = D + D
+    assert (total.num, total.den) == (ring.parse("x^2"), ring.parse("(y + 1)^2"))
+    assert ((-D).num, (-D).den) == (D.den, D.num)
+    assert (3 * D).num == ring.parse("x^3")
+    assert D - D == CartierDivisor(chart, "1")
+    assert tested == []
+    with pytest.raises(EngineError, match="zero divisor"):
+        CartierDivisor(chart, "0")
+    assert tested == ["0"]
+
+
 DIVISOR_POOL_PLANE = ["x", "y", "x - 1", "y - 1", "x + y", "x - y", "y - x^2"]
 DIVISOR_POOL_PARABOLA = ["x", "x - 1", "x + 1", "y - 1", "x + y"]
 
@@ -229,6 +252,25 @@ def test_glue_rejects_non_isomorphisms():
     with pytest.raises(GlueError):
         space.add_glue("C1", "x", "C2", "y",
                        {"x": "y^2", "w1": "w2^2"}, {"y": "x", "w2": "w1"})
+
+
+@pytest.mark.parametrize("target, forward, backward, message", [
+    (("y",), {"x": "y", "w1": "y"}, {"y": "x", "w2": "x"},
+     "gluing C1->C2 does not preserve relations: x*w1 - 1"),
+    (("y",), {"x": "y^2", "w1": "w2^2"}, {"y": "x", "w2": "x"},
+     "gluing C2->C1 does not preserve relations: y*w2 - 1"),
+    (("y",), {"x": "y^2", "w1": "w2^2"}, {"y": "x", "w2": "w1"},
+     "gluing maps are not mutually inverse at 'x'"),
+    (("y", "z"), {"x": "y", "w1": "w2"}, {"y": "x", "z": "0", "w2": "w1"},
+     "gluing maps are not mutually inverse at 'z'"),
+])
+def test_glue_checks_relations_then_inverses(target, forward, backward, message):
+    space = ChartedSpace()
+    space.add_chart(Chart("C1", PolynomialRing(QQ, ("x",))))
+    space.add_chart(Chart("C2", PolynomialRing(QQ, target)))
+    with pytest.raises(GlueError) as info:
+        space.add_glue("C1", "x", "C2", "y", forward, backward)
+    assert str(info.value) == message
 
 
 def test_principal_atlas_consistency():

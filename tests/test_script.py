@@ -342,6 +342,70 @@ def test_field_must_precede_declarations():
     assert "before declarations" in report["error"]["message"]
 
 
+def test_trailing_semicolons_are_dropped():
+    report, code, lines = run("let R = ring(x);\nprint R ;")
+    assert code == 0
+    assert report["objects"]["R"]["vars"] == ["x"]
+    assert len(lines) == 1
+
+
+# a ring, a chart on it and an atlas; the statement under test is line 4.
+# The usage errors of product, pullback, pushforward and compose are pinned
+# by test_verb_and_let_forms_keep_their_usage.
+USAGE_HEADER = """let R = ring(x, y)
+let A = chart(R)
+let U = atlas(A; x, y)
+"""
+
+USAGE_ERRORS = [
+    # let kinds
+    ("let S = ring(x; y)", "ring(v1, v2, ...)"),
+    ("let S = ring(1x)", "bad variable list '1x'"),
+    ("let C = chart(R; x; y)", "chart(RING[; relations])"),
+    ("let L = localize(A)", "localize(CHART; element)"),
+    ("let V = atlas(A)", "atlas(CHART; element, ...)"),
+    ("let K = ideal(R)", "ideal(RING; gen, ...)"),
+    ("let c = cycle(A)", "cycle(CHART; literal)"),
+    ("let c = points(A)", "points(CHART; gen, ...)"),
+    ("let c = fundamental(A; x)", "fundamental(CHART)"),
+    ("let D = divisor(A)", "divisor(CHART; num[; den])"),
+    ("let c = weil(D; x)", "weil(DIVISOR)"),
+    ("let f = map(A)", "map(SRC -> TGT; var = image, ...[; flags])"),
+    ("let f = map(A; x = x)", "bad map header 'A'"),
+    ("let f = map(A -> A; x)", "bad image assignment 'x'"),
+    ("let f = map(A -> A; x = x, y = y; smooth)", "unknown map flag 'smooth'"),
+    ("let g = graph(f; f)", "graph(MAP)"),
+    ("let g = transpose(f; f)", "transpose(CORR)"),
+    ("let c = restrict(A)", "restrict(CYCLE, CHART)"),
+    ("let c = blob(A)", "unknown kind 'blob'"),
+    ("let c = ring x", "bad let statement 'let c = ring x'"),
+    ("let K = ideal(R; (x)", "unbalanced brackets in 'R; (x'"),
+    ("let K = ideal(R; x))", "unbalanced brackets in 'R; x)'"),
+    # cycle literals
+    ("let c = cycle(A; )", "empty cycle literal ''"),
+    ("let c = cycle(A; [(x)] + y)", "bad cycle term 'y'"),
+    ("let c = cycle(A; [(x), y])", "bad cycle term [('(x), y']"),
+    # verbs
+    ("degree", "degree X"),
+    ("degree a b", "degree X"),
+    ("verify commutativity", "verify IDENTITY ARG..."),
+    ("glue U", "glue SPACE: chart = cycle, ..."),
+    ("glue U: U0", "bad glue assignment 'U0'"),
+    ("glue U: U0 = [(x)]]", "unbalanced brackets in ' U0 = [(x)]]'"),
+    ("assert_equal a", "assert_equal A B"),
+    ("print", "print X"),
+    ("print a b", "print X"),
+    ("frobnicate A", "unknown statement 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize("statement, message", USAGE_ERRORS)
+def test_malformed_statements_raise_their_usage(statement, message):
+    with pytest.raises(ScriptParseError) as info:
+        run_script(USAGE_HEADER + statement)
+    assert str(info.value) == f"line 4: {message}"
+
+
 # ----------------------------------------------------------------------
 # the command-line wrapper
 
@@ -442,3 +506,19 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert cli.main(["--script", script, "--report", str(a)]) == 0
     assert cli.main(["--script", script, "--report", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("statement", [
+    "print [I]]",
+    "product [I] )[J](",
+    "degree (I",
+    "verify commutativity [I] [J",
+    "glue U]: U0 = [I]",
+])
+def test_unbalanced_brackets_in_verb_arguments_exit_2(statement, tmp_path, capsys):
+    text = ("let R = ring(x, y)\nlet I = ideal(R; x)\nlet J = ideal(R; y)\n"
+            + statement + "\n")
+    with pytest.raises(ScriptParseError, match="line 4: unbalanced brackets"):
+        run_script(text)
+    assert cli.main(["--script", write(tmp_path, text)]) == 2
+    assert "line 4: unbalanced brackets" in capsys.readouterr().err
