@@ -16,22 +16,20 @@ from .errors import (ConsistencyError, DecompositionError,
                      ParseError, ResolutionError, RingMismatchError)
 from .fields import GF, QQ, field_from_name
 from .geometry import (CartierDivisor, Chart, ChartedSpace, Cycle,
-                       cycle_of_subscheme, point_cycle, principal_atlas,
-                       restrict_cycle, transport_cycle)
+                       cycle_of_module, cycle_of_subscheme, point_cycle,
+                       principal_atlas, restrict_cycle, transport_cycle)
 from .groebner import Ideal, degree_limit, eliminate, intersect
 from .homology import FPModule, free_resolution, tor_modules
 from .intersection import (IntersectionReport, identity_sides,
                            intersection_product, intersects_properly,
                            serre_multiplicity, tor_length_table,
-                           verify_associativity, verify_commutativity,
-                           verify_projection_formula,
-                           verify_pullback_product)
+                           verify_identity)
 from .morphisms import (ChartMap, degree, fiber_product, flat_pullback,
                         proper_pushforward, pullback_module,
                         pushforward_module, zariski_image)
 from .polyring import PolynomialRing, transport
-from .primes import (PrimeIdeal, assert_decomposition, generic_rank,
-                     is_prime, length_at_prime, minimal_primes)
+from .primes import (PrimeIdeal, assert_decomposition, assert_prime,
+                     generic_rank, is_prime, length_at_prime, minimal_primes)
 from .script import run_script
 
 __version__ = "0.1.0"
@@ -43,15 +41,14 @@ __all__ = [
     "InexactDivisionError", "IntersectionReport", "NotPrimeError",
     "ParseError", "PolynomialRing", "PrimeIdeal", "ProductChart", "QQ",
     "ResolutionError", "RingMismatchError", "assert_decomposition",
-    "compose", "correspondence_degree", "cycle_of_subscheme", "degree",
-    "degree_limit", "eliminate", "fiber_product", "field_from_name",
-    "flat_pullback", "free_resolution", "generic_rank", "graph",
-    "identity_correspondence", "identity_sides", "intersect",
-    "intersection_product", "intersects_properly", "is_prime",
+    "assert_prime", "compose", "correspondence_degree", "cycle_of_module",
+    "cycle_of_subscheme", "degree", "degree_limit", "eliminate",
+    "fiber_product", "field_from_name", "flat_pullback", "free_resolution",
+    "generic_rank", "graph", "identity_correspondence", "identity_sides",
+    "intersect", "intersection_product", "intersects_properly", "is_prime",
     "length_at_prime", "minimal_primes", "point_cycle", "principal_atlas",
     "proper_pushforward", "pullback_module", "pushforward_module",
     "restrict_cycle", "run_script", "serre_multiplicity",
     "tor_length_table", "tor_modules", "transport", "transport_cycle",
-    "verify_associativity", "verify_commutativity",
-    "verify_projection_formula", "verify_pullback_product", "zariski_image",
+    "verify_identity", "zariski_image",
 ]

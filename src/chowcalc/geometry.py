@@ -179,9 +179,6 @@ class Cycle:
     def is_zero(self):
         return not self.coeffs
 
-    def is_effective(self):
-        return all(m > 0 for m in self.coeffs.values())
-
     def _merge(self, other, sign):
         if not isinstance(other, Cycle):
             return NotImplemented

@@ -251,12 +251,12 @@ class Ideal:
     def leading_exponents(self, order=None):
         return self._computed(order)[1]
 
-    def normal_form(self, f, order=None):
+    def normal_form(self, f):
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
             raise RingMismatchError(f"{f} not in {self.ring}")
-        _, _, basis, key = self._computed(order)
+        _, _, basis, key = self._computed()
         if not basis:
             return f
         v = vec_from_polys((f,), key)
@@ -414,16 +414,6 @@ def quotient(I, J):
     if J.ring != ring:
         raise RingMismatchError("ideal quotient across rings")
     return colon([(h,) for h in J.gens], [(g,) for g in I.gens], 1, ring)
-
-
-def saturation(I, f):
-    """(I : f^infinity) by iterated quotients; stabilizes by noetherianity."""
-    current = I
-    while True:
-        nxt = quotient(current, f)
-        if nxt == current:
-            return current
-        current = nxt
 
 
 def in_radical(f, I):

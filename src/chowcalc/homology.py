@@ -11,8 +11,7 @@ homology of a resolution tensored with the second module.
 
 from .errors import EngineError, ResolutionError, RingMismatchError
 from .groebner import (Ideal, block_copies, buchberger, colon, module_order,
-                       vec_from_polys, vec_reduce, vec_to_polys,
-                       witness_syzygies, _prepare)
+                       vec_from_polys, vec_to_polys, witness_syzygies)
 
 
 class FreeModuleElement:
@@ -31,10 +30,6 @@ class FreeModuleElement:
     @property
     def rank(self):
         return len(self.coords)
-
-    @classmethod
-    def unit(cls, ring, rank, pos):
-        return cls(ring, tuple(ring.one if i == pos else ring.zero for i in range(rank)))
 
     def __getitem__(self, i):
         return self.coords[i]
@@ -124,18 +119,6 @@ def module_basis(vectors, rank, ring, modulo=None):
     return [FreeModuleElement(ring, vec_to_polys(v, rank, ring)) for v in basis]
 
 
-def vector_normal_form(v, basis, rank, ring):
-    """Full normal form of v against a module basis (term-over-position)."""
-    order = module_order(ring.order, rank)
-    raw = [vec_from_polys(b.coords, order.key) for b in basis if not b.is_zero()]
-    w = vec_reduce(vec_from_polys(v.coords, order.key), _prepare(raw), order.key, ring.field)
-    return FreeModuleElement(ring, vec_to_polys(w, rank, ring))
-
-
-def in_span(v, basis, rank, ring):
-    return vector_normal_form(v, basis, rank, ring).is_zero()
-
-
 def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=None):
     """Generators of {(c_1..c_m) : sum c_t * targets_t in span(ambient) + J*A^rank}.
 
@@ -171,29 +154,6 @@ class Complex:
 
     def length(self):
         return len(self.mats)
-
-    def apply(self, i, v):
-        """Image of v in A^{ranks[i]} under d_i (columns mats[i-1])."""
-        cols = self.mats[i - 1]
-        out = [self.ring.zero] * self.ranks[i - 1]
-        for a, col in enumerate(cols):
-            p = v[a]
-            if p.is_zero():
-                continue
-            for b in range(self.ranks[i - 1]):
-                out[b] = out[b] + p * col[b]
-        return FreeModuleElement(self.ring, out)
-
-    def is_complex(self, modulo=None):
-        """d_i composed with d_{i+1} vanishes (modulo the chart ideal)."""
-        zero = Ideal(self.ring, ()) if modulo is None else modulo
-        for i in range(1, len(self.mats)):
-            for col in self.mats[i]:
-                image = self.apply(i, col)
-                for c in image.coords:
-                    if not zero.normal_form(c).is_zero():
-                        return False
-        return True
 
 
 def free_resolution(M, modulo=None, max_length=None, partial=False):
@@ -296,11 +256,3 @@ def annihilator(M, modulo=None):
     units = block_copies([(ring.one,)], 1, M.rank, ring)  # e_1, ..., e_rank
     rels = [v.coords for v in list(M.relations) + _fold(modulo, ring, M.rank)]
     return colon(units, rels, M.rank, ring)
-
-
-def is_zero_module(M, modulo=None):
-    if M.rank == 0:
-        return True
-    basis = module_basis(M.relations, M.rank, M.ring, modulo=modulo)
-    return all(in_span(FreeModuleElement.unit(M.ring, M.rank, a), basis, M.rank, M.ring)
-               for a in range(M.rank))

@@ -54,18 +54,16 @@ def _improper(chart, comps, want):
     return next((z for z in comps if codim(z, chart) < want), None)
 
 
-def _tor_lengths(chart, I, K, comps, up_to=None):
+def _tor_lengths(chart, I, K, comps):
     """(z, [length at z of Tor_0, Tor_1, ...]) for A/I and A/K on the chart
     and each z in comps, from one resolution shared by all of them (and no
     resolution when comps is empty).  Lazy, so that a caller's check on one
     row runs before the next row is measured."""
     if not comps:
         return
-    if up_to is None:
-        up_to = chart.dim() + 2
     tors = tor_modules(FPModule.cyclic(I + chart.ideal),
                        FPModule.cyclic(K + chart.ideal),
-                       modulo=chart.ideal, up_to=up_to)
+                       modulo=chart.ideal, up_to=chart.dim() + 2)
     for z in comps:
         yield z, [length_at_prime(T, z, modulo=chart.ideal) if T.rank else 0
                   for T in tors]
@@ -89,12 +87,12 @@ def intersects_properly(a, b):
 
 
 @prime_cache_scope()
-def tor_length_table(chart, I, K, up_to=None):
+def tor_length_table(chart, I, K):
     """[(component, [length of Tor_0 at it, Tor_1, ...])] for the two
     structure modules A/I and A/K on the chart."""
     I = _as_ideal(chart, I)
     K = _as_ideal(chart, K)
-    return list(_tor_lengths(chart, I, K, _components(chart, I, K), up_to))
+    return list(_tor_lengths(chart, I, K, _components(chart, I, K)))
 
 
 def serre_multiplicity(chart, I, K, z):
@@ -218,21 +216,6 @@ def identity_sides(name, *args):
 
 
 def verify_identity(name, *args):
+    """Whether the two sides of a named structural identity agree."""
     lhs, rhs = identity_sides(name, *args)
     return lhs == rhs
-
-
-def verify_commutativity(a, b):
-    return verify_identity("commutativity", a, b)
-
-
-def verify_associativity(a, b, c):
-    return verify_identity("associativity", a, b, c)
-
-
-def verify_pullback_product(f, a, b):
-    return verify_identity("pullback_product", f, a, b)
-
-
-def verify_projection_formula(f, alpha, beta):
-    return verify_identity("projection_formula", f, alpha, beta)

@@ -143,15 +143,6 @@ def identity_map(chart):
                     flat=True, finite=True, proper=True)
 
 
-def inclusion_of_subscheme(chart, ideal):
-    """The closed immersion V(ideal) -> chart."""
-    if not isinstance(ideal, Ideal):
-        ideal = Ideal(chart.ring, ideal)
-    sub = Chart(f"{chart.name}|V", chart.ring, ideal + chart.ideal)
-    return ChartMap(sub, chart, {nm: nm for nm in chart.ring.names},
-                    finite=True, proper=True)
-
-
 def _build_graph(m):
     P, (_, rename) = product_ring(m.source.ring, m.target.ring)
     gens = [transport(g, P) for g in m.source.ideal.gens]

@@ -120,12 +120,6 @@ def elimination_order(first, nvars):
     return BlockOrder([(first, grevlex), (rest, grevlex)])
 
 
-def monomial_compare(a, b, order):
-    """-1, 0 or 1 as a <, =, > b under `order`."""
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
 # ---------------------------------------------------------------------------
 # rings
 
@@ -188,11 +182,6 @@ class PolynomialRing:
 
     def parse(self, text):
         return _Parser(self, text).parse()
-
-    def with_order(self, order):
-        if order == self.order:
-            return self
-        return PolynomialRing(self.field, self.names, order)
 
     def index_of(self, name):
         if name not in self._index:

@@ -179,12 +179,6 @@ def factor(f):
     return list(hit)
 
 
-def is_irreducible(f):
-    if f.is_constant():
-        return False
-    return not _splits(factor(f))
-
-
 def _splits(facs):
     """Whether `facs`, the factorization of a nonconstant polynomial, shows
     it reducible: two factors, or one of multiplicity above 1."""
@@ -693,9 +687,10 @@ def length_at_prime(M, p, modulo=None, max_steps=60):
 
     At a closed point (p maximal) the length is dim_k(M / p^N M) / [k(p):k]
     for any N with p^N M_p = 0, found by the point rule (see _point_length).
-    Elsewhere it is the p-adic filtration (see _filtration_length).
-    Non-termination means p was not minimal over the annihilator, reported
-    as HypothesisError."""
+    Elsewhere it is the p-adic filtration (see _filtration_length).  Both
+    stop once p^N M_p = 0; no stop within max_steps means p was not minimal
+    over the annihilator or the length is at least max_steps, reported as
+    HypothesisError."""
     if M.rank == 0:
         return 0
     if not p.ideal.groebner_basis():
@@ -706,10 +701,11 @@ def length_at_prime(M, p, modulo=None, max_steps=60):
     return _filtration_length(M, p, modulo, max_steps)
 
 
-def _not_minimal(p, max_steps):
+def _unstable(p, max_steps):
     return HypothesisError(
-        f"length at {p} did not stabilize after {max_steps} steps; "
-        "the prime is not minimal over the annihilator")
+        f"length at {p} did not stabilize after {max_steps} steps: either "
+        "the prime is not minimal over the annihilator or the length there "
+        f"is at least {max_steps}")
 
 
 def _point_length(M, p, modulo, max_steps):
@@ -742,7 +738,7 @@ def _point_length(M, p, modulo, max_steps):
                 raise ConsistencyError(
                     f"dimension {dim} at {p} is not a multiple of its residue degree {degree}")
             return dim // degree
-    raise _not_minimal(p, max_steps)
+    raise _unstable(p, max_steps)
 
 
 def _filtration_length(M, p, modulo, max_steps):
@@ -770,4 +766,4 @@ def _filtration_length(M, p, modulo, max_steps):
             return total
         total += d
         level = nxt
-    raise _not_minimal(p, max_steps)
+    raise _unstable(p, max_steps)

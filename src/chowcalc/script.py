@@ -2,7 +2,7 @@
 
 One statement per line; `#` starts a comment; a trailing `;` is allowed.
 
-    field QQ | Fp:<p>
+    field QQ|Fp:<p>                     # before any declaration
     let NAME = KIND(args)
     product A B
     pullback F C
@@ -33,8 +33,9 @@ let-kinds (sections separated by `;`):
 
 Cycle arguments to verbs may be declared names or bracket literals such as
 `[I]` (fundamental cycle of a declared ideal) or `[(y - x^2)]`.  Unbalanced
-`()` or `[]` anywhere in a `let` statement or in a verb's arguments make the
-script malformed (ScriptParseError, exit code 2 from the CLI).  Reports
+`()` or `[]`, or a bracket closed by the other kind as in `(x]`, anywhere in
+a `let` statement or in a verb's arguments make the script malformed
+(ScriptParseError, exit code 2 from the CLI).  Reports
 serialize cycles as arrays of {"prime": [...], "mult": n} and products
 carry their full torsion length tables.
 
@@ -75,24 +76,26 @@ def field_name(field):
         else f"Fp:{field.p}"
 
 
+_OPENER = {")": "(", "]": "["}
+
+
 def _scan(text, seps=None):
     """[(separator, chunk)]: `text` split at the characters of `seps`
     (whitespace when None) outside any (), [] nesting; each chunk comes
     with the separator before it, None for the first."""
-    pairs, buf, depth, before = [], [], 0, None
+    pairs, buf, opened, before = [], [], [], None
     for ch in text:
         if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
+            opened.append(ch)
+        elif ch in _OPENER:
+            if not opened or opened.pop() != _OPENER[ch]:
                 raise ScriptParseError(f"unbalanced brackets in {text!r}")
-        if depth == 0 and (ch.isspace() if seps is None else ch in seps):
+        if not opened and (ch.isspace() if seps is None else ch in seps):
             pairs.append((before, "".join(buf)))
             buf, before = [], ch
         else:
             buf.append(ch)
-    if depth:
+    if opened:
         raise ScriptParseError(f"unbalanced brackets in {text!r}")
     pairs.append((before, "".join(buf)))
     return pairs
@@ -426,6 +429,12 @@ class Interpreter:
     # ------------------------------------------------------------------
     # verbs
 
+    def _verb_field(self, rest):
+        (name,) = _verb_args(rest, 1, "field QQ|Fp:<p>")
+        if self.env:
+            raise EngineError("field must be chosen before declarations")
+        self.field = field_from_name(name)
+
     def _verb_product(self, rest):
         toks = _verb_args(rest, 2, "product A B")
         rep = self._make_product(toks)
@@ -533,12 +542,6 @@ class Interpreter:
         if not stmt:
             return
         self.trace(stmt)
-        if stmt.startswith("field"):
-            rest = stmt[len("field"):].strip()
-            if self.env:
-                raise EngineError("field must be chosen before declarations")
-            self.field = field_from_name(rest)
-            return
         if stmt.startswith("let "):
             m = re.fullmatch(
                 rf"let\s+({_NAME})\s*=\s*({_NAME})\s*\((.*)\)", stmt, re.S)
@@ -548,11 +551,11 @@ class Interpreter:
             sections = [s.strip() for s in _split_top(inner, ";")]
             self._build(name, kind, sections)
             return
-        verb, _, rest = stmt.partition(" ")
+        verb = stmt.split(None, 1)[0]
         handler = getattr(self, f"_verb_{verb}", None)
         if handler is None:
             raise ScriptParseError(f"unknown statement {verb!r}")
-        handler(rest.strip())
+        handler(stmt[len(verb):].strip())
 
     def run(self, text):
         for lineno, line in enumerate(text.splitlines(), start=1):

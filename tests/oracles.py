@@ -6,15 +6,23 @@ share code paths with the engine's vector machinery it is checking.  The
 ideal-operation references are the exception: they intersect by adjoining a
 variable and eliminating it, divide exactly and test radical membership
 through the engine's eliminations, routes that neither the engine's witness
-kernel nor its zero-dimensional covering certificate takes.
+kernel nor its zero-dimensional covering certificate takes.  The module
+checkers `is_zero_module` and `is_complex` also lean on the engine: they
+test membership against bases that the engine computes.
 """
 
 from itertools import combinations, permutations, product
 
 from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
-from chowcalc.homology import FreeModuleElement
+from chowcalc.homology import FreeModuleElement, module_basis
 from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
                                mono_divides, mono_lcm, transport)
+
+
+def monomial_compare(a, b, order):
+    """-1, 0 or 1 as a <, =, > b under `order`."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def order_view(p, order):
@@ -22,7 +30,7 @@ def order_view(p, order):
     so lm()/lc() answer for that order."""
     if p.ring.order == order:
         return p
-    return transport(p, p.ring.with_order(order))
+    return transport(p, PolynomialRing(p.ring.field, p.ring.names, order))
 
 
 def reduce_full(f, basis):
@@ -209,6 +217,40 @@ def assert_good_module_basis(gens, basis, key):
     assert is_reduced_module_basis(basis, key)
     for g in gens:
         assert reduce_vector(g, basis, key).is_zero()
+
+
+def unit_vector(ring, rank, pos):
+    """The unit vector e_pos of ring^rank."""
+    return FreeModuleElement(ring, [ring.one if i == pos else ring.zero
+                                    for i in range(rank)])
+
+
+def in_span(v, basis, rank, ring):
+    """v lies in the span of a term-over-position module basis of ring^rank."""
+    return reduce_vector(v, basis, position_order(rank, ring.order)).is_zero()
+
+
+def is_zero_module(M, modulo=None):
+    """Every unit vector lies in the relations of M (plus J * A^rank)."""
+    if M.rank == 0:
+        return True
+    basis = module_basis(M.relations, M.rank, M.ring, modulo=modulo)
+    return all(in_span(unit_vector(M.ring, M.rank, a), basis, M.rank, M.ring)
+               for a in range(M.rank))
+
+
+def is_complex(res, modulo=None):
+    """d_i composed with d_{i+1} vanishes (modulo the chart ideal) for the
+    homology.Complex `res`, whose mats[i - 1] are the columns of d_i."""
+    zero = Ideal(res.ring, ()) if modulo is None else modulo
+    for i in range(1, len(res.mats)):
+        for col in res.mats[i]:
+            for b in range(res.ranks[i - 1]):
+                image = sum((p * d[b] for p, d in zip(col.coords, res.mats[i - 1])),
+                            res.ring.zero)
+                if not zero.contains(image):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ def test_cycle_arithmetic_and_printing():
     assert str(Cycle.zero(PLANE, 1)) == "0"
     assert 3 * a == Cycle(PLANE, 1, {px: 6})
     assert (a - a).is_zero()
-    assert a.is_effective() and not b.is_effective()
     with pytest.raises(EngineError):
         Cycle(PLANE, 2, {px: 1})  # wrong codimension
     with pytest.raises(EngineError):

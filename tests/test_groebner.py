@@ -8,7 +8,7 @@ from chowcalc.errors import DegreeOverflowError, InexactDivisionError
 from chowcalc.fields import GF, QQ
 from chowcalc.groebner import (Ideal, degree_limit, divide_exact, eliminate,
                                in_radical, intersect, is_regular_element,
-                               krull_dim, quotient, saturation)
+                               krull_dim, quotient)
 from chowcalc.polyring import PolynomialRing, grevlex, lex
 
 from oracles import assert_good_basis, is_groebner, is_reduced_basis, reduces_into
@@ -166,13 +166,6 @@ def test_quotient():
     assert quotient(I(ring, "x^2*y"), ring.parse("x")) == I(ring, "x*y")
     assert quotient(I(ring, "x"), I(ring, "x")) == I(ring, "1")
     assert quotient(I(ring, "x"), Ideal(ring, ())).is_unit()
-
-
-def test_saturation():
-    ring = R2()
-    assert saturation(I(ring, "x^2*y"), ring.parse("x")) == I(ring, "y")
-    assert saturation(I(ring, "x^2*y^3"), ring.parse("x*y")) == I(ring, "1")
-    assert saturation(I(ring, "y - x^2"), ring.parse("x")) == I(ring, "y - x^2")
 
 
 def test_eliminate():

@@ -8,8 +8,7 @@ from chowcalc.geometry import Chart, Cycle, cycle_of_subscheme, point_cycle
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule
 from chowcalc.morphisms import (ChartMap, degree, fiber_product, flat_pullback,
-                                identity_map, inclusion_of_subscheme,
-                                proper_pushforward, pullback_module,
+                                identity_map, proper_pushforward, pullback_module,
                                 pushforward_module, zariski_image)
 from chowcalc.morphisms import ProductChart
 from chowcalc.polyring import PolynomialRing
@@ -21,6 +20,9 @@ PLANE = Chart("A2", PolynomialRing(QQ, ("x", "y")))
 
 SQUARING = ChartMap(LINE_T, LINE_X, {"x": "t^2"}, flat=True, finite=True, proper=True)
 CUSP_PARAM = ChartMap(LINE_T, PLANE, {"x": "t^2", "y": "t^3"})
+# the closed immersion of the line V(x) into the plane
+AXIS_INCLUSION = ChartMap(Chart("A2|V", PLANE.ring, ("x",)), PLANE,
+                          {"x": "x", "y": "y"}, finite=True, proper=True)
 
 
 def test_map_well_definedness():
@@ -60,7 +62,7 @@ def test_finiteness():
     punctured = Chart("U", PolynomialRing(QQ, ("t", "u")), ("t*u - 1",))
     open_inc = ChartMap(punctured, LINE_T, {"t": "t"})
     assert not open_inc.is_finite()
-    assert inclusion_of_subscheme(PLANE, ("x",)).is_finite()
+    assert AXIS_INCLUSION.is_finite()
 
 
 def test_pushforward_module_and_degree():
@@ -71,7 +73,7 @@ def test_pushforward_module_and_degree():
     assert degree(cubing) == 3
     assert degree(CUSP_PARAM) == 1  # birational onto the cuspidal cubic
     assert degree(identity_map(PLANE)) == 1
-    assert degree(inclusion_of_subscheme(PLANE, ("x",))) == 1
+    assert degree(AXIS_INCLUSION) == 1
 
 
 def test_pushforward_module_not_finite():

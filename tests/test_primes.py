@@ -18,8 +18,8 @@ from chowcalc.groebner import Ideal, intersect
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
 from chowcalc.primes import (FactorizationUnavailable, PrimeIdeal, assert_decomposition,
-                             assert_prime, factor, generic_rank, is_irreducible,
-                             is_prime, length_at_prime, minimal_polynomial,
+                             assert_prime, factor, generic_rank, is_prime,
+                             length_at_prime, minimal_polynomial,
                              minimal_primes, vector_space_dimension)
 from chowcalc.errors import EngineError
 from chowcalc.primes import standard_exponents
@@ -53,10 +53,6 @@ def test_factor_constants_and_irreducibles():
     assert factor(R2.zero) == []
     facs = factor(R2.parse("x^2 + 2"))
     assert len(facs) == 1 and facs[0][1] == 1
-    assert is_irreducible(R2.parse("x^2 + 2"))
-    assert not is_irreducible(R2.parse("x^2 - 1"))
-    assert not is_irreducible(R2.parse("5"))
-    assert not is_irreducible(R2.parse("x^2 + 2*x + 1"))
 
 
 def test_factor_finite_field():
@@ -139,7 +135,6 @@ def test_factor_finite_field_multivariate_linear_form():
     f = F5.parse("x + 2*y + 3*z + 1")
     assert factor(f) == [(f, 1)]
     assert [(str(q), e) for q, e in factor(F5.parse("2*y + z + 4"))] == [("y + 3*z + 2", 1)]
-    assert is_irreducible(f)
 
 
 def test_prime_ideal_identity():
@@ -575,6 +570,16 @@ def test_point_length_on_a_non_isolated_point_raises():
     origin = assert_prime(Ideal(R2, ("x", "y")))
     with pytest.raises(HypothesisError, match="after 8 steps"):
         length_at_prime(M, origin, max_steps=8)
+
+
+def test_length_reaching_the_step_bound_names_both_causes():
+    # the origin is the only component of (x^12, y), where the length is 12
+    origin = prime_of(R2, "x", "y")
+    with pytest.raises(HypothesisError, match=(
+            r"after 8 steps: either the prime is not minimal over the "
+            r"annihilator or the length there is at least 8$")):
+        length_at_prime(FPModule.cyclic(Ideal(R2, ("x^12", "y"))), origin,
+                        max_steps=8)
 
 
 def test_point_length_rejects_a_dimension_off_the_residue_degree():

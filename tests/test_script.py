@@ -305,6 +305,14 @@ def test_finite_field_scripts():
     assert lines == ["[(t + 2)] + [(t + 3)]", "2"]
 
 
+def test_a_tab_may_follow_the_verb():
+    # any whitespace may follow a verb, `field` included
+    report, code, lines = run("field\tFp:5\nlet R = ring(t)\nprint\tR")
+    assert code == 0
+    assert report["field"] == "Fp:5"
+    assert lines == ["Fp(5)[t]"]
+
+
 # ----------------------------------------------------------------------
 # errors
 
@@ -381,6 +389,7 @@ USAGE_ERRORS = [
     ("let c = ring x", "bad let statement 'let c = ring x'"),
     ("let K = ideal(R; (x)", "unbalanced brackets in 'R; (x'"),
     ("let K = ideal(R; x))", "unbalanced brackets in 'R; x)'"),
+    ("let K = ideal(R; (x])", "unbalanced brackets in 'R; (x]'"),
     # cycle literals
     ("let c = cycle(A; )", "empty cycle literal ''"),
     ("let c = cycle(A; [(x)] + y)", "bad cycle term 'y'"),
@@ -395,6 +404,10 @@ USAGE_ERRORS = [
     ("assert_equal a", "assert_equal A B"),
     ("print", "print X"),
     ("print a b", "print X"),
+    ("print [I)", "unbalanced brackets in '[I)'"),
+    ("field", "field QQ|Fp:<p>"),
+    ("field Fp(7", "unbalanced brackets in 'Fp(7'"),
+    ("fields QQ", "unknown statement 'fields'"),
     ("frobnicate A", "unknown statement 'frobnicate'"),
 ]
 
@@ -514,6 +527,8 @@ def test_cli_reports_are_deterministic(tmp_path):
     "degree (I",
     "verify commutativity [I] [J",
     "glue U]: U0 = [I]",
+    "let K = ideal(R; (x])",
+    "print [I)",
 ])
 def test_unbalanced_brackets_in_verb_arguments_exit_2(statement, tmp_path, capsys):
     text = ("let R = ring(x, y)\nlet I = ideal(R; x)\nlet J = ideal(R; y)\n"

@@ -52,6 +52,24 @@ def test_engine_functions_read_every_parameter():
     assert found == []
 
 
+def test_engine_defines_no_unreachable_functions():
+    # a module-level function or class that no engine code loads and the
+    # package does not export is test-only or dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    reachable = set(importlib.import_module("chowcalc").__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reachable.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reachable.add(node.attr)
+    found = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name not in reachable]
+    assert found == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these by name and fails mid-run on a missing one;
     # its list is read as text, so nothing of the benchmark is imported
