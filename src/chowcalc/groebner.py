@@ -434,19 +434,22 @@ def is_regular_element(f, I):
     return quotient(I, f) == I
 
 
-def krull_dim(I):
-    """Dimension of ring/I: the largest set of variables independent modulo
-    the leading-term ideal.  Unit ideal gives -1."""
-    ring = I.ring
-    if I.is_unit():
-        return -1
-    supports = []
-    for e in I.leading_exponents():
-        supports.append(frozenset(i for i, k in enumerate(e) if k))
-    n = ring.nvars
+def independent_set(I):
+    """A largest set of variable indices independent modulo the leading-term
+    ideal (no leading monomial is supported inside it), as a sorted tuple;
+    its size is dim ring/I.  None for the unit ideal, whose leading
+    monomial 1 lies inside every set."""
+    supports = [frozenset(i for i, k in enumerate(e) if k) for e in I.leading_exponents()]
+    n = I.ring.nvars
     for size in range(n, -1, -1):
         for S in combinations(range(n), size):
-            S = set(S)
-            if not any(sup <= S for sup in supports):
-                return size
-    return 0
+            if not any(sup.issubset(S) for sup in supports):
+                return S
+    return None
+
+
+def krull_dim(I):
+    """Dimension of ring/I: the size of `independent_set`.  Unit ideal
+    gives -1."""
+    S = independent_set(I)
+    return -1 if S is None else len(S)

@@ -105,14 +105,14 @@ def unit_multiples(gens, ring, rank):
             for g in gens for a in range(rank)]
 
 
-def _fold(modulo, ring, rank):
+def fold_modulo(modulo, ring, rank):
     """J * e_a relation copies for working over R/J."""
     return [] if modulo is None else unit_multiples(modulo.gens, ring, rank)
 
 
 def module_basis(vectors, rank, ring, modulo=None):
     """Reduced module Gröbner basis of the span (with J folded in)."""
-    vecs = list(vectors) + _fold(modulo, ring, rank)
+    vecs = list(vectors) + fold_modulo(modulo, ring, rank)
     order = module_order(ring.order, rank)
     raw = [vec_from_polys(v.coords, order.key) for v in vecs]
     basis = buchberger(raw, order.key, ring.field)
@@ -128,7 +128,7 @@ def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=No
     """
     targets = [_as_element(ring, rank, t).coords for t in targets]
     ambient = [_as_element(ring, rank, u).coords
-               for u in list(ambient) + _fold(modulo, ring, rank)]
+               for u in list(ambient) + fold_modulo(modulo, ring, rank)]
     keep = None if coeff_names is None else {ring.index_of(nm) for nm in coeff_names}
     return [FreeModuleElement(ring, c)
             for c in witness_syzygies(targets, ambient, rank, ring, keep)]
@@ -254,5 +254,5 @@ def annihilator(M, modulo=None):
     for every a."""
     ring = M.ring
     units = block_copies([(ring.one,)], 1, M.rank, ring)  # e_1, ..., e_rank
-    rels = [v.coords for v in list(M.relations) + _fold(modulo, ring, M.rank)]
+    rels = [v.coords for v in list(M.relations) + fold_modulo(modulo, ring, M.rank)]
     return colon(units, rels, M.rank, ring)

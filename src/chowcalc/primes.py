@@ -25,14 +25,15 @@ positive-dimensional I the components are intersected and each generator of
 the intersection passes the Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
-Local lengths take one of two routes, chosen by the dimension of the prime.
-At a closed point z, length(M_z) = dim_k(M / z^N M) / [k(z):k] once
-z^N M_z = 0; each N costs one module basis and a standard-monomial count,
-and the first N at which the dimension repeats gives z^N M_z = z^(N+1) M_z,
-hence z^N M_z = 0 by Nakayama.  At a positive-dimensional prime the length
-is summed over the filtration by powers of the prime, each graded piece
-measured over the residue field.  Both routes stop at max_steps and report a
-prime that is not isolated in the support as HypothesisError.
+Local lengths and generic ranks share one kernel.  With S a largest set of
+variables independent modulo p's leading ideal, M / p^N M tensor k(x_S)
+lives at p alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
+[k(p):k(x_S)] once p^N M_p = 0.  Each N costs one module basis, under an
+order eliminating the other variables U, and a count of standard
+U-monomials; at a closed point S is empty and the count is over k.  The
+first N at which the count repeats, or reaches the count of M itself, gives
+p^N M_p = 0 by Nakayama.  No stop within max_steps is reported as
+HypothesisError; the generic rank is the N = 1 count.
 """
 
 import contextvars
@@ -47,11 +48,11 @@ import sympy
 from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
 from .fields import RationalField
-from .groebner import (Ideal, buchberger, eliminate, in_radical, intersect,
-                       krull_dim, module_order, vec_from_polys)
-from .homology import _fold, coefficient_module, unit_multiples
-from .polyring import (BlockOrder, PolynomialRing, fresh_names, lex,
-                       mono_divides, transport)
+from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
+                       independent_set, intersect, krull_dim, vec_from_polys)
+from .homology import fold_modulo, unit_multiples
+from .polyring import (BlockOrder, PolynomialRing, elimination_order,
+                       fresh_names, lex, mono_divides, transport)
 
 
 class FactorizationUnavailable(EngineError):
@@ -638,67 +639,93 @@ def assert_decomposition(I, ideals):
 
 
 # ---------------------------------------------------------------------------
-# local lengths and ranks
+# local lengths and ranks: dimensions over k(x_S), S a largest independent
+# set of the prime, of modules that live at the prime alone
 
-def _matrix_rank_mod_prime(rows, p):
-    """Rank over Frac(ring/p) of the matrix whose rows are coordinate
-    tuples, by fraction-free elimination with normal forms as zero tests."""
-    nf = p.ideal.normal_form
-    mat = [[nf(c) for c in row] for row in rows]
-    mat = [row for row in mat if any(not c.is_zero() for c in row)]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col].is_zero():
-                continue
-            scale = mat[r][col]
-            mat[r] = [nf(pv * mat[r][j] - scale * mat[rank][j])
-                      for j in range(cols)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _fiber_order(ring, U):
+    """The ring order of the count over k(x_S), S the variables outside U:
+    the ring's own order when S is empty, else the one eliminating U."""
+    return ring.order if len(U) == ring.nvars else elimination_order(U, ring.nvars)
+
+
+def _standard_count(lead, rank, U):
+    """Standard U-monomials at all positions, given the leading (position,
+    exponents) pairs of a basis; None when there are infinitely many."""
+    total = 0
+    for a in range(rank):
+        std = standard_exponents([tuple(e[i] for i in U) for pos, e in lead if pos == a],
+                                 len(U), _VDIM_BOUND)
+        if std is None:
+            return None
+        total += len(std)
+    return total
+
+
+def _fiber_dimension(vectors, rank, ring, U):
+    """dim over k(x_S) of (R^rank / span(vectors)) tensor k(x_S), S the
+    variables outside U, or None when infinite.
+
+    Positions come first and U is eliminated at each of them, so a basis
+    over k[x] is one over k(x_S)[x_U], led there by the U-parts of its
+    leading terms (Gianni, Trager & Zacharias 1988).  With S empty this is
+    a count over k under the ring's own term-over-position order."""
+    blocks = (0,) * rank if len(U) == ring.nvars else range(rank)
+    key = ModuleOrder((_fiber_order(ring, U),) * rank, blocks).key
+    basis = buchberger([vec_from_polys(v, key) for v in vectors], key, ring.field)
+    return _standard_count([v[0][0] for v in basis], rank, U)
+
+
+def _fiber_counter(M, p, modulo):
+    """U, the variables outside a largest independent set of p, and the
+    function taking generators g of an ideal to the count of M / (g) M."""
+    S = independent_set(p.ideal)
+    U = tuple(i for i in range(M.ring.nvars) if i not in S)
+    rels = [v.coords for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
+
+    def count(gens):
+        vectors = rels + [v.coords for v in unit_multiples(gens, M.ring, M.rank)]
+        return _fiber_dimension(vectors, M.rank, M.ring, U)
+    return U, count
+
+
+def _per_residue_degree(count, p, U):
+    """count / [k(p):k(x_S)]; the degree is the same count on p's leading
+    ideal."""
+    lead = p.ideal.leading_exponents(_fiber_order(p.ring, U))
+    degree = _standard_count([(0, e) for e in lead], 1, U)
+    if count % degree:
+        raise ConsistencyError(
+            f"dimension {count} at {p} is not a multiple of its residue degree {degree}")
+    return count // degree
 
 
 def generic_rank(M, p, modulo=None):
-    """Rank of M at the generic point of V(p): rank minus the rank of the
-    relation matrix over the residue field of p."""
-    if M.rank == 0:
-        return 0
-    rows = [v.coords for v in M.relations]
-    rows += [v.coords for v in _fold(modulo, M.ring, M.rank)]
-    return M.rank - _matrix_rank_mod_prime(rows, p)
+    """Rank of M at the generic point of V(p): dim over k(p) of M / pM
+    there, the count of M / pM over k(x_S) divided by [k(p):k(x_S)]."""
+    U, count = _fiber_counter(M, p, modulo)
+    return _per_residue_degree(count(p.gens), p, U)
 
 
 def length_at_prime(M, p, modulo=None, max_steps=60):
     """Length of the localization of M at p (p minimal over Ann M).
 
-    At a closed point (p maximal) the length is dim_k(M / p^N M) / [k(p):k]
-    for any N with p^N M_p = 0, found by the point rule (see _point_length).
-    Elsewhere it is the p-adic filtration (see _filtration_length).  Both
-    stop once p^N M_p = 0; no stop within max_steps means p was not minimal
-    over the annihilator or the length is at least max_steps, reported as
-    HypothesisError."""
-    if M.rank == 0:
-        return 0
-    if not p.ideal.groebner_basis():
-        # generic point of the whole chart: length = generic rank
-        return generic_rank(M, p)
-    if p.dim() == 0:
-        return _point_length(M, p, modulo, max_steps)
-    return _filtration_length(M, p, modulo, max_steps)
+    With S a largest independent set of p, every prime above p meets
+    k[x_S], so M / p^N M tensor k(x_S) lives at p alone: its dimension over
+    k(x_S) is [k(p):k(x_S)] * length(M_p / p^N M_p).  These counts grow
+    with N and never pass the count of M itself; once one repeats, or
+    reaches M's, p^N M_p = 0 (Nakayama) and it gives the length.  No stop
+    within max_steps means p was not minimal over the annihilator or the
+    length is at least max_steps, reported as HypothesisError."""
+    U, count = _fiber_counter(M, p, modulo)
+    whole = count(())
+    power = (M.ring.one,)
+    dim = 0
+    for _ in range(max_steps):
+        power = tuple({q.terms: q for q in (g * h for g in power for h in p.gens)}.values())
+        prev, dim = dim, count(power)
+        if dim in (prev, whole):
+            return _per_residue_degree(dim, p, U)
+    raise _unstable(p, max_steps)
 
 
 def _unstable(p, max_steps):
@@ -706,64 +733,3 @@ def _unstable(p, max_steps):
         f"length at {p} did not stabilize after {max_steps} steps: either "
         "the prime is not minimal over the annihilator or the length there "
         f"is at least {max_steps}")
-
-
-def _point_length(M, p, modulo, max_steps):
-    """Length of M_p for a maximal p, from one module basis per power of p.
-
-    M / p^N M is supported at p alone, so it equals M_p / p^N M_p and its
-    dimension over k counts the standard monomials of a basis of
-    relations + J + p^N * A^rank.  The dimensions grow with N; once two in a
-    row are equal, p^N M_p = p^(N+1) M_p, so p^N M_p = 0 by Nakayama and the
-    last dimension is [k(p):k] * length(M_p)."""
-    ring, rank = M.ring, M.rank
-    key = module_order(ring.order, rank).key
-    rels = [vec_from_polys(v.coords, key)
-            for v in list(M.relations) + _fold(modulo, ring, rank)]
-    zgens = p.ideal.groebner_basis()
-    power = (ring.one,)
-    dim = 0
-    for _ in range(max_steps):
-        products = {q.terms: q for q in (g * h for g in power for h in zgens)}
-        power = Ideal(ring, products.values()).groebner_basis()
-        vecs = rels + [vec_from_polys(v.coords, key)
-                       for v in unit_multiples(power, ring, rank)]
-        lead = [v[0][0] for v in buchberger(vecs, key, ring.field)]
-        prev, dim = dim, sum(
-            len(standard_exponents([e for pos, e in lead if pos == a], ring.nvars, _VDIM_BOUND))
-            for a in range(rank))
-        if dim == prev:
-            degree = vector_space_dimension(p.ideal)
-            if dim % degree:
-                raise ConsistencyError(
-                    f"dimension {dim} at {p} is not a multiple of its residue degree {degree}")
-            return dim // degree
-    raise _unstable(p, max_steps)
-
-
-def _filtration_length(M, p, modulo, max_steps):
-    """Length of M_p by the filtration by powers of p: each graded piece is a
-    vector space over the residue field of p; its dimension is the number of
-    degree-i generators minus the generic rank of their relation module.  The
-    first empty piece ends the sum (Nakayama)."""
-    ring = M.ring
-    pgens = list(p.ideal.groebner_basis())
-    rels = list(M.relations) + _fold(modulo, ring, M.rank)
-    level = [ring.one]
-    total = 0
-    for _ in range(max_steps):
-        nxt_set = {}
-        for m in level:
-            for g in pgens:
-                q = m * g
-                nxt_set[q.terms] = q
-        nxt = list(nxt_set.values())
-        targets = unit_multiples(level, ring, M.rank)
-        ambient = unit_multiples(nxt, ring, M.rank) + rels
-        W = coefficient_module(targets, ambient, M.rank, ring)
-        d = len(targets) - _matrix_rank_mod_prime([w.coords for w in W], p)
-        if d == 0:
-            return total
-        total += d
-        level = nxt
-    raise _unstable(p, max_steps)

@@ -542,7 +542,8 @@ class Interpreter:
         if not stmt:
             return
         self.trace(stmt)
-        if stmt.startswith("let "):
+        verb = stmt.split(None, 1)[0]
+        if verb == "let":
             m = re.fullmatch(
                 rf"let\s+({_NAME})\s*=\s*({_NAME})\s*\((.*)\)", stmt, re.S)
             if not m:
@@ -551,7 +552,6 @@ class Interpreter:
             sections = [s.strip() for s in _split_top(inner, ";")]
             self._build(name, kind, sections)
             return
-        verb = stmt.split(None, 1)[0]
         handler = getattr(self, f"_verb_{verb}", None)
         if handler is None:
             raise ScriptParseError(f"unknown statement {verb!r}")

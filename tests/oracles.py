@@ -8,13 +8,18 @@ variable and eliminating it, divide exactly and test radical membership
 through the engine's eliminations, routes that neither the engine's witness
 kernel nor its zero-dimensional covering certificate takes.  The module
 checkers `is_zero_module` and `is_complex` also lean on the engine: they
-test membership against bases that the engine computes.
+test membership against bases that the engine computes.  The local-length
+and rank references compute through the engine's coefficient modules and
+normal forms, by the filtration by powers of the prime and by elimination
+over the residue field, routes that its counting kernel does not take.
 """
 
 from itertools import combinations, permutations, product
 
+from chowcalc.errors import HypothesisError
 from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
-from chowcalc.homology import FreeModuleElement, module_basis
+from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
+                               module_basis, unit_multiples)
 from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
                                mono_divides, mono_lcm, transport)
 
@@ -320,3 +325,73 @@ def audit_accepts(I, ideals):
            for J, K in combinations(ideals, 2)):
         return False
     return radical_covers(I, ideals)
+
+
+# ---------------------------------------------------------------------------
+# local lengths and ranks over the residue field of a prime
+
+def matrix_rank_mod_prime(rows, p):
+    """Rank over Frac(ring/p) of the matrix whose rows are coordinate
+    tuples, by fraction-free elimination with normal forms as zero tests."""
+    nf = p.ideal.normal_form
+    mat = [[nf(c) for c in row] for row in rows]
+    mat = [row for row in mat if any(not c.is_zero() for c in row)]
+    if not mat:
+        return 0
+    cols = len(mat[0])
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if not mat[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col].is_zero():
+                continue
+            scale = mat[r][col]
+            mat[r] = [nf(pv * mat[r][j] - scale * mat[rank][j])
+                      for j in range(cols)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def rank_at_prime(M, p, modulo=None):
+    """Rank of M at the generic point of V(p): rank minus the rank of the
+    relation matrix, J folded in, over the residue field of p."""
+    rows = [v.coords for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
+    return M.rank - matrix_rank_mod_prime(rows, p)
+
+
+def filtration_length(M, p, modulo=None, max_steps=60):
+    """Length of M_p by the filtration by powers of p: each graded piece is a
+    vector space over the residue field of p; its dimension is the number of
+    degree-i generators minus the rank of their relation module there.  The
+    first empty piece ends the sum (Nakayama)."""
+    ring = M.ring
+    pgens = list(p.ideal.groebner_basis())
+    rels = list(M.relations) + fold_modulo(modulo, ring, M.rank)
+    level = [ring.one]
+    total = 0
+    for _ in range(max_steps):
+        nxt_set = {}
+        for m in level:
+            for g in pgens:
+                q = m * g
+                nxt_set[q.terms] = q
+        nxt = list(nxt_set.values())
+        targets = unit_multiples(level, ring, M.rank)
+        ambient = unit_multiples(nxt, ring, M.rank) + rels
+        W = coefficient_module(targets, ambient, M.rank, ring)
+        d = len(targets) - matrix_rank_mod_prime([w.coords for w in W], p)
+        if d == 0:
+            return total
+        total += d
+        level = nxt
+    raise HypothesisError(f"filtration at {p} did not end within {max_steps} steps")

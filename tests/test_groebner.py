@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from chowcalc.errors import DegreeOverflowError, InexactDivisionError
 from chowcalc.fields import GF, QQ
 from chowcalc.groebner import (Ideal, degree_limit, divide_exact, eliminate,
-                               in_radical, intersect, is_regular_element,
-                               krull_dim, quotient)
+                               in_radical, independent_set, intersect,
+                               is_regular_element, krull_dim, quotient)
 from chowcalc.polyring import PolynomialRing, grevlex, lex
 
 from oracles import assert_good_basis, is_groebner, is_reduced_basis, reduces_into
@@ -217,15 +217,21 @@ def test_is_regular_element():
 # dimension
 
 def test_krull_dim_examples():
-    ring = R2()
-    assert krull_dim(Ideal(ring, ())) == 2
-    assert krull_dim(I(ring, "x")) == 1
-    assert krull_dim(I(ring, "x", "y")) == 0
-    assert krull_dim(I(ring, "1")) == -1
-    assert krull_dim(I(ring, "y - x^2")) == 1
-    ring3 = R3()
-    assert krull_dim(I(ring3, "y - x^2", "z - x^3")) == 1
-    assert krull_dim(I(ring3, "x*y", "x*z")) == 2  # V(x) union V(y,z)
+    ring, ring3 = R2(), R3()
+    cases = [(Ideal(ring, ()), 2), (I(ring, "x"), 1), (I(ring, "x", "y"), 0),
+             (I(ring, "1"), -1), (I(ring, "y - x^2"), 1),
+             (I(ring3, "y - x^2", "z - x^3"), 1),
+             (I(ring3, "x*y", "x*z"), 2)]  # V(x) union V(y,z)
+    for ideal, dim in cases:
+        assert krull_dim(ideal) == dim
+        S = independent_set(ideal)
+        if dim == -1:
+            assert S is None
+            continue
+        # S meets no leading-monomial support: no leading monomial lies in k[x_S]
+        assert len(S) == dim
+        assert not any(all(i in S for i, k in enumerate(e) if k)
+                       for e in ideal.leading_exponents())
 
 
 def test_krull_dim_order_invariance():

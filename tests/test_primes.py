@@ -25,7 +25,7 @@ from chowcalc.errors import EngineError
 from chowcalc.primes import standard_exponents
 from chowcalc.script import run_script
 
-from oracles import count_standard_monomials
+from oracles import count_standard_monomials, filtration_length, rank_at_prime
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -495,25 +495,30 @@ def test_tor_lengths_of_crossing_planes():
 
 
 # ---------------------------------------------------------------------------
-# the point kernel against the filtration
+# the counting kernel against the filtration and rank oracles
 
-def _point_case(data):
-    """A module supported near a closed point z, the point, and a chart ideal.
+def _local_case(data):
+    """A prime p of A^n (n = 2, 3) of any dimension, a module near it, and
+    a chart ideal inside p.
 
-    z = (t_0, ..., t_{n-1}) in local coordinates t_0 = x - a (residue degree 1)
-    or t_0 = x^2 + 2 (degree 2; irreducible over QQ and F_7), t_i = x_i - a_i.
-    Every position carries t_i^k (one of them times a factor that vanishes
-    elsewhere), so z is isolated in the support; the other relations are
-    random combinations of products of the t_i.  The chart, when there is
-    one, is the smooth hypersurface t_{n-1} = f * t_0 through z."""
+    p = (t_0, ..., t_{c-1}) for c = codim p (c = 0: the zero prime), with
+    t_i = x_i - a_i - b_i*w for w the last variable (w = 0 when p is a
+    point), or t_0 = x^2 + 2 (residue degree 2; irreducible over QQ and
+    F_7).  Every position carries t_i^k (one of them times a factor that
+    vanishes on a second component), so p is minimal in the support; the
+    other relations are random combinations of products of the t_i and
+    w + 1.  The chart, when there is one, is t_{c-1} = f * t_0."""
     field = data.draw(st.sampled_from([QQ, GF(7)]), label="field")
     nvars = data.draw(st.integers(2, 3), label="nvars")
     ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
-    shift = [data.draw(st.integers(-2, 2)) for _ in range(nvars)]
-    coords = [ring.var(i) - ring.const(shift[i]) for i in range(nvars)]
-    if data.draw(st.booleans(), label="residue degree 2"):
+    codim = data.draw(st.integers(0, nvars), label="codim")
+    free = ring.var(nvars - 1) if codim < nvars else ring.zero
+    shift = [data.draw(st.integers(-2, 2)) for _ in range(codim)]
+    coords = [ring.var(i) - ring.const(shift[i])
+              - ring.const(data.draw(st.integers(-1, 1))) * free for i in range(codim)]
+    if codim and data.draw(st.booleans(), label="residue degree 2"):
         coords[0] = ring.var(0) ** 2 + ring.const(2)
-    z = assert_prime(Ideal(ring, coords))
+    p = assert_prime(Ideal(ring, coords))
     rank = data.draw(st.integers(1, 2), label="rank")
     top = 3 if nvars == 2 and rank == 1 else 2
 
@@ -521,7 +526,7 @@ def _point_case(data):
         f = ring.zero
         for _ in range(data.draw(st.integers(1, 3))):
             term = ring.const(data.draw(st.integers(-3, 3)))
-            for t in coords:
+            for t in coords + [free + ring.one]:
                 term = term * t ** data.draw(st.integers(0, top - 1))
             f = f + term
         return f
@@ -530,36 +535,37 @@ def _point_case(data):
     for a in range(rank):
         for i, t in enumerate(coords):
             g = t ** data.draw(st.integers(1, top))
-            if i == 0 and data.draw(st.booleans(), label="second point"):
+            if i == 0 and data.draw(st.booleans(), label="second component"):
                 g = g * (ring.var(0) - ring.const(shift[0] + 1))
             rels.append(tuple(g if b == a else ring.zero for b in range(rank)))
     for _ in range(data.draw(st.integers(0, 2))):
         rels.append(tuple(local_poly() for _ in range(rank)))
     modulo = None
-    if data.draw(st.booleans(), label="chart"):
+    if codim and data.draw(st.booleans(), label="chart"):
         modulo = Ideal(ring, (coords[-1] - local_poly() * coords[0],))
-    return FPModule(ring, rank, rels), z, modulo
+    return FPModule(ring, rank, rels), p, modulo
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_length_at_prime_matches_the_filtration_oracle(data):
+    M, p, modulo = _local_case(data)
+    assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_point_kernel_matches_filtration(data):
-    M, z, modulo = _point_case(data)
-    assert z.dim() == 0
-    expected = primes_module._filtration_length(M, z, modulo, 60)
-    assert primes_module._point_length(M, z, modulo, 60) == expected
-
-
-def test_only_positive_dimensional_primes_use_the_filtration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("coefficient_module called")
-
-    monkeypatch.setattr(primes_module, "coefficient_module", refuse)
-    origin = assert_prime(Ideal(R2, ("x", "y")))
-    assert length_at_prime(FPModule.cyclic(Ideal(R2, ("x^2", "x*y", "y^2"))), origin) == 3
-    with pytest.raises(AssertionError, match="coefficient_module"):
-        length_at_prime(FPModule.cyclic(Ideal(R2, ("x^2", "x*y"))),
-                        assert_prime(Ideal(R2, ("x",))))
+def test_generic_rank_matches_the_rank_oracle(data):
+    # the module is arbitrary here: p need not be minimal in its support
+    _, p, modulo = _local_case(data)
+    ring = p.ring
+    rank = data.draw(st.integers(1, 3), label="rank")
+    polys = [ring.zero, ring.one] + [ring.var(i) for i in range(ring.nvars)] + list(p.gens)
+    rels = [tuple(data.draw(st.sampled_from(polys)) * data.draw(st.sampled_from(polys))
+                  for _ in range(rank))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    M = FPModule(ring, rank, rels)
+    assert generic_rank(M, p, modulo) == rank_at_prime(M, p, modulo)
 
 
 def test_point_length_on_a_non_isolated_point_raises():
@@ -579,6 +585,18 @@ def test_length_reaching_the_step_bound_names_both_causes():
             r"after 8 steps: either the prime is not minimal over the "
             r"annihilator or the length there is at least 8$")):
         length_at_prime(FPModule.cyclic(Ideal(R2, ("x^12", "y"))), origin,
+                        max_steps=8)
+
+
+def test_reaching_the_count_of_the_module_stops_at_the_step_bound():
+    # (x^8, y) lives at the origin alone: the count at N = 8 is the count of
+    # the whole module, so no ninth step is needed to see it repeat; with a
+    # second point the repeat is needed, and the ninth step is not allowed
+    origin = prime_of(R2, "x", "y")
+    assert length_at_prime(FPModule.cyclic(Ideal(R2, ("x^8", "y"))), origin,
+                           max_steps=8) == 8
+    with pytest.raises(HypothesisError, match="after 8 steps"):
+        length_at_prime(FPModule.cyclic(Ideal(R2, ("x^8*(x - 1)", "y"))), origin,
                         max_steps=8)
 
 

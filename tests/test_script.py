@@ -306,8 +306,8 @@ def test_finite_field_scripts():
 
 
 def test_a_tab_may_follow_the_verb():
-    # any whitespace may follow a verb, `field` included
-    report, code, lines = run("field\tFp:5\nlet R = ring(t)\nprint\tR")
+    # any whitespace may follow a verb, `field` and `let` included
+    report, code, lines = run("field\tFp:5\nlet\tR = ring(t)\nprint\tR")
     assert code == 0
     assert report["field"] == "Fp:5"
     assert lines == ["Fp(5)[t]"]

@@ -33,6 +33,18 @@ def test_engine_imports_only_at_module_level():
     assert found == []
 
 
+def test_engine_imports_no_private_names():
+    # a private name is a module's own; another module that needs it needs
+    # it made public
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}:{alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
 def test_engine_functions_read_every_parameter():
     # a module-level function's parameter that its body never reads is dead
     found = []
