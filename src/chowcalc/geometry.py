@@ -6,16 +6,29 @@ prime ideals of fixed codimension on a chart.  Charts glue along principal
 localizations; the gluing data is a pair of variable-image dictionaries
 checked to be mutually inverse ring isomorphisms, and cycles on a glued
 space can be audited for consistency on the overlaps.
+
+A localized chart remembers its parent, the inverted element f and the
+relation u*f - 1.  Its minimal primes are the P + (u*f - 1) for the parent's
+minimal primes P with f not in P: the primes of A[1/f] are the P A[1/f]
+with f not in P, in the same inclusions (Atiyah & Macdonald, Prop.
+3.11(iv)), and each is prime because (A/P)[1/f] is a domain.  So the
+parent's certified, audited list is extended, not decomposed or audited
+anew; only when the parent's decomposition raises DecompositionError does
+the child decompose its own ideal.  restrict_cycle applies the same rule
+along the recorded parents, and rejects a chart that is not a localization
+of the cycle's chart; glue_cycles rejects a cycle keyed by a chart it does
+not live on.
 """
 
 from itertools import combinations
 
-from .errors import ConsistencyError, EngineError, GlueError, HypothesisError
+from .errors import (ConsistencyError, DecompositionError, EngineError, GlueError,
+                     HypothesisError)
 from .groebner import Ideal, divide_exact, is_regular_element, krull_dim
 from .homology import FPModule, annihilator
-from .polyring import PolynomialRing, transport
-from .primes import (PrimeIdeal, length_at_prime, minimal_primes,
-                     prime_cache_scope, vector_space_dimension)
+from .polyring import PolynomialRing, fresh_names, transport
+from .primes import (PrimeIdeal, length_at_prime, localized_primes,
+                     minimal_primes, prime_cache_scope, vector_space_dimension)
 
 
 class Chart:
@@ -34,6 +47,7 @@ class Chart:
         self._dim = None
         self._components = None
         self._regular = -1
+        self._origin = None  # (parent chart, f, u*f - 1) when made by localize
 
     def dim(self):
         if self._dim is None:
@@ -41,6 +55,17 @@ class Chart:
         return self._dim
 
     def components(self):
+        """The minimal primes of the chart ideal.  A chart made by localize
+        takes its parent's, extended by localized_primes, and decomposes its
+        own ideal only when the parent's raises DecompositionError."""
+        if self._components is None and self._origin is not None:
+            parent, f, rel = self._origin
+            try:
+                primes = parent.components()
+            except DecompositionError:
+                pass  # the parent lies outside the fragment; the child may not
+            else:
+                self._components = localized_primes(primes, f, rel)
         if self._components is None:
             self._components = minimal_primes(self.ideal)
         return self._components
@@ -67,25 +92,28 @@ class Chart:
         return (self.ideal + Ideal(self.ring, minors)).is_unit()
 
     def localize(self, f, inv_name=None, name=None):
-        """The chart with f inverted: adjoin u with u*f = 1."""
+        """The chart with f inverted: adjoin u with u*f = 1.
+
+        The inverse variable is `inv_name`, or by default u, with "_"
+        appended while the name is taken.  The child records this chart, f
+        and u*f - 1, so its components() and restrict_cycle extend this
+        chart's primes rather than decompose anew."""
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
             raise EngineError("localizing at an element of a different ring")
         if inv_name is None:
-            inv_name = "u"
-            k = 0
-            while inv_name in self.ring.names:
-                inv_name = f"u{k}"
-                k += 1
+            (inv_name,) = fresh_names(("u",), set(self.ring.names), "_")
         elif inv_name in self.ring.names:
             raise EngineError(f"inverse variable {inv_name!r} already in use")
         big = PolynomialRing(self.ring.field, self.ring.names + (inv_name,),
                              self.ring.order)
-        gens = [transport(g, big) for g in self.ideal.gens]
-        gens.append(big.var(big.nvars - 1) * transport(f, big) - big.one)
+        rel = big.var(big.nvars - 1) * transport(f, big) - big.one
+        gens = [transport(g, big) for g in self.ideal.gens] + [rel]
         label = name if name is not None else f"{self.name}[1/{f}]"
-        return Chart(label, big, Ideal(big, gens))
+        child = Chart(label, big, Ideal(big, gens))
+        child._origin = (self, f, rel)
+        return child
 
     def __eq__(self, other):
         return (isinstance(other, Chart) and other.name == self.name
@@ -448,7 +476,14 @@ class ChartedSpace:
     def glue_cycles(self, cycles):
         """Check a per-chart cycle family for agreement on every overlap.
 
-        Returns (consistent, messages)."""
+        Returns (consistent, messages).  Raises GlueError when a key is not
+        a chart of the space or its cycle lives on another chart."""
+        for key, cyc in cycles.items():
+            if key not in self.charts:
+                raise GlueError(f"no chart {key!r} in space {self.name!r}")
+            if cyc.chart != self.charts[key]:
+                raise GlueError(f"the cycle for {key!r} lives on chart "
+                                f"{cyc.chart.name!r}, expected {key!r}")
         messages = []
         ok = True
         grades = {c.grade for c in cycles.values()}
@@ -472,15 +507,23 @@ class ChartedSpace:
 
 
 def restrict_cycle(cycle, loc_chart):
-    """Restrict a cycle to a principal localization of its chart: components
-    meeting the inverted element survive with the same multiplicity."""
-    coeffs = {}
-    big = loc_chart.ring
-    for p, m in cycle.coeffs.items():
-        total = Ideal(big, [transport(g, big) for g in p.ideal.gens]) + loc_chart.ideal
-        if total.is_unit():
-            continue  # the component dies in the localization
-        coeffs[PrimeIdeal(total)] = m
+    """Restrict a cycle to a localization of its chart: the cycle's own
+    chart, or one made from it by one or more localize steps.  At each step
+    a prime P becomes P + (u*f - 1) with the same multiplicity, and dies
+    when f lies in P (localized_primes).  Raises EngineError for any other
+    chart, found by walking the recorded parents of loc_chart."""
+    steps = []
+    chart = loc_chart
+    while chart != cycle.chart:
+        if chart._origin is None:
+            raise EngineError(f"chart {loc_chart.name!r} is not a localization "
+                              f"of chart {cycle.chart.name!r}")
+        chart, f, rel = chart._origin
+        steps.append((f, rel))
+    coeffs = cycle.coeffs
+    for f, rel in reversed(steps):
+        coeffs = {q: m for p, m in coeffs.items()
+                  for q in localized_primes((p,), f, rel)}
     return Cycle(loc_chart, cycle.grade, coeffs)
 
 

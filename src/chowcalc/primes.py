@@ -432,6 +432,27 @@ def _zero_dim_step(J):
         f"cannot certify the zero-dimensional ideal {J}: {reason}")
 
 
+def localized_primes(primes, f, rel):
+    """The primes P + (u*f - 1) of the ring of rel = u*f - 1, one for each
+    given prime P of the smaller ring with f not in P, sorted by canonical
+    key as minimal_primes sorts.
+
+    With A the smaller quotient, the bigger ring modulo P + (rel) is
+    (A/P)[1/f], a domain, and the primes of A[1/f] are exactly the
+    P A[1/f] with f not in P, in the same inclusions (Atiyah & Macdonald,
+    Prop. 3.11(iv)).  So the minimal primes of A[1/f] are the images of
+    those of A, and each keeps its `certified` flag."""
+    ring = rel.ring
+    out = []
+    for p in primes:
+        if p.ideal.contains(f):
+            continue
+        lifted = Ideal(ring, [transport(g, ring) for g in p.ideal.gens] + [rel])
+        out.append(PrimeIdeal(lifted, certified=p.certified))
+    out.sort(key=lambda p: (len(p.key), p.key))
+    return tuple(out)
+
+
 def _localization_step(J, gb):
     """Certify via a localization presentation: primes of a localized
     smaller ring extend to primes here."""
@@ -443,13 +464,7 @@ def _localization_step(J, gb):
         extended = Ideal(ring, [transport(g, ring) for g in small.gens] + [rel])
         if extended != J:
             continue
-        f_small = transport(f, small.ring)
-        out = []
-        for p in minimal_primes(small):
-            if p.ideal.contains(f_small):
-                continue
-            lifted = Ideal(ring, [transport(g, ring) for g in p.ideal.gens] + [rel])
-            out.append(PrimeIdeal(lifted))
+        out = localized_primes(minimal_primes(small), transport(f, small.ring), rel)
         if out:
             return ("prime", out)
         return ("split", [])  # everything died after inverting f: empty locus

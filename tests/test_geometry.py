@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import geometry as geometry_module
-from chowcalc.errors import EngineError, GlueError
+from chowcalc.errors import DecompositionError, EngineError, GlueError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim,
                                cycle_of_module, cycle_of_subscheme, point_cycle,
@@ -14,6 +14,7 @@ from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
+from chowcalc.primes import minimal_primes
 
 from oracles import laplace_det
 
@@ -52,6 +53,9 @@ def test_localization_chart():
     assert L.dim() == 2
     assert L.ring.names == ("x", "y", "u")
     assert L.is_regular() is True
+    # a taken default name gets "_" appended until it is free
+    assert L.localize("y").ring.names == ("x", "y", "u", "u_")
+    assert L.localize("y").localize("x").ring.names == ("x", "y", "u", "u_", "u__")
     with pytest.raises(EngineError):
         PLANE.localize("x", inv_name="y")
 
@@ -308,3 +312,129 @@ def test_bareiss_determinant_matches_laplace(data):
     if n > 1 and data.draw(st.booleans(), label="dependent rows"):
         m[-1] = [a * ring.var(0) + b for a, b in zip(m[0], m[1])]
     assert geometry_module._det(m, ring) == laplace_det(m, ring)
+
+
+# ---------------------------------------------------------------------------
+# localized charts inherit their components
+
+def test_localized_chart_extends_its_parents_components(monkeypatch):
+    lines = Chart("lines", R2, ("x*(x - 1)*(y - 2)",))
+    assert [str(p) for p in lines.components()] == ["(x)", "(x - 1)", "(y - 2)"]
+    # x - 1 vanishes on one component; the other two survive, and the
+    # child never decomposes its own ideal
+    monkeypatch.setattr(geometry_module, "minimal_primes", _no_decomposition)
+    L = lines.localize("x - 1")
+    assert [str(p) for p in L.components()] == ["(x, u + 1)", "(x*u - u - 1, y - 2)"]
+    assert all(p.certified for p in L.components())
+    LL = L.localize("y")
+    assert [str(p) for p in LL.components()] == ["(x*u - u - 1, y - 2, u_ - 1/2)",
+                                                 "(y*u_ - 1, x, u + 1)"]
+
+
+def _no_decomposition(ideal):
+    raise AssertionError(f"unexpected decomposition of {ideal}")
+
+
+def test_localized_chart_decomposes_itself_when_its_parent_cannot():
+    # over F_7 the backend cannot factor x*y - x^3 = x*(y - x^2), but
+    # inverting x leaves a shape the fragment certifies
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    parent = Chart("A", ring, ("x*y - x^3",))
+    with pytest.raises(DecompositionError):
+        parent.components()
+    child = parent.localize("x")
+    assert [str(p) for p in child.components()] == ["(x^2 + 6*y, x*u + 6, y*u + 6*x)"]
+
+
+# components of the oracle charts: vertical lines x = a, rational points
+# (a, b) and pairs of conjugate points (x^2 - c, y - b), with a, b nonzero.
+# Both bounds keep the fresh decomposition inside the certification
+# fragment: it fails on localizations of a curve x^2 - c at x - a, and when
+# y itself is inverted before y - b (it reads y*u - 1 as inverting u).
+_CONJUGATE = {QQ: "x^2 - 2", GF(7): "x^2 + 1"}
+
+
+@st.composite
+def _oracle_charts(draw):
+    """(chart, [elements to invert in turn]) with 1-3 distinct components;
+    each element vanishes on some components but never on the first, so the
+    localized chart is never empty."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ring = PolynomialRing(field, ("x", "y"))
+    value = (st.integers(-3, 3) if field is QQ else st.integers(1, 6)).filter(bool)
+    component = st.one_of(
+        st.tuples(st.just("line"), value, st.none()),
+        st.tuples(st.just("point"), value, value),
+        st.tuples(st.just("conjugate"), st.none(), value))
+    comps = draw(st.lists(component, min_size=1, max_size=3, unique=True))
+    ideal = None
+    for kind, a, b in comps:
+        gens = {"line": [f"x - ({a})"], "point": [f"x - ({a})", f"y - ({b})"],
+                "conjugate": [_CONJUGATE[field], f"y - ({b})"]}[kind]
+        P = Ideal(ring, gens)
+        if draw(st.booleans(), label="squared"):
+            P = P * P
+        ideal = P if ideal is None else ideal * P
+    _, keep_a, keep_b = comps[0]
+    elements = []
+    for _ in range(draw(st.integers(1, 2), label="localizations")):
+        if draw(st.booleans(), label="kill by x"):
+            xs = sorted({a for _, a, _ in comps if a is not None and a != keep_a})
+            kill = draw(st.lists(st.sampled_from(xs), unique=True) if xs else st.just([]))
+            elements.append("*".join(f"(x - ({a}))" for a in kill) or "1")
+        else:
+            b = draw(value.filter(lambda b: b != keep_b))
+            elements.append(f"y - ({b})")
+    return Chart("A", ring, ideal), elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_oracle_charts())
+def test_inherited_components_equal_a_fresh_decomposition(case):
+    chart, elements = case
+    for f in elements:
+        chart = chart.localize(f)
+    inherited = chart.components()
+    fresh = minimal_primes(chart.ideal)
+    assert [p.key for p in inherited] == [p.key for p in fresh]
+    assert inherited == fresh
+
+
+def test_restrict_cycle_follows_nested_localizations():
+    c = cycle_of_subscheme(Ideal(R2, ("x^2*y*(x - y)",)), PLANE, grade=1)
+    U = PLANE.localize("x")
+    UV = U.localize("y")
+    r = restrict_cycle(c, UV)
+    assert str(r) == "[(y*u_ - 1, x - y, u - u_)]"
+    assert r == restrict_cycle(restrict_cycle(c, U), UV)
+    assert restrict_cycle(c, PLANE) == c
+
+
+def test_restrict_cycle_rejects_a_chart_that_is_not_a_localization_of_its_chart():
+    c = cycle_of_subscheme(Ideal(R2, ("x - 1",)), PLANE, grade=1)
+    with pytest.raises(EngineError) as info:
+        restrict_cycle(c, PARABOLA.localize("x", name="V"))
+    assert str(info.value) == "chart 'V' is not a localization of chart 'A2'"
+    with pytest.raises(EngineError) as info:
+        restrict_cycle(c, Chart("B", R3))
+    assert str(info.value) == "chart 'B' is not a localization of chart 'A2'"
+
+
+def test_glue_cycles_rejects_a_cycle_keyed_by_another_chart():
+    space = principal_atlas(PLANE, ["x", "y"])
+    line = cycle_of_subscheme(Ideal(R2, ("x - y",)), PLANE, grade=1)
+    L0 = restrict_cycle(line, space.charts["U0"])
+    L1 = restrict_cycle(line, space.charts["U1"])
+    assert space.glue_cycles({"U0": L0, "U1": L1}) == (True, ["U0|U1: consistent"])
+    for family, message in [
+            ({"U0": line, "U1": line},
+             "the cycle for 'U0' lives on chart 'A2', expected 'U0'"),
+            ({"U0": L0, "U1": L0},
+             "the cycle for 'U1' lives on chart 'U0', expected 'U1'"),
+            ({"U0": L1, "U1": L0},
+             "the cycle for 'U0' lives on chart 'U1', expected 'U0'"),
+            ({"U0": L0, "U1": L1, "U2": L0},
+             "no chart 'U2' in space 'A2-atlas'")]:
+        with pytest.raises(GlueError) as info:
+            space.glue_cycles(family)
+        assert str(info.value) == message

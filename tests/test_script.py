@@ -260,6 +260,48 @@ def test_restrict_and_localize():
     assert lines == ["[(y*u - 1, x - y)]"]
 
 
+OFF_CHART_HEADER = """\
+let R = ring(x, y)
+let A = chart(R)
+let U = atlas(A; x, y)
+let L = cycle(A; [(x - y)])
+let L0 = restrict(L, U.U0)
+let L1 = restrict(L, U.U1)
+"""
+
+# each used to print a wrong cycle, pass, or fail with a misleading message
+OFF_CHART = [
+    pytest.param("let B = chart(R; y - x^2)\nlet V = localize(B; x)\nlet r = restrict(L, V)",
+                 "line 9: chart 'V' is not a localization of chart 'A'",
+                 id="restrict-to-another-charts-localization"),
+    pytest.param("let S = ring(x, y, z)\nlet V = chart(S)\nlet r = restrict(L, V)",
+                 "line 9: chart 'V' is not a localization of chart 'A'",
+                 id="restrict-to-another-ring"),
+    pytest.param("glue U: U0 = L, U1 = L",
+                 "line 7: the cycle for 'U0' lives on chart 'A', expected 'U0'",
+                 id="glue-the-base-cycle"),
+    pytest.param("glue U: U0 = L1, U1 = L0",
+                 "line 7: the cycle for 'U0' lives on chart 'U1', expected 'U0'",
+                 id="glue-swapped-cycles"),
+]
+
+
+@pytest.mark.parametrize("statements, message", OFF_CHART)
+def test_cycles_off_their_chart_are_engine_errors(statements, message):
+    report, code, lines = run(OFF_CHART_HEADER + statements)
+    assert code == 1
+    assert lines[-1] == f"error: {message}"
+    where, what = message.split(": ", 1)
+    assert report["error"] == {"line": int(where.split()[1]), "message": what}
+
+
+@pytest.mark.parametrize("statements, message", OFF_CHART)
+def test_cli_exits_1_for_cycles_off_their_chart(tmp_path, capsys, statements, message):
+    code = cli.main(["--script", write(tmp_path, OFF_CHART_HEADER + statements)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"error: {message}"
+
+
 def test_assert_equal_failure_sets_exit_code():
     report, code, lines = run("""
         let R = ring(x)
