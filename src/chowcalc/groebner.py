@@ -15,9 +15,12 @@ monomial) are canonical, cached per ideal per order, and every computation
 here is deterministic.
 
 The witness trick lives here too (`witness_syzygies`); `intersect`,
-`quotient` and `homology.annihilator` are colon computations on it.  Of the
-ideal operations, only `in_radical` (Rabinowitsch) and
-`primes.minimal_polynomial` adjoin a variable.
+`quotient` and `homology.annihilator` are colon computations on it.  So
+does `span_times`, linear algebra over k inside a quotient of finite
+dimension: the zero-dimensional decomposition audit and the closed-point
+lengths of `primes` both keep their spans with it.  Of the ideal
+operations, only `in_radical` (Rabinowitsch) and `primes.minimal_polynomial`
+adjoin a variable.
 """
 
 import contextvars
@@ -126,6 +129,29 @@ def vec_reduce(v, prepared, key, field):
 
 def _prepare(basis):
     return [(v[0][0], v[0][1], v) for v in basis]
+
+
+def span_times(span, gens, basis, key, field):
+    """An echelon set, one vector per leading term, spanning the normal
+    forms against the reduced `basis` of g*v, for v in `span` and
+    polynomials g in `gens`.  Vectors are term tuples sorted by `key`; the
+    normal forms live in the span of the standard terms of `basis`, so
+    there are at most as many rows as standard terms."""
+    prepared = _prepare(basis)
+    rows = {}
+    for v in span:
+        for g in gens:
+            prod = ()
+            for e, c in g.terms:
+                prod = merge_terms(prod, vec_mul_term(v, e, c, field), key, field)
+            r = vec_reduce(prod, prepared, key, field)
+            while r and r[0][0] in rows:
+                lead = r[0][1]
+                r = merge_terms(r, tuple((m, field.mul(c, lead)) for m, c in rows[r[0][0]]),
+                                key, field, subtract=True)
+            if r:
+                rows[r[0][0]] = vec_monic(r, field)
+    return list(rows.values())
 
 
 def _spair(f, g, key, field):

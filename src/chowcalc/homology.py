@@ -77,13 +77,18 @@ def _as_element(ring, rank, v):
 
 
 class FPModule:
-    """coker of the relation matrix: A^rank / span(relations)."""
+    """coker of the relation matrix: A^rank / span(relations).
+
+    `bases` keeps reduced bases of the relations per chart ideal and order,
+    filled by `primes.length_at_prime`, so every component of one module
+    reads one basis; they live as long as the module."""
 
     def __init__(self, ring, rank, relations=()):
         self.ring = ring
         self.rank = rank
         rels = [_as_element(ring, rank, v) for v in relations]
         self.relations = tuple(v for v in rels if not v.is_zero())
+        self.bases = {}
 
     @classmethod
     def free(cls, ring, rank):

@@ -8,8 +8,9 @@ the leaves land in a certifiable shape:
   * the zero ideal, or a principal ideal with irreducible generator;
   * a triangular basis x_i - g_i(free vars) under some permuted lex order
     (the quotient is then a polynomial ring);
-  * a localization presentation u*f - 1 with u not occurring in f
-    (the quotient is then a localized smaller quotient);
+  * a localization presentation u*h + c, c a nonzero constant and u not
+    occurring in h (the quotient is then a smaller quotient localized at
+    f = -h/c; each such u is tried in turn);
   * zero-dimensional with a primitive linear form whose minimal polynomial
     is irreducible of degree equal to the vector-space dimension
     (the quotient is then a field).
@@ -28,12 +29,14 @@ Shapes outside the fragment raise DecompositionError rather than guess.
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M / p^N M tensor k(x_S)
 lives at p alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
-[k(p):k(x_S)] once p^N M_p = 0.  Each N costs one module basis, under an
-order eliminating the other variables U, and a count of standard
-U-monomials; at a closed point S is empty and the count is over k.  The
-first N at which the count repeats, or reaches the count of M itself, gives
-p^N M_p = 0 by Nakayama.  No stop within max_steps is reported as
-HypothesisError; the generic rank is the N = 1 count.
+[k(p):k(x_S)] once p^N M_p = 0.  The first N at which the count repeats,
+or reaches the count of M itself, gives p^N M_p = 0 by Nakayama.  M's
+reduced relation basis is built once and kept on M.  At a closed point,
+with M of finite dimension over k, p^N M is an echelon span inside M and
+no further basis is built; elsewhere each N costs one module basis, seeded
+with M's, under an order eliminating the variables U outside S.  No stop
+within max_steps is reported as HypothesisError; the generic rank is the
+N = 1 count.
 """
 
 import contextvars
@@ -49,7 +52,8 @@ from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
 from .fields import RationalField
 from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
-                       independent_set, intersect, krull_dim, vec_from_polys)
+                       independent_set, intersect, krull_dim, module_order,
+                       span_times, vec_from_polys, vec_to_polys)
 from .homology import fold_modulo, unit_multiples
 from .polyring import (BlockOrder, PolynomialRing, elimination_order,
                        fresh_names, lex, mono_divides, transport)
@@ -323,22 +327,19 @@ def _triangular_under(I, order):
 
 
 def _localization_shape(I, gb):
-    """Find g = u*f - 1 with the variable u not occurring in f; yields
-    (u index, f).  u may occur in other basis elements: multiplying by
+    """Find g = u*h + c0 with c0 a nonzero constant and the variable u not
+    occurring in h; yields (u index, f) with f = -h/c0, so that g is -c0
+    times u*f - 1.  u may occur in other basis elements: multiplying by
     powers of f clears it, so I is still the contraction plus this one
     relation (the caller re-checks that identity)."""
     ring = I.ring
+    field = ring.field
     for g in gb:
-        c0 = None
         const = [c for e, c in g.terms if not any(e)]
-        if len(const) == 1:
-            c0 = const[0]
-        if c0 is None:
+        if len(const) != 1:
             continue
-        minus = ring.field.neg(ring.field.one)
-        if c0 != ring.field.one and c0 != minus:
-            continue
-        body = g - ring.const(c0)
+        body = g - ring.const(const[0])
+        scale = field.neg(field.inv(const[0]))
         for u in sorted(body.support()):
             if any(t[0][u] == 0 for t in body.terms):
                 continue  # u does not divide every term
@@ -346,12 +347,10 @@ def _localization_shape(I, gb):
             for e, c in body.terms:
                 e2 = list(e)
                 e2[u] -= 1
-                coeffs[tuple(e2)] = c
+                coeffs[tuple(e2)] = field.mul(c, scale)
             f = ring.from_dict(coeffs)
             if u in f.support():
                 continue
-            if c0 == ring.field.one:
-                f = -f
             yield u, f
 
 
@@ -455,8 +454,11 @@ def localized_primes(primes, f, rel):
 
 def _localization_step(J, gb):
     """Certify via a localization presentation: primes of a localized
-    smaller ring extend to primes here."""
+    smaller ring extend to primes here.  A candidate whose smaller ring
+    falls outside the fragment gives way to the next one; when none
+    succeeds, the first such failure is raised."""
     ring = J.ring
+    failure = None
     for u, f in _localization_shape(J, gb):
         uname = ring.names[u]
         small = eliminate(J, (uname,))
@@ -464,10 +466,17 @@ def _localization_step(J, gb):
         extended = Ideal(ring, [transport(g, ring) for g in small.gens] + [rel])
         if extended != J:
             continue
-        out = localized_primes(minimal_primes(small), transport(f, small.ring), rel)
+        try:
+            below = minimal_primes(small)
+        except DecompositionError as err:
+            failure = failure or err
+            continue
+        out = localized_primes(below, transport(f, small.ring), rel)
         if out:
             return ("prime", out)
         return ("split", [])  # everything died after inverting f: empty locus
+    if failure is not None:
+        raise failure
     return None
 
 
@@ -608,33 +617,23 @@ def _covers_by_normal_forms(I, ideals, box):
     products g_1⋯g_r of basis elements generate the product, so the covering
     holds iff each of those products is nilpotent in R/I.  Their normal forms
     span a subspace of R/I, built one factor at a time as an echelon set of
-    at most dim_k R/I elements (_span_times).  R/I is Artinian of length at
-    most box, so h is nilpotent iff h^(2^m) lies in I for 2^m >= box (Cox,
-    Little & O'Shea, Using Algebraic Geometry, ch. 4)."""
-    span = [I.ring.one]
+    at most dim_k R/I elements (groebner.span_times).  R/I is Artinian of
+    length at most box, so h is nilpotent iff h^(2^m) lies in I for
+    2^m >= box (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 4)."""
+    ring = I.ring
+    key = module_order(ring.order, 1).key
+    basis = [vec_from_polys((g,), key) for g in I.groebner_basis()]
+    span = [vec_from_polys((ring.one,), key)]
     for J in ideals:
-        span = _span_times(I, span, J.groebner_basis())
+        span = span_times(span, J.groebner_basis(), basis, key, ring.field)
     squarings = (box - 1).bit_length()
-    for h in span:
+    for v in span:
+        (h,) = vec_to_polys(v, 1, ring)
         for _ in range(squarings):
             h = I.normal_form(h * h)
         if not h.is_zero():
             return False
     return True
-
-
-def _span_times(I, span, gens):
-    """An echelon basis, by leading monomial, of the span of the normal forms
-    of h*g for h in span and g in gens."""
-    rows = {}
-    for h in span:
-        for g in gens:
-            r = I.normal_form(h * g)
-            while not r.is_zero() and r.lm() in rows:
-                r = r - rows[r.lm()] * r.lc()
-            if not r.is_zero():
-                rows[r.lm()] = r.monic()
-    return list(rows.values())
 
 
 def is_prime(I):
@@ -663,51 +662,71 @@ def _fiber_order(ring, U):
     return ring.order if len(U) == ring.nvars else elimination_order(U, ring.nvars)
 
 
-def _standard_count(lead, rank, U):
-    """Standard U-monomials at all positions, given the leading (position,
-    exponents) pairs of a basis; None when there are infinitely many."""
-    total = 0
+def _fiber_key(ring, rank, U):
+    """The module order of the count over k(x_S): positions first, U
+    eliminated at each of them, so a basis over k[x] is one over
+    k(x_S)[x_U], led there by the U-parts of its leading terms (Gianni,
+    Trager & Zacharias 1988).  With S empty it is the ring's own
+    term-over-position order."""
+    blocks = (0,) * rank if len(U) == ring.nvars else range(rank)
+    return ModuleOrder((_fiber_order(ring, U),) * rank, blocks).key
+
+
+def _standard_terms(lead, rank, U):
+    """The standard (position, U-exponents) pairs at all positions, given
+    the leading (position, exponents) pairs of a basis; None when there are
+    infinitely many."""
+    out = []
     for a in range(rank):
         std = standard_exponents([tuple(e[i] for i in U) for pos, e in lead if pos == a],
                                  len(U), _VDIM_BOUND)
         if std is None:
             return None
-        total += len(std)
-    return total
+        out += [(a, e) for e in std]
+    return out
 
 
-def _fiber_dimension(vectors, rank, ring, U):
-    """dim over k(x_S) of (R^rank / span(vectors)) tensor k(x_S), S the
-    variables outside U, or None when infinite.
-
-    Positions come first and U is eliminated at each of them, so a basis
-    over k[x] is one over k(x_S)[x_U], led there by the U-parts of its
-    leading terms (Gianni, Trager & Zacharias 1988).  With S empty this is
-    a count over k under the ring's own term-over-position order."""
-    blocks = (0,) * rank if len(U) == ring.nvars else range(rank)
-    key = ModuleOrder((_fiber_order(ring, U),) * rank, blocks).key
-    basis = buchberger([vec_from_polys(v, key) for v in vectors], key, ring.field)
-    return _standard_count([v[0][0] for v in basis], rank, U)
+def _fiber_dimension(base, gens, M, U):
+    """dim over k(x_S) of M / (gens) M tensor k(x_S), S the variables
+    outside U, or None when infinite; `base` holds M's relations, J folded
+    in, as vectors under _fiber_key."""
+    key = _fiber_key(M.ring, M.rank, U)
+    vectors = list(base) + [vec_from_polys(v.coords, key)
+                            for v in unit_multiples(gens, M.ring, M.rank)]
+    std = _standard_terms([v[0][0] for v in buchberger(vectors, key, M.ring.field)],
+                          M.rank, U)
+    return None if std is None else len(std)
 
 
-def _fiber_counter(M, p, modulo):
-    """U, the variables outside a largest independent set of p, and the
-    function taking generators g of an ideal to the count of M / (g) M."""
+def _relation_vectors(M, modulo, key):
+    """M's relations, J folded in, as vectors under `key`."""
+    return [vec_from_polys(v.coords, key)
+            for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
+
+
+def _relation_basis(M, modulo, U):
+    """The reduced basis of M's relations, J folded in, under _fiber_key;
+    cached on M per (modulo, U), so every component of one module reads the
+    same basis."""
+    basis = M.bases.get((modulo, U))
+    if basis is None:
+        key = _fiber_key(M.ring, M.rank, U)
+        basis = M.bases[modulo, U] = buchberger(
+            _relation_vectors(M, modulo, key), key, M.ring.field)
+    return basis
+
+
+def _dependent_variables(p):
+    """U, the variables outside a largest independent set of p."""
     S = independent_set(p.ideal)
-    U = tuple(i for i in range(M.ring.nvars) if i not in S)
-    rels = [v.coords for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
-
-    def count(gens):
-        vectors = rels + [v.coords for v in unit_multiples(gens, M.ring, M.rank)]
-        return _fiber_dimension(vectors, M.rank, M.ring, U)
-    return U, count
+    return tuple(i for i in range(p.ring.nvars) if i not in S)
 
 
 def _per_residue_degree(count, p, U):
     """count / [k(p):k(x_S)]; the degree is the same count on p's leading
     ideal."""
     lead = p.ideal.leading_exponents(_fiber_order(p.ring, U))
-    degree = _standard_count([(0, e) for e in lead], 1, U)
+    degree = len(_standard_terms([(0, e) for e in lead], 1, U))
     if count % degree:
         raise ConsistencyError(
             f"dimension {count} at {p} is not a multiple of its residue degree {degree}")
@@ -717,8 +736,9 @@ def _per_residue_degree(count, p, U):
 def generic_rank(M, p, modulo=None):
     """Rank of M at the generic point of V(p): dim over k(p) of M / pM
     there, the count of M / pM over k(x_S) divided by [k(p):k(x_S)]."""
-    U, count = _fiber_counter(M, p, modulo)
-    return _per_residue_degree(count(p.gens), p, U)
+    U = _dependent_variables(p)
+    rels = _relation_vectors(M, modulo, _fiber_key(M.ring, M.rank, U))
+    return _per_residue_degree(_fiber_dimension(rels, p.gens, M, U), p, U)
 
 
 def length_at_prime(M, p, modulo=None, max_steps=60):
@@ -730,16 +750,48 @@ def length_at_prime(M, p, modulo=None, max_steps=60):
     with N and never pass the count of M itself; once one repeats, or
     reaches M's, p^N M_p = 0 (Nakayama) and it gives the length.  No stop
     within max_steps means p was not minimal over the annihilator or the
-    length is at least max_steps, reported as HypothesisError."""
-    U, count = _fiber_counter(M, p, modulo)
-    whole = count(())
-    power = (M.ring.one,)
+    length is at least max_steps, reported as HypothesisError.
+
+    At a closed point (every variable has a pure power among p's leading
+    monomials) with M of finite dimension over k, the counts come from
+    M's cached basis alone (_closed_point_length)."""
+    ring = M.ring
+    closed = _pure_power_caps(p.ideal.leading_exponents(), ring.nvars) is not None
+    U = tuple(range(ring.nvars)) if closed else _dependent_variables(p)
+    basis = _relation_basis(M, modulo, U)
+    std = _standard_terms([v[0][0] for v in basis], M.rank, U)
+    if closed and std is not None:
+        return _closed_point_length(M, p, U, basis, std, max_steps)
+    whole = None if std is None else len(std)
+    power = (ring.one,)
     dim = 0
     for _ in range(max_steps):
         power = tuple({q.terms: q for q in (g * h for g in power for h in p.gens)}.values())
-        prev, dim = dim, count(power)
+        prev, dim = dim, _fiber_dimension(basis, power, M, U)
         if dim in (prev, whole):
             return _per_residue_degree(dim, p, U)
+    raise _unstable(p, max_steps)
+
+
+def _closed_point_length(M, p, U, basis, std, max_steps):
+    """length_at_prime at a closed point p, U all the variables, M of
+    finite dimension D over k with standard terms `std` of its reduced
+    `basis`.
+
+    V_0 is the span of the D standard vectors, which is M itself, and V_N
+    the echelon span of the normal forms of g*v for g in p's basis and v in
+    V_(N-1): an R-submodule, so V_N = p^N M and the count of M / p^N M is
+    D - dim V_N.  The count repeats exactly when dim V_N does, and reaches
+    M's exactly when V_N is empty (Cox, Little & O'Shea, Using Algebraic
+    Geometry, ch. 2 §2 and ch. 4 §2)."""
+    key = _fiber_key(M.ring, M.rank, U)
+    field = M.ring.field
+    span = [(((a, e), field.one),) for a, e in std]
+    for _ in range(max_steps):
+        prev = len(span)
+        span = span_times(span, p.gens, basis, key, field)
+        if len(span) in (prev, 0):
+            return _per_residue_degree(len(std) - len(span), p, U)
     raise _unstable(p, max_steps)
 
 

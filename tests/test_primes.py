@@ -9,13 +9,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from chowcalc import groebner as groebner_module
 from chowcalc import primes as primes_module
 from chowcalc.errors import (ConsistencyError, DecompositionError, HypothesisError,
                              NotPrimeError)
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, cycle_of_subscheme
 from chowcalc.groebner import Ideal, intersect
-from chowcalc.homology import FPModule, FreeModuleElement
+from chowcalc.homology import FPModule, FreeModuleElement, tor_modules
 from chowcalc.polyring import PolynomialRing
 from chowcalc.primes import (FactorizationUnavailable, PrimeIdeal, assert_decomposition,
                              assert_prime, factor, generic_rank, is_prime,
@@ -220,6 +221,22 @@ def test_localization_with_split_downstairs():
     I = Ideal(R, ("x*y", "u*x - 1"))  # inverting x kills the x-axis branch
     primes = minimal_primes(I)
     assert keys(primes) == {("u*x - 1", "y")}
+
+
+def test_localization_relation_with_any_nonzero_constant():
+    # y*u - 2 presents u as the inverse of 1/2*y
+    R = PolynomialRing(QQ, ("x", "y", "u"))
+    I = Ideal(R, ("x*u - 1", "y - 2*x"))
+    assert [str(p) for p in minimal_primes(I)] == ["(y*u - 2, x - 1/2*y)"]
+
+
+def test_localization_tries_the_next_candidate_variable():
+    # reading y*u - 1 as inverting u first leaves (u*u_ + u - u_, x), outside
+    # the fragment; reading it as inverting y certifies the ideal
+    R = PolynomialRing(QQ, ("x", "y", "u", "u_"))
+    I = Ideal(R, ("x", "y*u - 1", "(y - 1)*u_ - 1"))
+    assert [str(p) for p in minimal_primes(I)] == [
+        "(y*u - 1, y*u_ - u_ - 1, u*u_ + u - u_, x)"]
 
 
 def test_unit_ideal_and_zero_ideal():
@@ -566,6 +583,90 @@ def test_generic_rank_matches_the_rank_oracle(data):
             for _ in range(data.draw(st.integers(0, 3)))]
     M = FPModule(ring, rank, rels)
     assert generic_rank(M, p, modulo) == rank_at_prime(M, p, modulo)
+
+
+def _closed_case(data):
+    """A module over A^n (n = 2, 3) supported at 1-3 closed points, one of
+    which is p, and maybe a chart ideal through all of them.
+
+    A point is rational, (x - a, y - b, z - c), or of residue degree 2,
+    (x^2 + 2, y - b, z - c), irreducible over QQ and F_7.  Every position
+    carries the product of the points' ideals, each maybe squared, so the
+    support is those points; up to two more relations mix the positions.
+    The chart, when there is one, is cut by a product of one generator of
+    each point."""
+    field = data.draw(st.sampled_from([QQ, GF(7)]), label="field")
+    nvars = data.draw(st.integers(2, 3), label="nvars")
+    ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
+    x = ring.gens()
+    coord = st.integers(-2, 2)
+    point = st.tuples(st.booleans(), coord, st.tuples(*[coord] * (nvars - 1)))
+    points = data.draw(st.lists(point, min_size=1, max_size=3,
+                                unique_by=lambda t: (t[0], 0 if t[0] else t[1], t[2])),
+                       label="points (degree 2, a, rest)")
+    ideals = []
+    for degree_2, a, rest in points:
+        head = x[0] ** 2 + ring.const(2) if degree_2 else x[0] - ring.const(a)
+        ideals.append([head] + [x[i + 1] - ring.const(c) for i, c in enumerate(rest)])
+    support = Ideal(ring, (ring.one,))
+    for gens in ideals:
+        P = Ideal(ring, gens)
+        if data.draw(st.booleans(), label="squared"):
+            P = P * P
+        support = Ideal(ring, (support * P).groebner_basis())
+    rank = data.draw(st.integers(1, 2), label="rank")
+
+    def small_poly():
+        f = ring.zero
+        for _ in range(data.draw(st.integers(1, 3))):
+            term = ring.const(data.draw(st.integers(-3, 3)))
+            for v in x:
+                term = term * v ** data.draw(st.integers(0, 2))
+            f = f + term
+        return f
+
+    rels = [tuple(g if b == a else ring.zero for b in range(rank))
+            for a in range(rank) for g in support.gens]
+    rels += [tuple(small_poly() for _ in range(rank))
+             for _ in range(data.draw(st.integers(0, 2)))]
+    p = assert_prime(Ideal(ring, data.draw(st.sampled_from(ideals), label="p")))
+    modulo = None
+    if data.draw(st.booleans(), label="chart"):
+        f = small_poly() + ring.one
+        for gens in ideals:
+            f = f * data.draw(st.sampled_from(gens))
+        modulo = Ideal(ring, (f,))
+    return FPModule(ring, rank, rels), p, modulo
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_point_length_matches_the_filtration_oracle(data):
+    M, p, modulo = _closed_case(data)
+    assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+
+
+def test_closed_components_of_one_tor_module_share_one_basis(monkeypatch):
+    # y = x^2*(x - 1)*(x + 2) meets y = 0 at three points; Tor_0 is
+    # A/(I + K), of dimension 4 over k
+    I = Ideal(R2, ("y - x^2*(x - 1)*(x + 2)",))
+    K = Ideal(R2, ("y",))
+    tor_0 = tor_modules(FPModule.cyclic(I), FPModule.cyclic(K), up_to=2)[0]
+    comps = minimal_primes(I + K)
+    assert [str(z) for z in comps] == ["(x, y)", "(x + 2, y)", "(x - 1, y)"]
+    runs = []
+    for module in (groebner_module, primes_module):
+        original = module.buchberger
+
+        def spy(*args, _original=original):
+            runs.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "buchberger", spy)
+    assert [length_at_prime(tor_0, z) for z in comps] == [2, 1, 1]
+    assert len(runs) == 1
+    assert length_at_prime(tor_0, comps[0]) == 2
+    assert len(runs) == 1
 
 
 def test_point_length_on_a_non_isolated_point_raises():

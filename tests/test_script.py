@@ -260,6 +260,31 @@ def test_restrict_and_localize():
     assert lines == ["[(y*u - 1, x - y)]"]
 
 
+# the reduced basis of the cycle's ideal on L holds y*u - 2, which presents
+# the localization at 1/2*y; it used to fall outside the certification
+# fragment and exit 1
+LOCALIZED_CYCLE = """\
+let R = ring(x, y)
+let A = chart(R)
+let L = localize(A; x)
+let C = cycle(L; [(y - 2*x)])
+print C
+"""
+
+
+def test_cycle_on_a_localized_chart_reads_any_nonzero_constant():
+    report, code, lines = run(LOCALIZED_CYCLE)
+    assert code == 0
+    assert lines == ["[(y*u - 2, x - 1/2*y)]"]
+    assert report["objects"]["C"]["components"] == [
+        {"prime": ["y*u - 2", "x - 1/2*y"], "mult": 1}]
+
+
+def test_cli_prints_a_cycle_on_a_localized_chart(tmp_path, capsys):
+    assert cli.main(["--script", write(tmp_path, LOCALIZED_CYCLE)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "[(y*u - 2, x - 1/2*y)]"
+
+
 OFF_CHART_HEADER = """\
 let R = ring(x, y)
 let A = chart(R)
