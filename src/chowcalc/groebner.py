@@ -2,12 +2,20 @@
 
 One engine serves ideals and submodules of free modules: a module monomial is
 a (position, exponents) pair and an ideal is the rank-one case.  Pairs come
-off a heap ordered by lcm degree, then lcm under the order, then index; each
-pair is keyed once, when it is pushed.  Buchberger's chain criterion skips
-pairs on every run: it holds for pairs at one position of a free module.  The
-coprime (product) criterion skips pairs only when every input term sits at
-one position, so the run is an ideal's; for vectors spread over positions it
-is unsound.  Skipped pairs change the route, never the answer: the reduced
+off a heap ordered by sugar, then lcm degree, then lcm under the order, then
+index; each pair is keyed once, when it is pushed.  The sugar of a vector is
+the largest total degree among its terms, and a pair's sugar is the larger
+of its two vectors' sugars, each raised by the degree of the monomial that
+lifts it to the lcm (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar
+cube, please", ISSAC 1991).  Under the block orders of the witness trick the
+lcm degree sees only the leading term; ordering by it alone let the
+intersection of two small ideals over QQ swell its intermediate coefficients
+to tens of thousands of bits (tests/test_colon.py keeps that pair).
+
+Buchberger's chain criterion skips pairs on every run: it holds for pairs at
+one position of a free module.  The coprime (product) criterion skips pairs
+only when every input term sits at one position, so the run is an ideal's;
+for vectors spread over positions it is unsound.  Skipped pairs change the route, never the answer: the reduced
 basis is unique, so syzygies read off it do not depend on which pairs ran.
 
 Reduced bases (monic, fully auto-reduced, sorted by descending leading
@@ -163,6 +171,10 @@ def _spair(f, g, key, field):
     return merge_terms(a, b, key, field, subtract=True)
 
 
+def _top_degree(v):
+    return max(mono_degree(e) for (_, e), _ in v)
+
+
 def buchberger(vecs, key, field):
     """Reduced basis of the submodule generated by `vecs`.
 
@@ -183,21 +195,24 @@ def buchberger(vecs, key, field):
     # pending mirrors the heap for the chain criterion's membership test
     pending = set()
     heap = []
+    sugar = [_top_degree(v) for v in basis]
 
     def push(i, j):
         (pi, ei), _ = basis[i][0]
         (pj, ej), _ = basis[j][0]
         if pi == pj:
             l = mono_lcm(ei, ej)
+            d = mono_degree(l)
+            s = max(sugar[i] + d - mono_degree(ei), sugar[j] + d - mono_degree(ej))
             pending.add((i, j))
-            heapq.heappush(heap, (mono_degree(l), key((pi, l)), (i, j), l))
+            heapq.heappush(heap, (s, d, key((pi, l)), (i, j), l))
 
     for j in range(len(basis)):
         for i in range(j):
             push(i, j)
 
     while heap:
-        _, _, (i, j), l = heapq.heappop(heap)
+        s, _, _, (i, j), l = heapq.heappop(heap)
         pending.remove((i, j))
         (pos, ei), _ = basis[i][0]
         if coprime_ok and l == mono_mul(ei, basis[j][0][0][1]):
@@ -215,9 +230,10 @@ def buchberger(vecs, key, field):
                 f"basis element of degree {mono_degree(r[0][0][1])} exceeds --max-degree {limit}")
         t = len(basis)
         basis.append(r)
+        sugar.append(max(s, _top_degree(r)))
         prepared.append((r[0][0], r[0][1], r))
-        for s in range(t):
-            push(s, t)
+        for i in range(t):
+            push(i, t)
 
     return _reduce_basis(basis, key, field)
 

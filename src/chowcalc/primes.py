@@ -26,6 +26,12 @@ positive-dimensional I the components are intersected and each generator of
 the intersection passes the Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
+Factors come from `factor`.  A polynomial c*y + b, with c a nonzero
+constant and the variable y not occurring in b, is irreducible and is
+answered on sight; every other one goes to sympy's sparse polynomial rings,
+over QQ in its own variables and over F_p in its one variable (a
+homogeneous bivariate one is dehomogenized first).
+
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M / p^N M tensor k(x_S)
 lives at p alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
@@ -42,11 +48,11 @@ N = 1 count.
 import contextvars
 import itertools
 import math
-import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
+from sympy.polys.rings import PolyRing
 
 from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
@@ -60,33 +66,9 @@ from .polyring import (BlockOrder, PolynomialRing, elimination_order,
 
 
 class FactorizationUnavailable(EngineError):
-    """Raised when the coefficient field/shape falls outside what the
-    factorization backend supports (multivariate over F_p, apart from linear
-    forms and homogeneous bivariate polynomials)."""
-
-
-def _to_sympy(f, syms):
-    rational = isinstance(f.ring.field, RationalField)
-    total = sympy.Integer(0)
-    for e, c in f.terms:
-        piece = sympy.Rational(c.numerator, c.denominator) if rational else sympy.Integer(c)
-        for i, k in enumerate(e):
-            if k:
-                piece *= syms[i] ** k
-        total += piece
-    return total
-
-
-def _from_sympy_dict(d, ring):
-    field = ring.field
-    out = {}
-    for exps, c in d.items():
-        if isinstance(field, RationalField):
-            r = sympy.Rational(c)
-            out[tuple(exps)] = Fraction(int(r.p), int(r.q))
-        else:
-            out[tuple(exps)] = int(c) % field.p
-    return ring.from_dict(out)
+    """Raised when a polynomial over F_p falls outside the finite-field
+    fragment of factor: univariate polynomials, homogeneous bivariate ones,
+    and c*y + b with c a nonzero constant and y not occurring in b."""
 
 
 def _factor_homogeneous_bivariate(f):
@@ -121,13 +103,26 @@ def _factor_homogeneous_bivariate(f):
     return out
 
 
-def _primitive_linear(f):
-    """The normalization sympy gives an irreducible linear form: over QQ
-    integer, primitive and positive on its first variable; over F_p monic in
-    its first variable."""
+def _degree_one_alone(f):
+    """Whether f = c*y + b for some variable y, c a nonzero constant and b
+    free of y.  Such an f has degree one in y and a unit leading
+    coefficient, so it is irreducible over any field (Gauss's lemma; von zur
+    Gathen & Gerhard, Modern Computer Algebra, 6.2).  Linear forms are the
+    case b of degree at most one."""
+    for e, _ in f.terms:
+        if sum(e) == 1:
+            y = e.index(1)
+            if sum(1 for e2, _ in f.terms if e2[y]) == 1:
+                return True
+    return False
+
+
+def _normalized(f):
+    """The normalization sympy gives an irreducible factor: over QQ integer,
+    primitive and positive on its lex-leading term; over F_p monic in it.
+    For a linear form that is the term of its first variable."""
     field = f.ring.field
-    first = min(f.support())
-    lead = next(c for e, c in f.terms if e[first])
+    lead = max(f.terms)[1]
     if isinstance(field, RationalField):
         den = math.lcm(*(c.denominator for _, c in f.terms))
         num = math.gcd(*(c.numerator * (den // c.denominator) for _, c in f.terms))
@@ -138,42 +133,49 @@ def _primitive_linear(f):
 
 
 def _factor_with_sympy(f):
+    """Factor through sympy's sparse rings: over QQ in f's own variables,
+    over F_p in the one variable of a univariate f (a homogeneous bivariate
+    f is dehomogenized first)."""
     ring = f.ring
-    syms = tuple(sympy.Symbol(nm) for nm in ring.names)
-    expr = _to_sympy(f, syms)
-    if isinstance(ring.field, RationalField):
-        _, raw = sympy.Poly(expr, *syms, domain="QQ").factor_list()
-    else:
-        if len(f.support()) > 1:
-            pairs = _factor_homogeneous_bivariate(f)
-            if pairs is not None:
-                return pairs
+    field = ring.field
+    if isinstance(field, RationalField):
+        sparse = PolyRing(ring.names, sympy.QQ)
+        g = sparse.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in f.terms})
+        _, raw = g.factor_list()
+        return [(ring.from_dict({e: Fraction(int(c.numerator), int(c.denominator))
+                                 for e, c in q.to_dict().items()}), k)
+                for q, k in raw]
+    support = f.support()
+    if len(support) > 1:
+        pairs = _factor_homogeneous_bivariate(f)
+        if pairs is None:
             raise FactorizationUnavailable(
                 "multivariate factorization over a finite field is not supported")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, pairs = sympy.factor_list(expr, modulus=ring.field.p)
-        raw = [(sympy.Poly(q, *syms, modulus=ring.field.p), e) for q, e in pairs]
-    out = []
-    for q, e in raw:
-        g = _from_sympy_dict(q.as_dict(), ring)
-        if not g.is_constant():
-            out.append((g, e))
-    return out
+        return pairs
+    (v,) = support
+    sparse = PolyRing((ring.names[v],), sympy.GF(field.p))
+    g = sparse.from_dict({(e[v],): c for e, c in f.terms})
+    _, raw = g.factor_list()
+    unit = (0,) * ring.nvars
+    return [(ring.from_dict({unit[:v] + (k,) + unit[v + 1:]: int(c) % field.p
+                             for (k,), c in q.to_dict().items()}), m)
+            for q, m in raw]
 
 
 def factor(f):
     """[(irreducible factor, multiplicity)], constants dropped.
 
-    Exact over QQ in any number of variables; over F_p linear forms,
-    univariate polynomials and homogeneous bivariate ones are supported
-    (FactorizationUnavailable otherwise).  Linear forms are answered without
-    sympy; other answers are kept in the prime_cache_scope dict, so sympy
-    sees each polynomial once per top-level call."""
+    Exact over QQ in any number of variables.  Over F_p the fragment is
+    univariate polynomials, homogeneous bivariate ones, and c*y + b with c a
+    nonzero constant and y not occurring in b (FactorizationUnavailable
+    otherwise).  A polynomial c*y + b is irreducible on sight and answered
+    without sympy, normalized as sympy would (_normalized); other answers
+    are kept in the prime_cache_scope dict, so sympy sees each polynomial
+    once per top-level call."""
     if f.is_zero() or f.is_constant():
         return []
-    if f.total_degree() == 1:
-        return [(_primitive_linear(f), 1)]
+    if _degree_one_alone(f):
+        return [(_normalized(f), 1)]
     cache = _prime_cache_var.get()
     if cache is None:
         return _factor_with_sympy(f)
@@ -411,24 +413,17 @@ def _zero_dim_step(J):
         for i in range(ring.nvars):
             lam = lam + ring.var(i) * (c ** i)
         candidates.append(lam)
-    stuck = True
     for lam in candidates:
         m = minimal_polynomial(J, lam)
-        try:
-            facs = factor(m)
-        except FactorizationUnavailable:
-            stuck = True
-            continue
+        facs = factor(m)
         if _splits(facs):
             return ("split", [J + Ideal(ring, (q.substitute([lam]),))
                               for q, _ in facs])
         if m.total_degree() == vdim:
             return ("prime", [PrimeIdeal(J)])
-        stuck = False  # proper subfield so far; another form may separate
-    reason = ("no factorization backend for the residue field" if stuck
-              else "no primitive linear form found")
+        # a proper subfield so far; another form may separate
     raise DecompositionError(
-        f"cannot certify the zero-dimensional ideal {J}: {reason}")
+        f"cannot certify the zero-dimensional ideal {J}: no primitive linear form found")
 
 
 def localized_primes(primes, f, rel):

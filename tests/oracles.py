@@ -12,11 +12,19 @@ test membership against bases that the engine computes.  The local-length
 and rank references compute through the engine's coefficient modules and
 normal forms, by the filtration by powers of the prime and by elimination
 over the residue field, routes that its counting kernel does not take.
+The factorization reference goes through sympy's expression layer (symbols,
+Poly and factor_list), where the engine builds sparse ring elements and
+recognizes c*y + b without sympy.
 """
 
+import warnings
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import sympy
+
 from chowcalc.errors import HypothesisError
+from chowcalc.fields import RationalField
 from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
 from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
                                module_basis, unit_multiples)
@@ -325,6 +333,46 @@ def audit_accepts(I, ideals):
            for J, K in combinations(ideals, 2)):
         return False
     return radical_covers(I, ideals)
+
+
+# ---------------------------------------------------------------------------
+# factorization through sympy expressions
+
+def factor_by_expressions(f):
+    """[(irreducible factor, multiplicity)] of a nonconstant f over QQ, or
+    of a univariate f over F_p, built as a sympy expression and factored by
+    Poly.factor_list (QQ) or factor_list(..., modulus=p) (F_p)."""
+    ring = f.ring
+    syms = tuple(sympy.Symbol(nm) for nm in ring.names)
+    rational = isinstance(ring.field, RationalField)
+    expr = sympy.Integer(0)
+    for e, c in f.terms:
+        piece = sympy.Rational(c.numerator, c.denominator) if rational else sympy.Integer(c)
+        for i, k in enumerate(e):
+            piece *= syms[i] ** k
+        expr += piece
+    if rational:
+        _, raw = sympy.Poly(expr, *syms, domain="QQ").factor_list()
+    else:
+        if len(f.support()) != 1:
+            raise ValueError("the F_p reference factors univariate polynomials only")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, pairs = sympy.factor_list(expr, modulus=ring.field.p)
+        raw = [(sympy.Poly(q, *syms, modulus=ring.field.p), e) for q, e in pairs]
+    out = []
+    for q, e in raw:
+        coeffs = {}
+        for exps, c in q.as_dict().items():
+            if rational:
+                r = sympy.Rational(c)
+                coeffs[exps] = Fraction(int(r.p), int(r.q))
+            else:
+                coeffs[exps] = int(c) % ring.field.p
+        g = ring.from_dict(coeffs)
+        if not g.is_constant():
+            out.append((g, e))
+    return out
 
 
 # ---------------------------------------------------------------------------

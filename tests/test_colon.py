@@ -46,6 +46,19 @@ def test_intersect_matches_elimination(pair):
     assert intersect(I, J) == elimination_intersect(I, J)
 
 
+def test_intersect_keeps_coefficients_small():
+    # ordered by lcm degree alone, the witness run on this pair swelled its
+    # intermediate coefficients past 40000 bits; the sugar order keeps the
+    # run to a fraction of a second
+    R = PolynomialRing(QQ, NAMES)
+    I = Ideal(R, ("2*x^2*y^2 - 2*x^2*y + 2*y*z", "x^2*y^2*z^2 - 2*x*y^2*z", "3*x^2 - 2*y"))
+    J = Ideal(R, ("-x^2*y^2*z + 3*x*y*z^2", "-2*x^2*y^2 - x*z"))
+    K = intersect(I, J)
+    assert K == elimination_intersect(I, J)
+    assert len(K.groebner_basis()) == 13
+    assert K.normal_form(R.parse("6*x^4*y^2 + 3*x^3*z - 4*x^2*y^3 - 2*x*y*z")).is_zero()
+
+
 @settings(max_examples=40, deadline=None)
 @given(ideal_pairs())
 def test_quotient_matches_exact_division(pair):

@@ -53,10 +53,10 @@ def test_chain_criterion_fires_on_coefficient_module(monkeypatch):
 
 
 def test_chain_criterion_fires_on_rank_two_module_basis(monkeypatch):
-    # two positions, so only the chain criterion can skip: 27 S-vectors are
+    # two positions, so only the chain criterion can skip: 21 S-vectors are
     # formed without it
     n = spair_count(monkeypatch, lambda: module_basis(RANK_TWO, 2, R3))
-    assert n == 13
+    assert n == 12
 
 
 def test_module_outputs_pinned():

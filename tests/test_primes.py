@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 from chowcalc import groebner as groebner_module
 from chowcalc import primes as primes_module
@@ -26,7 +27,8 @@ from chowcalc.errors import EngineError
 from chowcalc.primes import standard_exponents
 from chowcalc.script import run_script
 
-from oracles import count_standard_monomials, filtration_length, rank_at_prime
+from oracles import (count_standard_monomials, factor_by_expressions, filtration_length,
+                     rank_at_prime)
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -89,39 +91,72 @@ def test_linear_shortcut_matches_the_sympy_route(data):
     if f.total_degree() != 1:
         return
     got = factor(f)
-    want = primes_module._factor_with_sympy(f)
+    want = factor_by_expressions(f)
+    assert [(q.terms, str(q), e) for q, e in got] == [(q.terms, str(q), e) for q, e in want]
+
+
+def _degree_one_shape(data, ring, coeff):
+    """c*y + b: y a variable, c a nonzero constant, b random terms free of y."""
+    n = ring.nvars
+    y = data.draw(st.integers(0, n - 1), label="y")
+    terms = {tuple(int(j == y) for j in range(n)): data.draw(coeff.filter(bool))}
+    for _ in range(data.draw(st.integers(0, 3))):
+        e = tuple(0 if j == y else data.draw(st.integers(0, 2)) for j in range(n))
+        terms[e] = data.draw(coeff)
+    return ring.from_dict(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_factor_matches_the_expression_route(data):
+    # factor order, normalization and multiplicities all equal the reference:
+    # QQ in 1-3 variables with random terms, c*y + b shapes and products of
+    # two such shapes; F_p univariate
+    p = data.draw(st.sampled_from([None, 2, 7, 101]), label="field")
+    if p is None:
+        ring = PolynomialRing(QQ, ("x", "y", "z")[:data.draw(st.integers(1, 3))])
+        coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        shape = data.draw(st.sampled_from(["random", "c*y + b", "product"]), label="shape")
+    else:
+        ring = PolynomialRing(GF(p), ("t",))
+        coeff = st.integers(0, p - 1)
+        shape = "random"
+    n = ring.nvars
+    if shape == "random":
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        f = ring.from_dict(data.draw(st.dictionaries(exps, coeff, min_size=1, max_size=5)))
+    elif shape == "c*y + b":
+        f = _degree_one_shape(data, ring, coeff)
+    else:
+        f = _degree_one_shape(data, ring, coeff) * _degree_one_shape(data, ring, coeff)
+    if f.is_constant():
+        return
+    got = factor(f)
+    want = factor_by_expressions(f)
     assert [(q.terms, str(q), e) for q, e in got] == [(q.terms, str(q), e) for q, e in want]
 
 
 def test_factor_reaches_sympy_once_per_polynomial_in_a_scope(monkeypatch):
     calls = []
-    depth = [0]
+    real = PolyElement.factor_list
 
-    def counted(label, real):
-        # sympy.factor_list goes through Poly.factor_list: count the outer call
-        def wrapper(*args, **kwargs):
-            if not depth[0]:
-                calls.append(label)
-            depth[0] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-        return wrapper
+    def counted(self):
+        calls.append("QQ" if self.ring.domain == sympy.QQ else "Fp")
+        return real(self)
 
-    monkeypatch.setattr(sympy.Poly, "factor_list", counted("QQ", sympy.Poly.factor_list))
-    monkeypatch.setattr(sympy, "factor_list", counted("Fp", sympy.factor_list))
+    monkeypatch.setattr(PolyElement, "factor_list", counted)
     F7 = PolynomialRing(GF(7), ("x", "y"))
     RUV = PolynomialRing(QQ, ("u", "v"))  # same exponent tuples, another ring
     polys = [R2.parse("x^2 - y^2"), R2.parse("x^2 + 1"), RUV.parse("u^2 + 1"),
              F7.parse("x^2 + 1"), F7.parse("x^3 - 1"), F7.parse("x^2 + y^2"),
-             R2.parse("2*x - 3*y + 1"), F7.parse("x + 3*y")]
+             R2.parse("2*x - 3*y + 1"), F7.parse("x + 3*y"),
+             R2.parse("x^3 - x + 2*y"), F7.parse("3*y + x^2 + 1")]
     with primes_module.prime_cache_scope() as cache:
         first = [factor(f) for f in polys]
         assert [factor(f) for f in reversed(polys)] == first[::-1]
         assert factor(R2.parse("x^2 - y^2")) == first[0]
-    # linear forms never reach sympy; x^2 + y^2 over F_7 does through its
-    # dehomogenization x^2 + 1, already factored in the same scope
+    # linear forms and c*y + b never reach sympy; x^2 + y^2 over F_7 does
+    # through its dehomogenization x^2 + 1, already factored in the same scope
     assert sorted(calls) == ["Fp", "Fp", "QQ", "QQ", "QQ"]
     assert ("factor", R2, R2.parse("x^2 + 1").terms) in cache
     with primes_module.prime_cache_scope():
@@ -136,6 +171,19 @@ def test_factor_finite_field_multivariate_linear_form():
     f = F5.parse("x + 2*y + 3*z + 1")
     assert factor(f) == [(f, 1)]
     assert [(str(q), e) for q, e in factor(F5.parse("2*y + z + 4"))] == [("y + 3*z + 2", 1)]
+
+
+def test_factor_finite_field_degree_one_in_a_variable():
+    # c*y + b, y not in b, is irreducible on sight, so it leaves the
+    # finite-field fragment's univariate and homogeneous bivariate shapes;
+    # the answer is monic in its lex-leading term
+    F5 = PolynomialRing(GF(5), ("x", "y", "z"))
+    assert [(str(q), e) for q, e in factor(F5.parse("x^2 + y"))] == [("x^2 + y", 1)]
+    assert [(str(q), e) for q, e in factor(F5.parse("3*x*z + 2*y + 1"))] == [
+        ("x*z + 4*y + 2", 1)]
+    # x leads in lex, y^3 under the ring's grevlex order
+    assert [(str(q), e) for q, e in factor(F5.parse("y^3 + 2*x + z^2"))] == [
+        ("3*y^3 + 3*z^2 + x", 1)]
 
 
 def test_prime_ideal_identity():

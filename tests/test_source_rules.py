@@ -82,6 +82,24 @@ def test_engine_defines_no_unreachable_functions():
     assert found == []
 
 
+def test_engine_builds_no_sympy_expressions():
+    # the engine reaches sympy through its sparse rings only: symbols,
+    # Poly and the expression-level factor_list stay out of src/
+    banned = {"Symbol", "Rational", "Integer", "Poly", "factor_list"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and isinstance(node.value, ast.Name) and node.value.id == "sympy"):
+                found.append(f"{path.name}:{node.lineno}:sympy.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "sympy"):
+                found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                          if alias.name in banned]
+    assert found == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these by name and fails mid-run on a missing one;
     # its list is read as text, so nothing of the benchmark is imported
