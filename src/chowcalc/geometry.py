@@ -537,16 +537,15 @@ def transport_cycle(cycle, target_chart, images):
     return Cycle(target_chart, cycle.grade, coeffs)
 
 
-def principal_atlas(base, elements, names=None):
+def principal_atlas(base, elements):
     """The charted space covering `base` by the principal localizations at
-    the given elements, glued pairwise by the identity."""
+    the given elements, labelled U0, U1, ... and glued pairwise by the
+    identity."""
     space = ChartedSpace(name=f"{base.name}-atlas")
     elems = [base.ring.parse(f) if isinstance(f, str) else f for f in elements]
-    if names is None:
-        names = [f"U{i}" for i in range(len(elems))]
-    charts = []
-    for label, f, i in zip(names, elems, range(len(elems))):
-        charts.append(space.add_chart(base.localize(f, inv_name=f"u{i}", name=label)))
+    names = [f"U{i}" for i in range(len(elems))]
+    for i, f in enumerate(elems):
+        space.add_chart(base.localize(f, inv_name=f"u{i}", name=names[i]))
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             fi = str(elems[i])

@@ -14,7 +14,7 @@ modules over the target block present pushforward modules.
 """
 
 from .errors import EngineError, RingMismatchError
-from .geometry import Chart, Cycle, codim, cycle_of_subscheme
+from .geometry import Chart, Cycle, cycle_of_subscheme
 from .groebner import Ideal, eliminate
 from .homology import (FPModule, FreeModuleElement, coefficient_module,
                        unit_multiples)

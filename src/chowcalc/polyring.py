@@ -18,7 +18,6 @@ all factors and '^' only for exponents > 1, so parse(print(p)) == p.
 """
 
 from .errors import EngineError, ParseError, RingMismatchError
-from .fields import QQ
 
 
 # ---------------------------------------------------------------------------

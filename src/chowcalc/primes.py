@@ -5,12 +5,14 @@ Gröbner basis elements, of single-variable elimination ideals, or of
 eliminants of a primitive linear form in the zero-dimensional case) until
 the leaves land in a certifiable shape:
 
-  * the zero ideal, or a principal ideal with irreducible generator;
-  * a triangular basis x_i - g_i(free vars) under some permuted lex order
-    (the quotient is then a polynomial ring);
-  * a localization presentation u*h + c, c a nonzero constant and u not
-    occurring in h (the quotient is then a smaller quotient localized at
-    f = -h/c; each such u is tried in turn);
+  * a linear ideal, or a principal one with irreducible generator;
+  * an elimination presentation: a basis element c*u + b, c a nonzero
+    constant and u not occurring in b (the quotient is then a smaller
+    quotient, u being -b/c there), or u*h + c0, c0 a nonzero constant and
+    u not occurring in h (the quotient is then a smaller quotient localized
+    at f = -h/c0).  The smaller quotient is decomposed in turn and its
+    primes lifted; each such u is tried in turn.  A triangular basis
+    x_i - g_i(free vars) is a chain of such substitutions;
   * zero-dimensional with a primitive linear form whose minimal polynomial
     is irreducible of degree equal to the vector-space dimension
     (the quotient is then a field).
@@ -23,7 +25,8 @@ the covering p_1 ∩ ... ∩ p_r ⊆ rad(I).  For zero-dimensional I the coverin
 certificate uses normal forms against I's basis only: the products of the
 components' generators must be nilpotent in the Artinian ring R/I.  For
 positive-dimensional I the components are intersected and each generator of
-the intersection passes the Rabinowitsch radical-membership test.
+the intersection lies in I or passes the Rabinowitsch radical-membership
+test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
 Factors come from `factor`.  A polynomial c*y + b, with c a nonzero
@@ -61,8 +64,8 @@ from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
                        independent_set, intersect, krull_dim, module_order,
                        span_times, vec_from_polys, vec_to_polys)
 from .homology import fold_modulo, unit_multiples
-from .polyring import (BlockOrder, PolynomialRing, elimination_order,
-                       fresh_names, lex, mono_divides, transport)
+from .polyring import (PolynomialRing, elimination_order, fresh_names,
+                       mono_divides, transport)
 
 
 class FactorizationUnavailable(EngineError):
@@ -104,7 +107,7 @@ def _factor_homogeneous_bivariate(f):
 
 
 def _degree_one_alone(f):
-    """Whether f = c*y + b for some variable y, c a nonzero constant and b
+    """Yield each variable y with f = c*y + b, c a nonzero constant and b
     free of y.  Such an f has degree one in y and a unit leading
     coefficient, so it is irreducible over any field (Gauss's lemma; von zur
     Gathen & Gerhard, Modern Computer Algebra, 6.2).  Linear forms are the
@@ -113,8 +116,7 @@ def _degree_one_alone(f):
         if sum(e) == 1:
             y = e.index(1)
             if sum(1 for e2, _ in f.terms if e2[y]) == 1:
-                return True
-    return False
+                yield y
 
 
 def _normalized(f):
@@ -174,7 +176,7 @@ def factor(f):
     once per top-level call."""
     if f.is_zero() or f.is_constant():
         return []
-    if _degree_one_alone(f):
+    if next(_degree_one_alone(f), None) is not None:
         return [(_normalized(f), 1)]
     cache = _prime_cache_var.get()
     if cache is None:
@@ -301,42 +303,21 @@ def minimal_polynomial(I, lam):
     return basis[0]
 
 
-def _candidate_orders(ring):
-    yield lex
-    n = ring.nvars
-    if n == 1:
-        return
-    perms = [tuple(reversed(range(n)))]
-    for i in range(n):
-        perms.append(tuple(j for j in range(n) if j != i) + (i,))
-    seen = set()
-    for p in perms:
-        if p not in seen and p != tuple(range(n)):
-            seen.add(p)
-            yield BlockOrder([((i,), lex) for i in p])
-
-
-def _triangular_under(I, order):
-    """All leading monomials are distinct single variables of degree one:
-    quotient is a polynomial ring in the remaining variables."""
-    lead_vars = set()
-    for e in I.leading_exponents(order):
-        nz = [i for i, k in enumerate(e) if k]
-        if sum(e) != 1 or len(nz) != 1 or nz[0] in lead_vars:
-            return False
-        lead_vars.add(nz[0])
-    return True
-
-
-def _localization_shape(I, gb):
-    """Find g = u*h + c0 with c0 a nonzero constant and the variable u not
-    occurring in h; yields (u index, f) with f = -h/c0, so that g is -c0
-    times u*f - 1.  u may occur in other basis elements: multiplying by
-    powers of f clears it, so I is still the contraction plus this one
-    relation (the caller re-checks that identity)."""
+def _elimination_shape(I, gb):
+    """Yield (u index, f, rel) with rel in I, f free of u, and u equal
+    modulo rel to an element of the smaller ring with f inverted:
+      * g = c*u + b, c a nonzero constant and u not occurring in b: rel = g
+        and f = 1 (u is -b/c);
+      * g = u*h + c0, c0 a nonzero constant and u not occurring in h:
+        rel = u*f - 1 with f = -h/c0, so that g is -c0 times rel (u is 1/f).
+    u may occur in other basis elements: multiplying by powers of f clears
+    it, so I is still the contraction plus rel (the caller re-checks that
+    identity)."""
     ring = I.ring
     field = ring.field
     for g in gb:
+        for u in _degree_one_alone(g):
+            yield u, ring.one, g
         const = [c for e, c in g.terms if not any(e)]
         if len(const) != 1:
             continue
@@ -353,7 +334,7 @@ def _localization_shape(I, gb):
             f = ring.from_dict(coeffs)
             if u in f.support():
                 continue
-            yield u, f
+            yield u, f, ring.var(u) * f - ring.one
 
 
 def _split_on_factors(J):
@@ -427,9 +408,10 @@ def _zero_dim_step(J):
 
 
 def localized_primes(primes, f, rel):
-    """The primes P + (u*f - 1) of the ring of rel = u*f - 1, one for each
-    given prime P of the smaller ring with f not in P, sorted by canonical
-    key as minimal_primes sorts.
+    """The primes P + (rel) of the ring of rel, one for each given prime P
+    of the smaller ring with f not in P, sorted by canonical key as
+    minimal_primes sorts.  rel is u*f - 1, or c*u + b with f = 1 (c a
+    nonzero constant, u not occurring in b).
 
     With A the smaller quotient, the bigger ring modulo P + (rel) is
     (A/P)[1/f], a domain, and the primes of A[1/f] are exactly the
@@ -447,17 +429,17 @@ def localized_primes(primes, f, rel):
     return tuple(out)
 
 
-def _localization_step(J, gb):
-    """Certify via a localization presentation: primes of a localized
-    smaller ring extend to primes here.  A candidate whose smaller ring
-    falls outside the fragment gives way to the next one; when none
-    succeeds, the first such failure is raised."""
+def _elimination_step(J, gb):
+    """Certify via an elimination presentation: with J' = J ∩ R' for the
+    ring R' without u and J = J'R + (rel), R/J is (R'/J')[1/f], so the
+    primes of R'/J' with f outside them extend to the primes here
+    (Gianni, Trager & Zacharias 1988; localized_primes).  A candidate whose
+    smaller ring falls outside the fragment gives way to the next one; when
+    none succeeds, the first such failure is raised."""
     ring = J.ring
     failure = None
-    for u, f in _localization_shape(J, gb):
-        uname = ring.names[u]
-        small = eliminate(J, (uname,))
-        rel = ring.var(u) * f - ring.one
+    for u, f, rel in _elimination_shape(J, gb):
+        small = eliminate(J, (ring.names[u],))
         extended = Ideal(ring, [transport(g, ring) for g in small.gens] + [rel])
         if extended != J:
             continue
@@ -485,12 +467,9 @@ def _process(J):
     step = _split_on_factors(J)
     if step is not None:
         return step
-    for order in _candidate_orders(J.ring):
-        if _triangular_under(J, order):
-            return ("prime", [PrimeIdeal(J)])
-    loc = _localization_step(J, gb)
-    if loc is not None:
-        return loc
+    step = _elimination_step(J, gb)
+    if step is not None:
+        return step
     if krull_dim(J) == 0:
         return _zero_dim_step(J)
     branches = _eliminant_split(J)
@@ -595,13 +574,14 @@ def _audit_decomposition(I, primes):
 
 def _covers_by_rabinowitsch(I, ideals):
     """J_1 ∩ ... ∩ J_r ⊆ rad(I) by r - 1 eliminations, then one Rabinowitsch
-    basis per generator of the intersection."""
+    basis per generator of the intersection outside I (one in I lies in
+    rad(I) already)."""
     if not ideals:
         return I.is_unit()
     total = ideals[0]
     for J in ideals[1:]:
         total = intersect(total, J)
-    return all(in_radical(g, I) for g in total.gens)
+    return all(I.contains(g) or in_radical(g, I) for g in total.gens)
 
 
 def _covers_by_normal_forms(I, ideals, box):

@@ -175,8 +175,16 @@ def test_positive_dimensional_audit_keeps_the_rabinowitsch_route(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(primes_module, name, spy)
+    comps = [Ideal(R3, ("x",)), Ideal(R3, ("y", "z"))]
+    # the intersection (x*y, x*z) is I itself: one normal form per generator
     I = Ideal(R3, ("x*y", "x*z"))
-    assert len(assert_decomposition(I, [Ideal(R3, ("x",)), Ideal(R3, ("y", "z"))])) == 2
+    assert len(assert_decomposition(I, comps)) == 2
+    assert seen == ["intersect"]
+    # here the intersection's generators lie outside I, so each needs a
+    # Rabinowitsch basis
+    seen.clear()
+    I = Ideal(R3, ("x^2*y", "x^2*z"))
+    assert len(assert_decomposition(I, comps)) == 2
     assert seen.count("intersect") == 1 and "in_radical" in seen
     with pytest.raises(DecompositionError, match="do not cover"):
         assert_decomposition(I, [Ideal(R3, ("x",))])

@@ -347,9 +347,8 @@ def test_localized_chart_decomposes_itself_when_its_parent_cannot():
 
 
 # components of the oracle charts: vertical lines x = a, rational points
-# (a, b) and pairs of conjugate points (x^2 - c, y - b).  Values may be 0,
-# so x or y itself may be inverted; curves x^2 - c stay out, because the
-# fresh decomposition fails on their localizations at x - a.
+# (a, b), pairs of conjugate points (x^2 - c, y - b) and pairs of conjugate
+# lines x^2 - c.  Values may be 0, so x or y itself may be inverted.
 _CONJUGATE = {QQ: "x^2 - 2", GF(7): "x^2 + 1"}
 
 
@@ -364,12 +363,14 @@ def _oracle_charts(draw):
     component = st.one_of(
         st.tuples(st.just("line"), value, st.none()),
         st.tuples(st.just("point"), value, value),
-        st.tuples(st.just("conjugate"), st.none(), value))
+        st.tuples(st.just("conjugate"), st.none(), value),
+        st.tuples(st.just("curve"), st.none(), st.none()))
     comps = draw(st.lists(component, min_size=1, max_size=3, unique=True))
     ideal = None
     for kind, a, b in comps:
         gens = {"line": [f"x - ({a})"], "point": [f"x - ({a})", f"y - ({b})"],
-                "conjugate": [_CONJUGATE[field], f"y - ({b})"]}[kind]
+                "conjugate": [_CONJUGATE[field], f"y - ({b})"],
+                "curve": [_CONJUGATE[field]]}[kind]
         P = Ideal(ring, gens)
         if draw(st.booleans(), label="squared"):
             P = P * P

@@ -287,6 +287,67 @@ def test_localization_tries_the_next_candidate_variable():
         "(y*u - 1, y*u_ - u_ - 1, u*u_ + u - u_, x)"]
 
 
+def test_a_substitution_certifies_a_localized_conjugate_curve():
+    # x - u + 1 puts x at u - 1, leaving (u^2 - 2u - 1) in QQ[y, u]: prime,
+    # though the ideal is neither triangular nor zero-dimensional
+    R = PolynomialRing(QQ, ("x", "y", "u"))
+    I = Ideal(R, ("u^2 - 2*u - 1", "x - u + 1"))
+    assert is_prime(I)
+    assert minimal_primes(I)[0].dim() == 1
+
+
+@pytest.mark.parametrize("field, gens", [
+    (QQ, ("y^3*z^2 + x - 3*z - w", "x*y^3 - 2*y^3*z - x*z + 3*z^2 + z*w",
+          "z^3 + x - 2*z")),
+    (GF(7), ("y^3 + 6*x^2*w", "y^2*z + 2*x*w", "y*z^2 + 3*w", "x*z + 2*y")),
+])
+def test_four_variable_triangular_ideals_are_prime(field, gens):
+    # x and w are polynomials in y and z over QQ, y and w in x and z over
+    # F_7; the substitutions u := -b/c take the bound variables off one at
+    # a time
+    R4 = PolynomialRing(field, ("x", "y", "z", "w"))
+    I = Ideal(R4, gens)
+    assert is_prime(I)
+    assert minimal_primes(I)[0].dim() == 2
+
+
+def _triangular_ideal(data, field):
+    """(x_t - g_t(x_F) for t in T), T and F a random split of 2-3 variables
+    with T nonempty, each generator then mixed by multiples of the others in
+    turn: elementary steps, so the ideal is unchanged."""
+    n = data.draw(st.integers(2, 3), label="nvars")
+    ring = PolynomialRing(field, ("x", "y", "z")[:n])
+    coeff = st.integers(-3, 3) if field is QQ else st.integers(0, 6)
+    bound = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any),
+                      label="bound")
+    free = [j for j in range(n) if not bound[j]]
+    gens = []
+    for t in (j for j in range(n) if bound[j]):
+        terms = {tuple(int(j == t) for j in range(n)): 1}
+        for _ in range(data.draw(st.integers(0, 3))):
+            e = tuple(data.draw(st.integers(0, 2)) if j in free else 0 for j in range(n))
+            terms[e] = data.draw(coeff)
+        gens.append(ring.from_dict(terms))
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    for i in range(len(gens)):
+        for j in range(len(gens)):
+            if j != i:
+                m = ring.from_dict(data.draw(st.dictionaries(exps, coeff, max_size=2)))
+                gens[i] = gens[i] + m * gens[j]
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]), data=st.data())
+def test_triangular_ideals_are_certified_prime(field, data):
+    # a triangular ideal is prime, its quotient a polynomial ring in the
+    # free variables; the elimination step reaches it as a chain of
+    # substitutions, whichever basis element it reads first
+    J = _triangular_ideal(data, field)
+    primes = minimal_primes(J)
+    assert len(primes) == 1 and primes[0].ideal == J
+
+
 def test_unit_ideal_and_zero_ideal():
     assert minimal_primes(Ideal(R2, ("x", "x - 1"))) == ()
     zero = minimal_primes(Ideal(R2, ()))
@@ -303,7 +364,7 @@ def test_finite_field_decomposition():
 
 def test_decomposition_error_outside_fragment():
     with pytest.raises(DecompositionError):
-        minimal_primes(Ideal(R3, ("x^2 + y^2", "z")))
+        minimal_primes(Ideal(R3, ("x^2 + y^2", "z^2 - 2")))
     F5 = PolynomialRing(GF(5), ("x", "y"))
     with pytest.raises(DecompositionError):
         minimal_primes(Ideal(F5, ("x^2 + y^2 + 1",)))

@@ -33,6 +33,24 @@ def test_engine_imports_only_at_module_level():
     assert found == []
 
 
+def test_engine_imports_are_used():
+    # a name a module imports and never loads is a dead dependency;
+    # __init__.py imports to re-export, so it is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{node.lineno}:{bound}" for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names
+                  for bound in [alias.asname or alias.name.split(".")[0]]
+                  if bound not in loaded]
+    assert found == []
+
+
 def test_engine_imports_no_private_names():
     # a private name is a module's own; another module that needs it needs
     # it made public
