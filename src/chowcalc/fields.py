@@ -1,11 +1,22 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Coefficients are plain Python values (fractions.Fraction for QQ, ints in
+Coefficients are plain Python values (sympy's PythonMPQ for QQ, ints in
 [0, p) for F_p); the field objects only bundle the arithmetic, so polynomial
-code stays agnostic.  Field objects are immutable and compare by value.
+code stays agnostic.  In both fields a coefficient is zero exactly when it
+is falsy, so hot loops test `if c`.  Field objects are immutable and
+compare by value.
+
+PythonMPQ is named here rather than taken from sympy's ground-type switch,
+so the coefficient type, and every answer, is the same whether or not gmpy2
+is installed.  This is the one module that names a rational type: `coerce`
+also takes a fractions.Fraction and converts it, since MPQ and Fraction
+values do not mix in arithmetic.
 """
 
+import operator
 from fractions import Fraction
+
+from sympy.external.pythonmpq import PythonMPQ
 
 from .errors import EngineError
 
@@ -14,48 +25,45 @@ class RationalField:
     name = "QQ"
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = PythonMPQ(0)
+    one = PythonMPQ(1)
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
+        if isinstance(v, PythonMPQ):
             return v
         if isinstance(v, int):
-            return Fraction(v)
+            return PythonMPQ(int(v))  # int() turns a bool into 0 or 1
+        if isinstance(v, Fraction):
+            return PythonMPQ(v.numerator, v.denominator)
         raise EngineError(f"cannot coerce {v!r} into QQ")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    # the C operators themselves: no Python frame per coefficient operation
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def div(self, a, b):
-        if b == 0:
+        # truthiness, not == 0: comparing an MPQ with an int converts the int
+        if not b:
             raise ZeroDivisionError("division by zero in QQ")
         return a / b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("inverting zero in QQ")
-        return 1 / Fraction(a)
+        return 1 / a
 
     def fraction(self, num, den):
         if den == 0:
             raise EngineError("zero denominator in coefficient")
-        return Fraction(num, den)
+        return PythonMPQ(num, den)
 
     def is_negative(self, a):
-        return a < 0
+        return a.numerator < 0
 
     def abs(self, a):
-        return -a if a < 0 else a
+        return -a if a.numerator < 0 else a
 
     def to_str(self, a):
         return str(a)
@@ -114,7 +122,7 @@ class PrimeField:
     def coerce(self, v):
         if isinstance(v, int):
             return v % self.p
-        if isinstance(v, Fraction):
+        if isinstance(v, (PythonMPQ, Fraction)):
             return self.fraction(v.numerator, v.denominator)
         raise EngineError(f"cannot coerce {v!r} into {self.name}")
 

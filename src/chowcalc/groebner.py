@@ -34,7 +34,6 @@ adjoin a variable.
 import contextvars
 import heapq
 from contextlib import contextmanager
-from itertools import combinations
 
 from .errors import (ConsistencyError, DegreeOverflowError, InexactDivisionError,
                      RingMismatchError)
@@ -480,14 +479,37 @@ def independent_set(I):
     """A largest set of variable indices independent modulo the leading-term
     ideal (no leading monomial is supported inside it), as a sorted tuple;
     its size is dim ring/I.  None for the unit ideal, whose leading
-    monomial 1 lies inside every set."""
-    supports = [frozenset(i for i, k in enumerate(e) if k) for e in I.leading_exponents()]
+    monomial 1 lies inside every set.
+
+    An include-first depth-first search over the variables in index order
+    (Kredel & Weispfenning, "Computing dimension and independent sets for
+    polynomial ideals", 1988).  Dependence is upward closed, so a branch
+    stops at its first dependent set, and a branch that cannot beat the
+    largest set found stops too.  Include-first meets the sets of one size
+    in lexicographic order, so the answer is the lexicographically first
+    largest set."""
+    supports = {sum(1 << i for i, k in enumerate(e) if k) for e in I.leading_exponents()}
+    if 0 in supports:
+        return None
     n = I.ring.nvars
-    for size in range(n, -1, -1):
-        for S in combinations(range(n), size):
-            if not any(sup.issubset(S) for sup in supports):
-                return S
-    return None
+    # adding i to an independent set can only complete a support that holds i
+    meeting = [[m for m in supports if m >> i & 1] for i in range(n)]
+    best = ()
+
+    def search(i, chosen, mask):
+        nonlocal best
+        if len(chosen) + n - i <= len(best):
+            return
+        if i == n:
+            best = chosen
+            return
+        grown = mask | 1 << i
+        if all(m & grown != m for m in meeting[i]):
+            search(i + 1, chosen + (i,), grown)
+        search(i + 1, chosen, mask)
+
+    search(0, (), 0)
+    return best
 
 
 def krull_dim(I):

@@ -17,28 +17,31 @@ The printer emits terms in descending order, coefficient first, '*' between
 all factors and '^' only for exponents > 1, so parse(print(p)) == p.
 """
 
+from operator import add, itemgetter, le, neg, sub
+
 from .errors import EngineError, ParseError, RingMismatchError
 
 
 # ---------------------------------------------------------------------------
-# monomials = exponent tuples
+# monomials = exponent tuples; map over a C function runs without a Python
+# frame per exponent, which a generator expression pays
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a):
@@ -78,7 +81,7 @@ class GrevlexOrder(MonomialOrder):
     tag = ("grevlex",)
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, exps[::-1])))
 
 
 class LexOrder(MonomialOrder):
@@ -103,9 +106,18 @@ class BlockOrder(MonomialOrder):
         # blocks: sequence of (index tuple, MonomialOrder)
         self.blocks = tuple((tuple(ix), sub) for ix, sub in blocks)
         self.tag = ("block",) + tuple((ix, sub.tag) for ix, sub in self.blocks)
+        self._parts = tuple((_picker(ix), sub.key) for ix, sub in self.blocks)
 
     def key(self, exps):
-        return tuple(sub.key(tuple(exps[i] for i in ix)) for ix, sub in self.blocks)
+        return tuple([key(pick(exps)) for pick, key in self._parts])
+
+
+def _picker(ix):
+    """exps -> the tuple of exps at the indices ix, in C: itemgetter gives
+    a tuple only for two or more indices, so shorter blocks take a slice."""
+    if len(ix) > 1:
+        return itemgetter(*ix)
+    return itemgetter(slice(ix[0], ix[0] + 1) if ix else slice(0))
 
 
 grevlex = GrevlexOrder()
@@ -158,13 +170,13 @@ class PolynomialRing:
 
     def const(self, c):
         c = self.field.coerce(c)
-        if c == self.field.zero:
+        if not c:
             return self.zero
         return Polynomial(self, (((0,) * self.nvars, c),))
 
     def monomial(self, exps, coeff=None):
         coeff = self.field.one if coeff is None else self.field.coerce(coeff)
-        if coeff == self.field.zero:
+        if not coeff:
             return self.zero
         return Polynomial(self, ((tuple(exps), coeff),))
 
@@ -173,7 +185,7 @@ class PolynomialRing:
         items = []
         for exps, c in d.items():
             c = field.coerce(c)
-            if c != field.zero:
+            if c:
                 items.append((tuple(exps), c))
         key = self.order.key
         items.sort(key=lambda t: key(t[0]), reverse=True)
@@ -328,7 +340,7 @@ class Polynomial:
         f = ring.field
         if not isinstance(other, Polynomial):
             c = f.coerce(other)
-            if c == f.zero:
+            if not c:
                 return ring.zero
             return Polynomial(ring, tuple((e, f.mul(k, c)) for e, k in self.terms))
         self._check(other)
@@ -344,10 +356,10 @@ class Polynomial:
             for e2, c2 in other.terms:
                 e = mono_mul(e1, e2)
                 c = f.add(acc.get(e, zero), f.mul(c1, c2))
-                if c == zero:
-                    acc.pop(e, None)
-                else:
+                if c:
                     acc[e] = c
+                else:
+                    acc.pop(e, None)
         key = ring.order.key
         return Polynomial(ring, tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True)))
 
@@ -363,7 +375,8 @@ class Polynomial:
         """Multiply by coeff * x^exps; order is multiplicative so the sorted
         term tuple is preserved."""
         f = self.ring.field
-        if coeff == f.zero:
+        coeff = f.coerce(coeff)
+        if not coeff:
             return self.ring.zero
         return Polynomial(self.ring,
                           tuple((mono_mul(e, exps), f.mul(c, coeff)) for e, c in self.terms))
@@ -396,7 +409,7 @@ class Polynomial:
             e2 = list(e)
             e2[var] = k - 1
             c2 = f.mul(c, f.coerce(k))
-            if c2 != f.zero:
+            if c2:
                 d[tuple(e2)] = c2
         return ring.from_dict(d)
 
@@ -458,7 +471,7 @@ def merge_terms(a, b, key, field, subtract=False):
         mb, cb = b[j]
         if ma == mb:
             c = field.sub(ca, cb) if subtract else field.add(ca, cb)
-            if c != field.zero:
+            if c:
                 out.append((ma, c))
             i += 1
             j += 1

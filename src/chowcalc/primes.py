@@ -52,7 +52,6 @@ import contextvars
 import itertools
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 
 import sympy
 from sympy.polys.rings import PolyRing
@@ -128,7 +127,7 @@ def _normalized(f):
     if isinstance(field, RationalField):
         den = math.lcm(*(c.denominator for _, c in f.terms))
         num = math.gcd(*(c.numerator * (den // c.denominator) for _, c in f.terms))
-        scale = Fraction(den if lead > 0 else -den, num)
+        scale = field.fraction(den if lead > 0 else -den, num)
     else:
         scale = field.inv(lead)
     return f * scale
@@ -144,7 +143,7 @@ def _factor_with_sympy(f):
         sparse = PolyRing(ring.names, sympy.QQ)
         g = sparse.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in f.terms})
         _, raw = g.factor_list()
-        return [(ring.from_dict({e: Fraction(int(c.numerator), int(c.denominator))
+        return [(ring.from_dict({e: field.fraction(int(c.numerator), int(c.denominator))
                                  for e, c in q.to_dict().items()}), k)
                 for q, k in raw]
     support = f.support()

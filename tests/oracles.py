@@ -32,6 +32,20 @@ from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
                                mono_divides, mono_lcm, transport)
 
 
+def independent_set_by_scan(I):
+    """The reference for groebner.independent_set: scan the variable
+    subsets from the largest size down, each size in lexicographic order,
+    and return the first one that holds no leading-monomial support.  It
+    visits up to 2^n subsets."""
+    supports = [frozenset(i for i, k in enumerate(e) if k) for e in I.leading_exponents()]
+    n = I.ring.nvars
+    for size in range(n, -1, -1):
+        for S in combinations(range(n), size):
+            if not any(sup.issubset(S) for sup in supports):
+                return S
+    return None
+
+
 def monomial_compare(a, b, order):
     """-1, 0 or 1 as a <, =, > b under `order`."""
     ka, kb = order.key(a), order.key(b)

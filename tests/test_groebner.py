@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from chowcalc.groebner import (Ideal, degree_limit, divide_exact, eliminate,
                                is_regular_element, krull_dim, quotient)
 from chowcalc.polyring import PolynomialRing, grevlex, lex
 
-from oracles import assert_good_basis, is_groebner, is_reduced_basis, reduces_into
+from oracles import (assert_good_basis, independent_set_by_scan, is_groebner,
+                     is_reduced_basis, reduces_into)
 
 
 def R2(order=grevlex):
@@ -241,6 +243,36 @@ def test_krull_dim_order_invariance():
             ring = PolynomialRing(QQ, ("x", "y", "z"), order)
             dims.add(krull_dim(Ideal(ring, [ring.parse(g) for g in gens])))
         assert len(dims) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_independent_set_matches_the_subset_scan(data):
+    # monomial ideals are their own leading ideals, so any leading set can
+    # be drawn; the zero exponent gives the unit ideal
+    n = data.draw(st.integers(1, 7), label="nvars")
+    ring = PolynomialRing(QQ, [f"x{i}" for i in range(n)])
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=6), label="lms")
+    ideal = Ideal(ring, [ring.monomial(e) for e in exps])
+    assert independent_set(ideal) == independent_set_by_scan(ideal)
+
+
+def test_krull_dim_of_thirty_variables_returns():
+    # the subset scan visits 2^30 subsets here before it reaches size 0
+    ring = PolynomialRing(QQ, [f"x{i}" for i in range(1, 31)])
+    ideal = Ideal(ring, ring.gens())
+
+    def hang(signum, frame):
+        raise TimeoutError("krull_dim of (x_1, ..., x_30) ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        assert krull_dim(ideal) == 0
+        assert independent_set(ideal) == ()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

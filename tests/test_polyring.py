@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from chowcalc.errors import EngineError, ParseError, RingMismatchError
@@ -232,6 +233,53 @@ def test_arithmetic_with_an_uncoercible_operand_raises_engine_error():
     F = PolynomialRing(GF(7), ("x",))
     with pytest.raises(EngineError):
         F.var("x") + Fraction(1, 7)  # 7 has no inverse in F_7
+
+
+def _through_every_entry(ring, c):
+    """Polynomials built from the coefficient c by each public entry that
+    takes one, keyed by the entry."""
+    x = ring.var("x")
+    e = (1, 1)
+    return {"const": ring.const(c), "monomial": ring.monomial(e, c),
+            "from_dict": ring.from_dict({e: c, (0, 0): 1}),
+            "x + c": x + c, "c + x": c + x, "x - c": x - c, "c - x": c - x,
+            "x * c": x * c, "c * x": c * x, "mul_term": x.mul_term(e, c),
+            "coerce": ring.const(ring.field.coerce(c))}
+
+
+@pytest.mark.parametrize("field,values,text", [
+    (QQ, (Fraction(3), 3, QQ.coerce(3)), "3"),
+    (QQ, (Fraction(1), 1, True, QQ.one), "1"),
+    (QQ, (Fraction(-3, 2), QQ.fraction(-3, 2)), "-3/2"),
+    (GF(7), (Fraction(3, 2), 5, QQ.fraction(3, 2)), "3/2"),
+])
+def test_every_coefficient_entry_gives_the_native_type(field, values, text):
+    R = PolynomialRing(field, ("x", "y"))
+    native = type(field.one)
+    built = [_through_every_entry(R, c) for c in values]
+    for entry in built[0]:
+        polys = [b[entry] for b in built]
+        assert len({p.terms for p in polys}) == 1, entry
+        assert len({str(p) for p in polys}) == 1, entry
+        for p in polys:
+            assert all(type(c) is native for _, c in p.terms), entry
+    # the parser reads the same coefficient into the same terms
+    assert R.parse(text).terms == built[0]["const"].terms
+    assert R.parse(f"({text})*x*y").terms == built[0]["monomial"].terms
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("bad", [0.5, "1/2", sympy.Rational(1, 2)])
+def test_every_coefficient_entry_rejects_other_types(field, bad):
+    R = PolynomialRing(field, ("x", "y"))
+    x = R.var("x")
+    entries = [lambda: field.coerce(bad), lambda: R.const(bad),
+               lambda: R.monomial((1, 0), bad), lambda: R.from_dict({(1, 0): bad}),
+               lambda: x + bad, lambda: bad + x, lambda: x - bad, lambda: bad - x,
+               lambda: x * bad, lambda: bad * x, lambda: x.mul_term((1, 0), bad)]
+    for entry in entries:
+        with pytest.raises(EngineError):
+            entry()
 
 
 def test_diff():

@@ -118,6 +118,25 @@ def test_engine_builds_no_sympy_expressions():
     assert found == []
 
 
+def test_engine_names_one_rational_type():
+    # QQ's coefficient type is fields.py's choice alone: values of two
+    # rational types do not mix in arithmetic, so no other module builds one
+    banned = {"fractions", "sympy.external.pythonmpq"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                          if alias.name in banned]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found += [f"{path.name}:{node.lineno}:{node.module}" for alias in node.names
+                          if banned & {node.module, f"{node.module}.{alias.name}"}]
+    assert found == []
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these by name and fails mid-run on a missing one;
     # its list is read as text, so nothing of the benchmark is imported
