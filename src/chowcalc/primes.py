@@ -20,13 +20,19 @@ the leaves land in a certifiable shape:
 Splitting only ever branches on factors q of an element of the ideal, so
 every minimal prime survives into some branch; leaves are certified primes
 containing the input; dropping the comparable ones leaves exactly the
-minimal primes.  A final audit re-checks containment, incomparability and
-the covering p_1 ∩ ... ∩ p_r ⊆ rad(I).  For zero-dimensional I the covering
-certificate uses normal forms against I's basis only: the products of the
-components' generators must be nilpotent in the Artinian ring R/I.  For
-positive-dimensional I the components are intersected and each generator of
-the intersection lies in I or passes the Rabinowitsch radical-membership
-test.
+minimal primes.  minimal_primes keeps the tree it walks, and the audit
+(_audit_tree) checks the tree rather than trusting how it was found: at
+each split one normal form puts the witness g in J, the factors multiply to
+g up to a unit and each branch is J + (q_i); at each elimination step the
+extended ideal equals J and the smaller ring's audited primes are carried
+over; every surviving leaf contains I.  Comparability is tested once, only
+between primes of different Krull dimension: a strict inclusion of primes
+strictly lowers the dimension of an affine domain (Eisenbud, Commutative
+Algebra, ch. 13).  assert_decomposition has no tree and trusts its ideals,
+so it keeps the full audit (_audit_decomposition): every pair compared, and
+p_1 ∩ ... ∩ p_r ⊆ rad(I) proved from scratch, by normal forms against I's
+basis when R/I is Artinian, else by intersecting and the Rabinowitsch
+radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
 Factors come from `factor`.  A polynomial c*y + b, with c a nonzero
@@ -52,6 +58,7 @@ import contextvars
 import itertools
 import math
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import sympy
 from sympy.polys.rings import PolyRing
@@ -336,10 +343,42 @@ def _elimination_shape(I, gb):
             yield u, f, ring.var(u) * f - ring.one
 
 
+class Split(NamedTuple):
+    """A split of `ideal` along `witness`, an element of it, whose
+    irreducible factors with multiplicities are `factors`; `branches` are
+    the ideal + (q) for the factors q in order.  Every prime over the ideal
+    contains the witness, so one of its factors, so one branch."""
+    ideal: Ideal
+    witness: object
+    factors: tuple
+    branches: tuple
+
+
+class Elimination(NamedTuple):
+    """An elimination step: `ideal` equals `extended`, the ideal of
+    `small`'s generators (a ring without variable `u`) plus `rel`, which is
+    u*f - 1 or, with f = 1, c*u + b.  `below` are small's audited minimal
+    primes and `primes` their images P + (rel), f outside P
+    (localized_primes)."""
+    ideal: Ideal
+    extended: Ideal
+    small: Ideal
+    below: tuple
+    u: int
+    f: object
+    rel: object
+    primes: tuple
+
+
+def _split(J, witness, facs):
+    """The Split of J along `witness` with factorization `facs`."""
+    return Split(J, witness, tuple(facs), tuple(J + Ideal(J.ring, (q,)) for q, _ in facs))
+
+
 def _split_on_factors(J):
-    """("split", branches) along a reducible reduced-basis element, or
-    ("prime", [J]) when J is principal with an irreducible generator; None
-    when every element is irreducible or unfactorable."""
+    """A Split along a reducible reduced-basis element, or J as a PrimeIdeal
+    when J is principal with an irreducible generator; None when every
+    element is irreducible or unfactorable."""
     gb = J.groebner_basis()
     for g in gb:
         try:
@@ -347,14 +386,14 @@ def _split_on_factors(J):
         except FactorizationUnavailable:
             continue
         if _splits(facs):
-            return ("split", [J + Ideal(J.ring, (q,)) for q, _ in facs])
+            return _split(J, g, facs)
         if len(gb) == 1:
-            return ("prime", [PrimeIdeal(J)])
+            return PrimeIdeal(J)
     return None
 
 
 def _eliminant_split(J):
-    """Branch J along a reducible element of a single-variable elimination
+    """Split J along a reducible element of a single-variable elimination
     ideal.  The factors multiply into J, so every prime over J contains one
     of them; requiring every factor to lie outside J keeps the branches
     strictly larger."""
@@ -370,10 +409,10 @@ def _eliminant_split(J):
                 continue
             if not _splits(facs):
                 continue
-            lifted = [transport(q, ring) for q, _ in facs]
-            if any(J.normal_form(q).is_zero() for q in lifted):
+            lifted = [(transport(q, ring), e) for q, e in facs]
+            if any(J.normal_form(q).is_zero() for q, _ in lifted):
                 continue
-            return [J + Ideal(ring, (q,)) for q in lifted]
+            return _split(J, transport(g, ring), lifted)
     return None
 
 
@@ -382,7 +421,7 @@ _LINEAR_FORM_TRIES = 4
 
 def _zero_dim_step(J):
     """Certify a zero-dimensional ideal prime via a primitive element, or
-    return branch ideals when an eliminant factors."""
+    split it along m(lam) when the minimal polynomial m of lam factors."""
     ring = J.ring
     vdim = vector_space_dimension(J)
     if vdim is None or vdim == 0:
@@ -397,13 +436,18 @@ def _zero_dim_step(J):
         m = minimal_polynomial(J, lam)
         facs = factor(m)
         if _splits(facs):
-            return ("split", [J + Ideal(ring, (q.substitute([lam]),))
-                              for q, _ in facs])
+            return _split(J, m.substitute([lam]),
+                          [(q.substitute([lam]), e) for q, e in facs])
         if m.total_degree() == vdim:
-            return ("prime", [PrimeIdeal(J)])
+            return PrimeIdeal(J)
         # a proper subfield so far; another form may separate
     raise DecompositionError(
         f"cannot certify the zero-dimensional ideal {J}: no primitive linear form found")
+
+
+def _lifted(gens, ring):
+    """The polynomials `gens` of a smaller ring, as a tuple in `ring`."""
+    return tuple(transport(g, ring) for g in gens)
 
 
 def localized_primes(primes, f, rel):
@@ -422,7 +466,7 @@ def localized_primes(primes, f, rel):
     for p in primes:
         if p.ideal.contains(f):
             continue
-        lifted = Ideal(ring, [transport(g, ring) for g in p.ideal.gens] + [rel])
+        lifted = Ideal(ring, _lifted(p.ideal.gens, ring) + (rel,))
         out.append(PrimeIdeal(lifted, certified=p.certified))
     out.sort(key=lambda p: (len(p.key), p.key))
     return tuple(out)
@@ -439,7 +483,7 @@ def _elimination_step(J, gb):
     failure = None
     for u, f, rel in _elimination_shape(J, gb):
         small = eliminate(J, (ring.names[u],))
-        extended = Ideal(ring, [transport(g, ring) for g in small.gens] + [rel])
+        extended = Ideal(ring, _lifted(small.gens, ring) + (rel,))
         if extended != J:
             continue
         try:
@@ -448,21 +492,19 @@ def _elimination_step(J, gb):
             failure = failure or err
             continue
         out = localized_primes(below, transport(f, small.ring), rel)
-        if out:
-            return ("prime", out)
-        return ("split", [])  # everything died after inverting f: empty locus
+        return Elimination(J, extended, small, below, u, f, rel, out)
     if failure is not None:
         raise failure
     return None
 
 
 def _process(J):
-    """One decomposition step: ("prime", [PrimeIdeal..]) or
-    ("split", [ideals]) or raise DecompositionError."""
+    """One decomposition step: J as a PrimeIdeal, a Split or an
+    Elimination; or raise DecompositionError."""
     gb = J.groebner_basis()
     if all(g.total_degree() == 1 for g in gb):
         # linear (or zero): the quotient is a polynomial ring
-        return ("prime", [PrimeIdeal(J)])
+        return PrimeIdeal(J)
     step = _split_on_factors(J)
     if step is not None:
         return step
@@ -471,9 +513,9 @@ def _process(J):
         return step
     if krull_dim(J) == 0:
         return _zero_dim_step(J)
-    branches = _eliminant_split(J)
-    if branches is not None:
-        return ("split", branches)
+    step = _eliminant_split(J)
+    if step is not None:
+        return step
     raise DecompositionError(
         f"ideal shape outside the certification fragment: {J}")
 
@@ -512,41 +554,134 @@ def minimal_primes(I):
     if I.is_unit():
         cache[I] = ()
         return ()
-    leaves = []
-    seen = {I.key()}
-    work = [I]
+    root = I.key()
+    tree = {}  # ideal key -> its step, in the order processed
+    seen = {root}
+    work = [(root, I)]
     while work:
-        J = work.pop()
-        kind, items = _process(J)
-        if kind == "prime":
-            leaves.extend(items)
-            continue
-        for B in items:
+        key, J = work.pop()
+        step = tree[key] = _process(J)
+        for B in step.branches if isinstance(step, Split) else ():
             if B.is_unit():
                 continue
             k = B.key()
             if k not in seen:
                 seen.add(k)
-                work.append(B)
-    unique = {}
-    for p in leaves:
-        unique[p.key] = p
-    survivors = []
-    for p in unique.values():
-        if not any(q.key != p.key and p.ideal.contains_ideal(q.ideal)
-                   for q in unique.values()):
-            survivors.append(p)
-    survivors.sort(key=lambda p: (len(p.key), p.key))
-    result = tuple(survivors)
-    _audit_decomposition(I, result)
-    cache[I] = result
+                work.append((k, B))
+    result = cache[I] = _audit_tree(I, tree)
     return result
 
 
+def _audit_tree(I, tree):
+    """The minimal primes over I, read off the tree minimal_primes walked
+    (ideal key -> step, I's first), or DecompositionError unless the tree
+    proves them.
+
+    The checker trusts only what it re-checks (McConnell, Mehlhorn, Näher &
+    Schweitzer, "Certifying algorithms", Computer Science Review 5, 2011),
+    node by node:
+      * a Split: _check_split, so V(J) is the union of its branches' loci;
+      * an Elimination: _check_elimination, so every prime over J contains
+        one of its primes;
+      * a PrimeIdeal leaf: its own certificate of primality.
+    Each non-unit branch is a node of the tree and strictly larger than its
+    parent, so by induction every prime over I contains a leaf.  Leaves
+    that properly contain another are dropped (_properly_contains); the
+    survivors are pairwise incomparable and still cover I, and each must
+    contain I's generators, which ties the answer to I without trusting the
+    tree."""
+    root = next(iter(tree.values()), None)
+    if root is None or root.ideal != I:
+        raise DecompositionError(f"the decomposition tree has no node for {I}")
+    leaves = {}
+    for step in tree.values():
+        if isinstance(step, Split):
+            _check_split(step, tree)
+        elif isinstance(step, Elimination):
+            _check_elimination(step)
+            leaves.update((p.key, p) for p in step.primes)
+        else:
+            leaves[step.key] = step
+    primes = list(leaves.values())
+    survivors = [p for p in primes
+                 if not any(_properly_contains(p, q) for q in primes)]
+    survivors.sort(key=lambda p: (len(p.key), p.key))
+    for p in survivors:
+        for g in I.gens:
+            if not p.ideal.contains(g):
+                raise DecompositionError(f"component {p} misses the ideal")
+    return tuple(survivors)
+
+
+def _check_split(step, tree):
+    """Reject unless the witness is a nonzero element of J (one normal
+    form), its factors multiply to it up to a unit, and each branch is
+    J + (q) on the generators, for its factor q, and is the unit ideal or a
+    node of the tree other than J."""
+    J, g = step.ideal, step.witness
+    if g.is_zero() or not J.normal_form(g).is_zero():
+        raise DecompositionError(f"split witness {g} is not a nonzero element of {J}")
+    product = J.ring.one
+    for q, e in step.factors:
+        product = product * q ** e
+    if product.monic() != g.monic():
+        raise DecompositionError(f"the factors of {g} multiply to {product}")
+    if len(step.branches) != len(step.factors):
+        raise DecompositionError(
+            f"the split of {J} has {len(step.branches)} branches for "
+            f"{len(step.factors)} factors")
+    for (q, _), B in zip(step.factors, step.branches):
+        if B.gens != J.gens + (q,):
+            raise DecompositionError(f"branch {B} is not {J} + ({q})")
+        if B.is_unit():
+            continue
+        node = tree.get(B.key())
+        if B == J or node is None or node.ideal != B:
+            raise DecompositionError(f"branch {B} of {J} is not a larger node of the tree")
+
+
+def _check_elimination(step):
+    """Reject unless J = J'R + (rel), checked on the cached bases and on the
+    generators, rel is c*u + b with f = 1 or u*f - 1, and `primes` are
+    exactly the P + (rel) for the P in `below` with f outside P.  A prime Q
+    over J then contracts to a prime over J', which contains some P of the
+    audited `below`, and P + (rel) lies in Q; a dropped P holds f, which is
+    a unit modulo u*f - 1 (Atiyah & Macdonald, Prop. 3.11(iv))."""
+    J, rel, f = step.ideal, step.rel, step.f
+    ring = J.ring
+    if step.extended != J or step.extended.gens != _lifted(step.small.gens, ring) + (rel,):
+        raise DecompositionError(f"{J} is not {step.small} extended by {rel}")
+    if not (f.is_one() or rel + ring.one == ring.var(step.u) * f):
+        raise DecompositionError(f"{rel} does not invert {f}")
+    images = {p.ideal.gens for p in step.primes}
+    kept = 0
+    for P in step.below:
+        if _lifted(P.ideal.gens, ring) + (rel,) in images:
+            kept += 1
+        elif not P.contains(transport(f, P.ring)):
+            raise DecompositionError(f"component {P} of {step.small} is not carried to {J}")
+    if kept != len(step.primes):
+        raise DecompositionError(f"a component of {J} comes from no component of {step.small}")
+
+
+def _properly_contains(p, q):
+    """p ⊋ q.  A strict inclusion of primes strictly lowers the Krull
+    dimension of the quotient, an affine domain (Eisenbud, Commutative
+    Algebra, ch. 13), so two certified primes are compared only when p has
+    the smaller dimension."""
+    if p.key == q.key or (p.certified and q.certified and p.dim() >= q.dim()):
+        return False
+    return p.ideal.contains_ideal(q.ideal)
+
+
 def _audit_decomposition(I, primes):
-    """Reject unless every component contains I, no two are comparable, and
-    the components cover I: p_1 ∩ ... ∩ p_r ⊆ rad(I).  An empty list is the
-    unit ideal, so it covers only the unit ideal.
+    """The full audit of assert_decomposition, whose ideals are trusted
+    rather than certified and come without a tree (minimal_primes checks
+    its tree instead, _audit_tree): reject unless every component contains
+    I, no two are comparable (every pair is compared, since the dimension
+    argument of _properly_contains needs primes), and the components cover
+    I: p_1 ∩ ... ∩ p_r ⊆ rad(I).  An empty list is the unit ideal, so it
+    covers only the unit ideal.
 
     The covering certificate depends on dim_k R/I.  When it is finite (every
     variable has a pure power among I's leading monomials), the normal-form
@@ -620,7 +755,8 @@ def is_prime(I):
 
 def assert_decomposition(I, ideals):
     """Escape hatch: trust primality of the given ideals, but still audit
-    containment, incomparability and covering (see _audit_decomposition)."""
+    containment, incomparability of every pair and covering from scratch
+    (see _audit_decomposition)."""
     primes = tuple(PrimeIdeal(J, certified=False) for J in ideals)
     _audit_decomposition(I, primes)
     return primes

@@ -1,7 +1,13 @@
-"""The decomposition audit: containment, incomparability and covering.
+"""The decomposition audits: containment, incomparability and covering.
 
-Zero-dimensional ideals are covered by the normal-form certificate; every
-answer is compared with the elimination reference in oracles.py."""
+assert_decomposition runs the full audit: zero-dimensional ideals are
+covered by the normal-form certificate, every answer is compared with the
+elimination reference in oracles.py.  minimal_primes is audited through its
+split tree (_audit_tree); hand-built trees with one fault each must be
+rejected, and its answers must pass the full audit and the reference."""
+
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,3 +194,190 @@ def test_positive_dimensional_audit_keeps_the_rabinowitsch_route(monkeypatch):
     assert seen.count("intersect") == 1 and "in_radical" in seen
     with pytest.raises(DecompositionError, match="do not cover"):
         assert_decomposition(I, [Ideal(R3, ("x",))])
+
+
+def test_comparable_trusted_components_of_equal_dimension_are_rejected():
+    # both components are zero-dimensional, but assert_decomposition's ideals
+    # are trusted, not certified prime, so the dimension rule does not apply
+    with pytest.raises(DecompositionError, match="comparable components"):
+        assert_decomposition(Ideal(R2, ("x", "y^2")),
+                             [Ideal(R2, ("x", "y")), Ideal(R2, ("x", "y^2"))])
+
+
+# ---------------------------------------------------------------------------
+# the split-tree audit of minimal_primes
+
+# Four points, one of residue degree 2: a factor split at the root, then an
+# elimination step (y = x^2) below each branch.
+POINTS = Ideal(R2, ("y - x^2", "(x - 1)*(x - 2)*(x - 3)*(x^2 + 1)"))
+
+
+def _walk(I):
+    """The tree minimal_primes walks for I: ideal key -> step, I's first."""
+    tree, work = {}, [I]
+    while work:
+        J = work.pop()
+        step = tree[J.key()] = primes_module._process(J)
+        for B in step.branches if isinstance(step, primes_module.Split) else ():
+            if not B.is_unit() and B.key() not in tree and B not in work:
+                work.append(B)
+    return tree
+
+
+@pytest.mark.parametrize("gens", [
+    ("x*y",), ("x*y", "x*z"), ("x^2", "x*y"), ("y - x^2", "x^4 - 1"),
+    ("x*y*z - 1", "x^2 - 2"), ("y^2 - x^3", "x*y"),
+])
+def test_walked_tree_passes_the_tree_audit(gens):
+    I = Ideal(R3, gens)
+    assert primes_module._audit_tree(I, _walk(I)) == minimal_primes(I)
+
+
+def test_points_tree_has_both_node_kinds():
+    tree = _walk(POINTS)
+    assert isinstance(tree[POINTS.key()], primes_module.Split)
+    assert any(isinstance(step, primes_module.Elimination) for step in tree.values())
+    assert len(primes_module._audit_tree(POINTS, tree)) == 4
+
+
+def _rejects(tree, match, I=POINTS):
+    with pytest.raises(DecompositionError, match=match):
+        primes_module._audit_tree(I, tree)
+
+
+def test_tree_with_a_dropped_factor_is_rejected():
+    tree = _walk(POINTS)
+    root = tree[POINTS.key()]
+    tree[POINTS.key()] = root._replace(factors=root.factors[1:], branches=root.branches[1:])
+    _rejects(tree, "multiply to")
+    # the factor kept but its branch dropped
+    tree[POINTS.key()] = root._replace(branches=root.branches[1:])
+    _rejects(tree, "branches for")
+
+
+def test_tree_with_a_witness_outside_the_ideal_is_rejected():
+    tree = _walk(POINTS)
+    root = tree[POINTS.key()]
+    q, _ = root.factors[0]
+    # x^2 + 1 with its own branch multiplies to the witness, but is not in J
+    tree[POINTS.key()] = root._replace(witness=q, factors=root.factors[:1],
+                                       branches=root.branches[:1])
+    _rejects(tree, "witness")
+
+
+def test_tree_with_a_wrong_branch_is_rejected():
+    tree = _walk(POINTS)
+    root = tree[POINTS.key()]
+    wrong = Ideal(R2, ("x - 1", "y - 1"))
+    tree[wrong.key()] = primes_module._process(wrong)
+    tree[POINTS.key()] = root._replace(branches=(wrong,) + root.branches[1:])
+    _rejects(tree, "is not")
+
+
+def test_tree_with_factors_that_do_not_multiply_to_the_witness_is_rejected():
+    tree = _walk(POINTS)
+    root = tree[POINTS.key()]
+    (q, e), rest = root.factors[0], root.factors[1:]
+    tree[POINTS.key()] = root._replace(factors=((q, e + 1),) + rest)
+    _rejects(tree, "multiply to")
+
+
+def test_tree_with_a_wrong_elimination_is_rejected():
+    tree = _walk(POINTS)
+    key = next(k for k, step in tree.items() if isinstance(step, primes_module.Elimination))
+    step = tree[key]
+    # the eliminated ideal alone, without the relation y - x^2
+    small = Ideal(R2, step.extended.gens[:-1])
+    tree[key] = step._replace(extended=small)
+    _rejects(tree, "extended by")
+    # a component of the smaller ring that is not carried over
+    tree[key] = step._replace(primes=step.primes[1:])
+    _rejects(tree, "not carried")
+
+
+def test_tree_with_a_cycle_or_a_missing_node_is_rejected():
+    I = Ideal(R2, ("x*y",))
+    tree = _walk(I)
+    split = tree[I.key()]
+    g = split.witness
+    # a "factor" g of g gives the branch I itself
+    tree[I.key()] = split._replace(factors=((g, 1),), branches=(I + Ideal(R2, (g,)),))
+    _rejects(tree, "larger node", I)
+    tree = {I.key(): split}
+    _rejects(tree, "larger node", I)
+    _rejects({}, "no node", I)
+
+
+def test_zero_dimensional_components_are_never_compared(monkeypatch):
+    seen = []
+    original = groebner_module.Ideal.contains_ideal
+
+    def spy(self, other):
+        seen.append((self.key(), other.key()))
+        return original(self, other)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree audit recomputed the covering")
+
+    monkeypatch.setattr(groebner_module.Ideal, "contains_ideal", spy)
+    for name in ("intersect", "in_radical", "span_times"):
+        monkeypatch.setattr(primes_module, name, refuse)
+    primes = minimal_primes(POINTS)
+    assert [p.dim() for p in primes] == [0, 0, 0, 0]
+    keys = {p.key for p in primes}
+    assert not [pair for pair in seen if set(pair) <= keys]
+
+
+def _random_ideal(data):
+    field = data.draw(st.sampled_from([QQ, GF(7)]), label="field")
+    nvars = data.draw(st.integers(2, 3), label="nvars")
+    ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
+    coeff = st.integers(-3, 3) if field is QQ else st.integers(0, 6)
+    # squares in three variables can keep the walk busy for over 30 s
+    exps = st.tuples(*[st.integers(0, 2 if nvars == 2 else 1)] * nvars)
+
+    def poly():
+        return ring.from_dict(data.draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)))
+
+    gens = []
+    for _ in range(data.draw(st.integers(1, 2), label="generators")):
+        g = poly()
+        if data.draw(st.booleans(), label="product"):
+            g = g * poly()
+        gens.append(g)
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minimal_primes_pass_the_full_audit_and_the_reference(data):
+    I = _random_ideal(data)
+    try:
+        primes = minimal_primes(I)
+    except DecompositionError as err:
+        # only the walk raises on these inputs, as it did before the tree audit
+        assert "outside the certification fragment" in str(err) or "cannot certify" in str(err)
+        return
+    ideals = [p.ideal for p in primes]
+    assert audit_accepts(I, ideals)
+    assert [p.key for p in assert_decomposition(I, ideals)] == [p.key for p in primes]
+    assert primes_module._covers_by_rabinowitsch(I, ideals)
+    caps = primes_module._pure_power_caps(I.leading_exponents(), I.ring.nvars)
+    if caps is not None:
+        assert primes_module._covers_by_normal_forms(I, ideals, math.prod(caps))
+
+
+@pytest.mark.parametrize("field, names, gens, message", [
+    (QQ, "xyz", ("2*x*y^3*z^2 - 2*y^2*z^2 + 6*y*z^2",
+                 "3*x^3*y^2*z^4 - 2*x^3*y^2*z^2 + 3*x^2*y*z^4 - 2*x^2*y*z^2"),
+     "ideal shape outside the certification fragment: (x*y^2 - y + 3, z^2 - 2/3)"),
+    (GF(7), "xy", ("5*x^2*y^2 + 3*x*y^2", "6*x^2*y^3 + 4*x^2*y"),
+     "ideal shape outside the certification fragment: "
+     "(x^3*y + 2*x^2*y, x^2*y^2 + 2*x*y^2, x*y^3 + 2*x^2*y)"),
+    (GF(7), "xyz", ("x*y*z + y", "5*x^3*y*z^3", "2*x^2*y^2*z^4 + 4*x*z^4 + 3*z^4"),
+     "ideal shape outside the certification fragment: (x*z^4 + 6*z^4)"),
+])
+def test_inputs_outside_the_fragment_still_raise(field, names, gens, message):
+    ring = PolynomialRing(field, tuple(names))
+    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+        minimal_primes(Ideal(ring, gens))

@@ -394,15 +394,24 @@ def test_assert_decomposition_escape_hatch():
 
 
 def test_decomposition_audit_survives_optimize_flag():
-    # python -O strips assert statements; the audit must still reject
+    # python -O strips assert statements; both audits must still reject: the
+    # full one of assert_decomposition, and the tree audit of minimal_primes
+    # given a split whose factors miss one of the witness's
     code = (
         "from chowcalc import DecompositionError, Ideal, PolynomialRing, QQ\n"
-        "from chowcalc.primes import assert_decomposition\n"
+        "from chowcalc import primes\n"
         "assert False, 'asserts are live'\n"
         "R = PolynomialRing(QQ, ('x', 'y', 'z'))\n"
         "I = Ideal(R, ('x^2 + y^2', 'z'))\n"
         "try:\n"
-        "    assert_decomposition(I, [Ideal(R, ('x', 'z'))])\n"
+        "    primes.assert_decomposition(I, [Ideal(R, ('x', 'z'))])\n"
+        "except DecompositionError:\n"
+        "    print('rejected')\n"
+        "I = Ideal(R, ('x*y',))\n"
+        "split = primes._process(I)\n"
+        "tree = {I.key(): split._replace(factors=split.factors[1:])}\n"
+        "try:\n"
+        "    primes._audit_tree(I, tree)\n"
         "except DecompositionError:\n"
         "    print('rejected')\n"
     )
@@ -412,7 +421,7 @@ def test_decomposition_audit_survives_optimize_flag():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
+    assert out.stdout.split() == ["rejected", "rejected"]
 
 
 def _spy_on_process(monkeypatch):
