@@ -38,10 +38,8 @@ class DecompositionError(EngineError):
 
     Callers can fall back to assert_decomposition with externally known
     components; the verifier still checks containment, incomparability and
-    radical covering.  For zero-dimensional ideals the covering is certified
-    by normal forms against the ideal's own basis (nilpotent products of the
-    components' generators); for positive-dimensional ones by intersecting
-    the components and the Rabinowitsch radical-membership test.
+    radical covering, the last by intersecting the components and the
+    Rabinowitsch radical-membership test.
     """
 
 

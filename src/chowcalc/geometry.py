@@ -540,21 +540,23 @@ def transport_cycle(cycle, target_chart, images):
 def principal_atlas(base, elements):
     """The charted space covering `base` by the principal localizations at
     the given elements, labelled U0, U1, ... and glued pairwise by the
-    identity."""
+    identity.  Chart Ui inverts its element by u<i>, with "_" appended while
+    the name is taken; w1 and w2 name the overlaps' inverses (add_glue)."""
     space = ChartedSpace(name=f"{base.name}-atlas")
     elems = [base.ring.parse(f) if isinstance(f, str) else f for f in elements]
     names = [f"U{i}" for i in range(len(elems))]
+    invs = fresh_names([f"u{i}" for i in range(len(elems))], set(base.ring.names), "_")
     for i, f in enumerate(elems):
-        space.add_chart(base.localize(f, inv_name=f"u{i}", name=names[i]))
+        space.add_chart(base.localize(f, inv_name=invs[i], name=names[i]))
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             fi = str(elems[i])
             fj = str(elems[j])
             fwd = {nm: nm for nm in base.ring.names}
-            fwd[f"u{i}"] = "w2"
-            fwd["w1"] = f"u{j}"
+            fwd[invs[i]] = _GLUE_INV2
+            fwd[_GLUE_INV1] = invs[j]
             bwd = {nm: nm for nm in base.ring.names}
-            bwd[f"u{j}"] = "w1"
-            bwd["w2"] = f"u{i}"
+            bwd[invs[j]] = _GLUE_INV1
+            bwd[_GLUE_INV2] = invs[i]
             space.add_glue(names[i], fj, names[j], fi, fwd, bwd)
     return space

@@ -25,10 +25,9 @@ here is deterministic.
 The witness trick lives here too (`witness_syzygies`); `intersect`,
 `quotient` and `homology.annihilator` are colon computations on it.  So
 does `span_times`, linear algebra over k inside a quotient of finite
-dimension: the zero-dimensional decomposition audit and the closed-point
-lengths of `primes` both keep their spans with it.  Of the ideal
-operations, only `in_radical` (Rabinowitsch) and `primes.minimal_polynomial`
-adjoin a variable.
+dimension, which serves only the closed-point lengths of `primes`.  Of the
+ideal operations, only `in_radical` (Rabinowitsch) and
+`primes.minimal_polynomial` adjoin a variable.
 """
 
 import contextvars

@@ -164,6 +164,12 @@ class Complex:
 def free_resolution(M, modulo=None, max_length=None, partial=False):
     """Free resolution of M over ring/modulo by iterated syzygies.
 
+    Only M's relations need a module_basis.  `syzygies` returns the
+    witness-block part of a reduced split-order basis, which is the reduced
+    basis of the syzygy module under module_order(ring.order, m), and that
+    module already contains J*R^m: folding J in again and reducing would
+    return the same list.
+
     Raises ResolutionError when max_length is hit, unless partial=True (used
     by Tor, which only needs a truncation)."""
     ring = M.ring
@@ -178,22 +184,16 @@ def free_resolution(M, modulo=None, max_length=None, partial=False):
     ranks = [M.rank]
     mats = []
     current = significant(module_basis(M.relations, M.rank, ring, modulo=modulo))
-    complete = not current
     while current:
         if len(mats) >= max_length:
             if partial:
-                complete = False
                 break
             raise ResolutionError(
                 f"free resolution exceeded max_length={max_length} without terminating")
-        mats.append(list(current))
+        mats.append(current)
         ranks.append(len(current))
-        syz = significant(syzygies(current, ranks[-2], ring, modulo=modulo))
-        if not syz:
-            complete = True
-            break
-        current = significant(module_basis(syz, ranks[-1], ring, modulo=modulo))
-    return Complex(ring, ranks, mats, complete)
+        current = significant(syzygies(current, ranks[-2], ring, modulo=modulo))
+    return Complex(ring, ranks, mats, not current)
 
 
 def _slot_relations(N, slots, ring):

@@ -10,9 +10,11 @@ the leaves land in a certifiable shape:
     constant and u not occurring in b (the quotient is then a smaller
     quotient, u being -b/c there), or u*h + c0, c0 a nonzero constant and
     u not occurring in h (the quotient is then a smaller quotient localized
-    at f = -h/c0).  The smaller quotient is decomposed in turn and its
-    primes lifted; each such u is tried in turn.  A triangular basis
-    x_i - g_i(free vars) is a chain of such substitutions;
+    at f = -h/c0), or a variable u in no basis element (the quotient is
+    then a smaller quotient with u adjoined freely).  The smaller quotient
+    is decomposed in turn and its primes lifted; each such u is tried in
+    turn, free ones last.  A triangular basis x_i - g_i(free vars) is a
+    chain of such substitutions;
   * zero-dimensional with a primitive linear form whose minimal polynomial
     is irreducible of degree equal to the vector-space dimension
     (the quotient is then a field).
@@ -30,9 +32,8 @@ between primes of different Krull dimension: a strict inclusion of primes
 strictly lowers the dimension of an affine domain (Eisenbud, Commutative
 Algebra, ch. 13).  assert_decomposition has no tree and trusts its ideals,
 so it keeps the full audit (_audit_decomposition): every pair compared, and
-p_1 ∩ ... ∩ p_r ⊆ rad(I) proved from scratch, by normal forms against I's
-basis when R/I is Artinian, else by intersecting and the Rabinowitsch
-radical-membership test.
+p_1 ∩ ... ∩ p_r ⊆ rad(I) proved from scratch, by intersecting and the
+Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
 Factors come from `factor`.  A polynomial c*y + b, with c a nonzero
@@ -46,9 +47,10 @@ variables independent modulo p's leading ideal, M / p^N M tensor k(x_S)
 lives at p alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
 [k(p):k(x_S)] once p^N M_p = 0.  The first N at which the count repeats,
 or reaches the count of M itself, gives p^N M_p = 0 by Nakayama.  M's
-reduced relation basis is built once and kept on M.  At a closed point,
-with M of finite dimension over k, p^N M is an echelon span inside M and
-no further basis is built; elsewhere each N costs one module basis, seeded
+reduced relation basis is built once, kept on M, and read by every count.
+At a closed point, with M of finite dimension over k, p^N M is an echelon
+span inside M (groebner.span_times, whose only caller this is) and no
+further basis is built; elsewhere each N costs one module basis, seeded
 with M's, under an order eliminating the variables U outside S.  No stop
 within max_steps is reported as HypothesisError; the generic rank is the
 N = 1 count.
@@ -67,8 +69,8 @@ from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
 from .fields import RationalField
 from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
-                       independent_set, intersect, krull_dim, module_order,
-                       span_times, vec_from_polys, vec_to_polys)
+                       independent_set, intersect, krull_dim, span_times,
+                       vec_from_polys)
 from .homology import fold_modulo, unit_multiples
 from .polyring import (PolynomialRing, elimination_order, fresh_names,
                        mono_divides, transport)
@@ -310,12 +312,15 @@ def minimal_polynomial(I, lam):
 
 
 def _elimination_shape(I, gb):
-    """Yield (u index, f, rel) with rel in I, f free of u, and u equal
-    modulo rel to an element of the smaller ring with f inverted:
+    """Yield (u index, f, rel) with rel in I and f free of u, such that u
+    is, modulo rel, an element of the smaller ring with f inverted, or free:
       * g = c*u + b, c a nonzero constant and u not occurring in b: rel = g
         and f = 1 (u is -b/c);
       * g = u*h + c0, c0 a nonzero constant and u not occurring in h:
-        rel = u*f - 1 with f = -h/c0, so that g is -c0 times rel (u is 1/f).
+        rel = u*f - 1 with f = -h/c0, so that g is -c0 times rel (u is 1/f);
+      * u in no element of gb: rel = 0 and f = 1 (the quotient is the
+        smaller one with u adjoined as a polynomial variable), yielded after
+        every other shape.
     u may occur in other basis elements: multiplying by powers of f clears
     it, so I is still the contraction plus rel (the caller re-checks that
     identity)."""
@@ -341,6 +346,10 @@ def _elimination_shape(I, gb):
             if u in f.support():
                 continue
             yield u, f, ring.var(u) * f - ring.one
+    used = set().union(*(g.support() for g in gb))
+    for u in range(ring.nvars):
+        if u not in used:
+            yield u, ring.one, ring.zero
 
 
 class Split(NamedTuple):
@@ -357,8 +366,8 @@ class Split(NamedTuple):
 class Elimination(NamedTuple):
     """An elimination step: `ideal` equals `extended`, the ideal of
     `small`'s generators (a ring without variable `u`) plus `rel`, which is
-    u*f - 1 or, with f = 1, c*u + b.  `below` are small's audited minimal
-    primes and `primes` their images P + (rel), f outside P
+    u*f - 1 or, with f = 1, c*u + b or 0 (u free).  `below` are small's
+    audited minimal primes and `primes` their images P + (rel), f outside P
     (localized_primes)."""
     ideal: Ideal
     extended: Ideal
@@ -445,37 +454,42 @@ def _zero_dim_step(J):
         f"cannot certify the zero-dimensional ideal {J}: no primitive linear form found")
 
 
-def _lifted(gens, ring):
-    """The polynomials `gens` of a smaller ring, as a tuple in `ring`."""
-    return tuple(transport(g, ring) for g in gens)
+def _extension(gens, rel):
+    """The ideal of rel's ring generated by the polynomials `gens` of a
+    smaller ring and rel; like every Ideal it drops a zero generator, so
+    generator tuples are compared in this form."""
+    ring = rel.ring
+    return Ideal(ring, tuple(transport(g, ring) for g in gens) + (rel,))
 
 
 def localized_primes(primes, f, rel):
     """The primes P + (rel) of the ring of rel, one for each given prime P
     of the smaller ring with f not in P, sorted by canonical key as
-    minimal_primes sorts.  rel is u*f - 1, or c*u + b with f = 1 (c a
-    nonzero constant, u not occurring in b).
+    minimal_primes sorts.  rel is u*f - 1, or, with f = 1, c*u + b (c a
+    nonzero constant, u not occurring in b) or 0.
 
     With A the smaller quotient, the bigger ring modulo P + (rel) is
     (A/P)[1/f], a domain, and the primes of A[1/f] are exactly the
     P A[1/f] with f not in P, in the same inclusions (Atiyah & Macdonald,
     Prop. 3.11(iv)).  So the minimal primes of A[1/f] are the images of
-    those of A, and each keeps its `certified` flag."""
-    ring = rel.ring
+    those of A, and each keeps its `certified` flag.  With rel = 0 the
+    bigger quotient is A[u] and P A[u] is prime, (A/P)[u] being a domain;
+    a prime over J A[u] contracts to a prime of A over J, so the same
+    images are again the minimal primes."""
     out = []
     for p in primes:
         if p.ideal.contains(f):
             continue
-        lifted = Ideal(ring, _lifted(p.ideal.gens, ring) + (rel,))
-        out.append(PrimeIdeal(lifted, certified=p.certified))
+        out.append(PrimeIdeal(_extension(p.ideal.gens, rel), certified=p.certified))
     out.sort(key=lambda p: (len(p.key), p.key))
     return tuple(out)
 
 
 def _elimination_step(J, gb):
     """Certify via an elimination presentation: with J' = J ∩ R' for the
-    ring R' without u and J = J'R + (rel), R/J is (R'/J')[1/f], so the
-    primes of R'/J' with f outside them extend to the primes here
+    ring R' without u and J = J'R + (rel), R/J is (R'/J')[1/f], or
+    (R'/J')[u] when u is free, so the primes of R'/J' with f outside them
+    extend to the primes here
     (Gianni, Trager & Zacharias 1988; localized_primes).  A candidate whose
     smaller ring falls outside the fragment gives way to the next one; when
     none succeeds, the first such failure is raised."""
@@ -483,7 +497,7 @@ def _elimination_step(J, gb):
     failure = None
     for u, f, rel in _elimination_shape(J, gb):
         small = eliminate(J, (ring.names[u],))
-        extended = Ideal(ring, _lifted(small.gens, ring) + (rel,))
+        extended = _extension(small.gens, rel)
         if extended != J:
             continue
         try:
@@ -642,21 +656,26 @@ def _check_split(step, tree):
 
 def _check_elimination(step):
     """Reject unless J = J'R + (rel), checked on the cached bases and on the
-    generators, rel is c*u + b with f = 1 or u*f - 1, and `primes` are
-    exactly the P + (rel) for the P in `below` with f outside P.  A prime Q
-    over J then contracts to a prime over J', which contains some P of the
-    audited `below`, and P + (rel) lies in Q; a dropped P holds f, which is
-    a unit modulo u*f - 1 (Atiyah & Macdonald, Prop. 3.11(iv))."""
+    canonical generators, rel is u*f - 1 or, with f = 1, c*u + b or 0, and
+    `primes` are exactly the P + (rel) for the P in `below` with f outside
+    P.  A prime Q over J then contracts to a prime over J', which contains
+    some P of the audited `below`, and P + (rel) lies in Q; a dropped P
+    holds f, which is a unit modulo u*f - 1 (Atiyah & Macdonald,
+    Prop. 3.11(iv))."""
     J, rel, f = step.ideal, step.rel, step.f
     ring = J.ring
-    if step.extended != J or step.extended.gens != _lifted(step.small.gens, ring) + (rel,):
+    if step.extended != J or step.extended.gens != _extension(step.small.gens, rel).gens:
         raise DecompositionError(f"{J} is not {step.small} extended by {rel}")
-    if not (f.is_one() or rel + ring.one == ring.var(step.u) * f):
-        raise DecompositionError(f"{rel} does not invert {f}")
+    if f.is_one():
+        shaped = rel.is_zero() or step.u in _degree_one_alone(rel)
+    else:
+        shaped = rel + ring.one == ring.var(step.u) * f
+    if not shaped:
+        raise DecompositionError(f"{rel} does not eliminate {ring.names[step.u]}")
     images = {p.ideal.gens for p in step.primes}
     kept = 0
     for P in step.below:
-        if _lifted(P.ideal.gens, ring) + (rel,) in images:
+        if _extension(P.ideal.gens, rel).gens in images:
             kept += 1
         elif not P.contains(transport(f, P.ring)):
             raise DecompositionError(f"component {P} of {step.small} is not carried to {J}")
@@ -681,14 +700,9 @@ def _audit_decomposition(I, primes):
     I, no two are comparable (every pair is compared, since the dimension
     argument of _properly_contains needs primes), and the components cover
     I: p_1 ∩ ... ∩ p_r ⊆ rad(I).  An empty list is the unit ideal, so it
-    covers only the unit ideal.
-
-    The covering certificate depends on dim_k R/I.  When it is finite (every
-    variable has a pure power among I's leading monomials), the normal-form
-    certificate runs (_covers_by_normal_forms) and builds no Gröbner basis;
-    otherwise the Rabinowitsch route runs (_covers_by_rabinowitsch).  Both
-    accept exactly when the intersection lies in rad(I), whether or not the
-    components are prime."""
+    covers only the unit ideal.  The covering is proved by
+    _covers_by_rabinowitsch, which accepts exactly when the intersection
+    lies in rad(I), whether or not the components are prime."""
     for p in primes:
         for g in I.gens:
             if not p.ideal.contains(g):
@@ -696,53 +710,20 @@ def _audit_decomposition(I, primes):
     for p, q in itertools.combinations(primes, 2):
         if p.ideal.contains_ideal(q.ideal) or q.ideal.contains_ideal(p.ideal):
             raise DecompositionError(f"comparable components {p} and {q}")
-    ideals = [p.ideal for p in primes]
-    caps = _pure_power_caps(I.leading_exponents(), I.ring.nvars)
-    if caps is None:
-        covered = _covers_by_rabinowitsch(I, ideals)
-    else:
-        covered = _covers_by_normal_forms(I, ideals, math.prod(caps))
-    if not covered:
+    if not _covers_by_rabinowitsch(I, [p.ideal for p in primes]):
         raise DecompositionError("components do not cover the ideal")
 
 
 def _covers_by_rabinowitsch(I, ideals):
     """J_1 ∩ ... ∩ J_r ⊆ rad(I) by r - 1 eliminations, then one Rabinowitsch
-    basis per generator of the intersection outside I (one in I lies in
-    rad(I) already)."""
+    basis per generator of the intersection outside I; a generator already
+    in I costs one normal form."""
     if not ideals:
         return I.is_unit()
     total = ideals[0]
     for J in ideals[1:]:
         total = intersect(total, J)
     return all(I.contains(g) or in_radical(g, I) for g in total.gens)
-
-
-def _covers_by_normal_forms(I, ideals, box):
-    """J_1 ∩ ... ∩ J_r ⊆ rad(I) for I with dim_k R/I <= box, by normal forms
-    against I's basis alone.
-
-    The intersection and the product J_1⋯J_r have one radical, and the
-    products g_1⋯g_r of basis elements generate the product, so the covering
-    holds iff each of those products is nilpotent in R/I.  Their normal forms
-    span a subspace of R/I, built one factor at a time as an echelon set of
-    at most dim_k R/I elements (groebner.span_times).  R/I is Artinian of
-    length at most box, so h is nilpotent iff h^(2^m) lies in I for
-    2^m >= box (Cox, Little & O'Shea, Using Algebraic Geometry, ch. 4)."""
-    ring = I.ring
-    key = module_order(ring.order, 1).key
-    basis = [vec_from_polys((g,), key) for g in I.groebner_basis()]
-    span = [vec_from_polys((ring.one,), key)]
-    for J in ideals:
-        span = span_times(span, J.groebner_basis(), basis, key, ring.field)
-    squarings = (box - 1).bit_length()
-    for v in span:
-        (h,) = vec_to_polys(v, 1, ring)
-        for _ in range(squarings):
-            h = I.normal_form(h * h)
-        if not h.is_zero():
-            return False
-    return True
 
 
 def is_prime(I):
@@ -798,8 +779,8 @@ def _standard_terms(lead, rank, U):
 
 def _fiber_dimension(base, gens, M, U):
     """dim over k(x_S) of M / (gens) M tensor k(x_S), S the variables
-    outside U, or None when infinite; `base` holds M's relations, J folded
-    in, as vectors under _fiber_key."""
+    outside U, or None when infinite; `base` is M's relation basis, J
+    folded in (_relation_basis)."""
     key = _fiber_key(M.ring, M.rank, U)
     vectors = list(base) + [vec_from_polys(v.coords, key)
                             for v in unit_multiples(gens, M.ring, M.rank)]
@@ -808,21 +789,16 @@ def _fiber_dimension(base, gens, M, U):
     return None if std is None else len(std)
 
 
-def _relation_vectors(M, modulo, key):
-    """M's relations, J folded in, as vectors under `key`."""
-    return [vec_from_polys(v.coords, key)
-            for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
-
-
 def _relation_basis(M, modulo, U):
     """The reduced basis of M's relations, J folded in, under _fiber_key;
-    cached on M per (modulo, U), so every component of one module reads the
-    same basis."""
+    cached on M per (modulo, U), so every component of one module, and
+    every count of length_at_prime and generic_rank, reads the same basis."""
     basis = M.bases.get((modulo, U))
     if basis is None:
         key = _fiber_key(M.ring, M.rank, U)
+        rels = list(M.relations) + fold_modulo(modulo, M.ring, M.rank)
         basis = M.bases[modulo, U] = buchberger(
-            _relation_vectors(M, modulo, key), key, M.ring.field)
+            [vec_from_polys(v.coords, key) for v in rels], key, M.ring.field)
     return basis
 
 
@@ -847,8 +823,8 @@ def generic_rank(M, p, modulo=None):
     """Rank of M at the generic point of V(p): dim over k(p) of M / pM
     there, the count of M / pM over k(x_S) divided by [k(p):k(x_S)]."""
     U = _dependent_variables(p)
-    rels = _relation_vectors(M, modulo, _fiber_key(M.ring, M.rank, U))
-    return _per_residue_degree(_fiber_dimension(rels, p.gens, M, U), p, U)
+    basis = _relation_basis(M, modulo, U)
+    return _per_residue_degree(_fiber_dimension(basis, p.gens, M, U), p, U)
 
 
 def length_at_prime(M, p, modulo=None, max_steps=60):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowcalc import homology as homology_module
 from chowcalc.errors import ResolutionError
 from chowcalc.fields import QQ
 from chowcalc.groebner import Ideal, intersect
@@ -86,6 +87,21 @@ def test_resolution_of_x2_xy():
     assert res.complete
     assert res.ranks == [1, 2, 1]
     assert is_complex(res)
+
+
+def test_resolution_builds_one_module_basis(monkeypatch):
+    # only M's relations need a module basis: each syzygy list already is one
+    calls = []
+    original = homology_module.module_basis
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homology_module, "module_basis", spy)
+    res = free_resolution(FPModule.cyclic(Ideal(R2, ("x^2", "x*y"))))
+    assert res.ranks == [1, 2, 1]
+    assert len(calls) == 1
 
 
 def test_resolution_free_module():
@@ -223,6 +239,17 @@ def test_syzygies_are_sound(vectors):
         for c, g in zip(s.coords, vectors):
             total = total + g.scale(c)
         assert total.is_zero()
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_vectors(), st.sampled_from([None, ("x^2",), ("x*y", "y^2"), ("x^2 - y",)]))
+def test_syzygies_are_their_own_module_basis(vectors, modulo):
+    # free_resolution builds no basis of the syzygies: with J folded in and
+    # reduced they must come back unchanged
+    vectors = [v for v in vectors if not v.is_zero()]
+    J = None if modulo is None else Ideal(R2, modulo)
+    syz = syzygies(vectors, 2, R2, modulo=J)
+    assert module_basis(syz, len(vectors), R2, modulo=J) == syz
 
 
 @settings(max_examples=15, deadline=None)

@@ -370,6 +370,20 @@ def test_decomposition_error_outside_fragment():
         minimal_primes(Ideal(F5, ("x^2 + y^2 + 1",)))
 
 
+@pytest.mark.parametrize("field, gens, expected", [
+    (QQ, ("x^2 - 2", "y^2 - 2"), [("y^2 - 2", "x + y"), ("y^2 - 2", "x - y")]),
+    (GF(7), ("x^2 - 3", "y^2 - 3"), [("y^2 + 4", "x + 6*y"), ("y^2 + 4", "x + y")]),
+])
+def test_a_variable_in_no_generator_is_adjoined_freely(field, gens, expected):
+    # z occurs in no generator; (x, y, z) used to fall outside the fragment
+    for names in (("x", "y"), ("x", "y", "z"), ("z", "x", "y")):
+        ring = PolynomialRing(field, names)
+        I = Ideal(ring, gens)
+        primes = minimal_primes(I)
+        assert [p.key for p in primes] == expected
+        assert [p.key for p in assert_decomposition(I, [p.ideal for p in primes])] == expected
+
+
 def test_split_found_only_in_an_eliminant():
     # no reduced-basis element factors, but eliminating x exposes t^2 - s^2
     R = PolynomialRing(QQ, ("t", "x", "s"))

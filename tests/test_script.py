@@ -285,6 +285,45 @@ def test_cli_prints_a_cycle_on_a_localized_chart(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "[(y*u - 2, x - 1/2*y)]"
 
 
+# z occurs in neither curve; the product used to exit 1 with "ideal shape
+# outside the certification fragment"
+FREE_VARIABLE_PRODUCT = """\
+let R = ring(x, y, z)
+product [(x^2 - 2)] [(y^2 - 2)]
+"""
+
+
+def test_product_with_a_variable_in_neither_cycle(tmp_path, capsys):
+    report, code, lines = run(FREE_VARIABLE_PRODUCT)
+    assert code == 0
+    assert lines == ["[(y^2 - 2, x + y)] + [(y^2 - 2, x - y)]"]
+    assert cli.main(["--script", write(tmp_path, FREE_VARIABLE_PRODUCT)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_atlas_picks_fresh_inverse_names():
+    # u0 is a coordinate here, so U0 inverts x by u0_; this used to exit 1
+    # with "inverse variable 'u0' already in use"
+    report, code, lines = run("""
+        let R = ring(x, u0)
+        let X = chart(R)
+        let A = atlas(X; x, u0)
+        glue A: U0 = [(x - u0)], U1 = [(x - u0)]
+    """)
+    assert code == 0
+    assert report["objects"]["A.U0"]["vars"] == ["x", "u0", "u0_"]
+    assert report["objects"]["A.U1"]["vars"] == ["x", "u0", "u1"]
+    assert lines == ["glue A: consistent"]
+
+
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_atlas_keeps_the_overlap_names_reserved(name):
+    report, code, _ = run(f"let R = ring(x, {name})\nlet X = chart(R)\n"
+                          f"let A = atlas(X; x, {name})\n")
+    assert code == 1
+    assert report["error"]["message"] == f"inverse variable {name!r} already in use"
+
+
 OFF_CHART_HEADER = """\
 let R = ring(x, y)
 let A = chart(R)
