@@ -9,17 +9,18 @@ variables, with the graph ideal
     (source relations) + (target variable - its image).
 
 Eliminating the source block gives closures of images; pure powers of the
-source variables in a block-order basis certify finiteness; coefficient
-modules over the target block present pushforward modules.
+source variables in a block-order basis certify finiteness; residue degrees
+over the image, counted on leading ideals, give pushforward degrees;
+coefficient modules over the target block present pushforward modules.
 """
 
-from .errors import EngineError, RingMismatchError
+from .errors import ConsistencyError, EngineError, RingMismatchError
 from .geometry import Chart, Cycle, cycle_of_subscheme
-from .groebner import Ideal, eliminate
+from .groebner import Ideal, eliminate, independent_set
 from .homology import (FPModule, FreeModuleElement, coefficient_module,
                        unit_multiples)
 from .polyring import PolynomialRing, elimination_order, fresh_names, transport
-from .primes import PrimeIdeal, generic_rank, standard_exponents
+from .primes import PrimeIdeal, residue_degree, standard_exponents
 
 
 class ChartMap:
@@ -77,9 +78,8 @@ class ChartMap:
         """Pure powers of every source variable in the elimination basis of
         the graph ideal certify module-finiteness over the target."""
         if self._finite_checked is None:
-            P, G, src_names, _ = self.graph()
             self._finite_checked = (
-                _source_standard_exponents(P, G, src_names)[1] is not None)
+                _source_standard_exponents(self, self.graph()[1])[1] is not None)
             if self._finite_checked:
                 self.finite = True
         return self._finite_checked
@@ -155,35 +155,78 @@ def _build_graph(m):
 _PUSHFORWARD_BOUND = 100000  # largest box of source standard monomials
 
 
-def _source_standard_exponents(P, G, src_names):
-    """Positions of the source variables in P, and the exponents over them
-    of the source monomials outside the leading ideal of the block-order
-    basis; None in place of the exponents when some source variable has no
-    pure power (the map is then not finite)."""
+def _source_standard_exponents(m, total):
+    """Positions of the source variables in the graph ring P, and the
+    exponents over them of the source monomials outside the leading ideal
+    of total's block-order basis; None in place of the exponents when some
+    source variable has no pure power (the map is then not finite).  The
+    unit ideal, whose basis is 1, has none: the zero module is finite."""
+    P, _, src_names, _ = m.graph()
     idx = [P.index_of(nm) for nm in src_names]
-    if G.is_unit():
-        return idx, []  # empty locus: the zero module is finite
     order = elimination_order(idx, P.nvars)
     lead = []
-    for e in G.leading_exponents(order):
+    for e in total.leading_exponents(order):
         if all(e[i] == 0 for i in range(P.nvars) if i not in idx):
             lead.append(tuple(e[i] for i in idx))
     return idx, standard_exponents(lead, len(idx), _PUSHFORWARD_BOUND)
 
 
+def _graph_ideal(m, ideal):
+    """The graph ideal plus `ideal` (source polynomials, or None for none)
+    carried into the product ring."""
+    P, G, _, _ = m.graph()
+    if ideal is None:
+        return G
+    if not isinstance(ideal, Ideal):
+        ideal = Ideal(m.source.ring, ideal)
+    return G + Ideal(P, [transport(g, P) for g in ideal.gens])
+
+
+def _image(m, total):
+    """The target ideal total meets: the part of total's source-eliminating
+    basis free of source variables, carried back to the target ring."""
+    _, _, src_names, rename = m.graph()
+    small = eliminate(total, src_names)
+    back = {rename[nm]: nm for nm in m.target.ring.names}
+    return Ideal(m.target.ring, [transport(g, m.target.ring, back) for g in small.gens])
+
+
+def _finite_exponents(m, total):
+    """_source_standard_exponents of total, which must be finite over the
+    target."""
+    idx, std = _source_standard_exponents(m, total)
+    if std is None:
+        raise EngineError(
+            f"map {m.source.name} -> {m.target.name} is not finite here; "
+            "pushforward needs module-finiteness")
+    return idx, std
+
+
+def _degree_over_image(m, total, q):
+    """[k(p):k(q)] by the tower law through k(y_T) (see proper_pushforward).
+    With T empty any order counts, so total's count reads its
+    source-eliminating basis and q's its ring-order basis."""
+    P, _, src_names, rename = m.graph()
+    ring = m.target.ring
+    T = independent_set(q.ideal)
+    U = tuple(i for i in range(ring.nvars) if i not in T)
+    src = [P.index_of(nm) for nm in src_names]
+    outside = tuple(sorted(src + [P.index_of(rename[ring.names[i]]) for i in U]))
+    up = residue_degree(total.leading_exponents(
+        elimination_order(outside if T else src, P.nvars)), outside)
+    down = residue_degree(q.ideal.leading_exponents(
+        elimination_order(U, ring.nvars) if T else None), U)
+    if up % down:
+        raise ConsistencyError(
+            f"residue degree {up} of a component over {q} is not a multiple "
+            f"of the image's residue degree {down}")
+    return up // down
+
+
 def zariski_image(m, ideal=None):
     """Closure of the image of V(ideal) (default: the whole source chart),
     as an ideal over the target ring."""
-    P, G, src_names, rename = m.graph()
-    total = G
-    if ideal is not None:
-        if not isinstance(ideal, Ideal):
-            ideal = Ideal(m.source.ring, ideal)
-        total = total + Ideal(P, [transport(g, P) for g in ideal.gens])
-    small = eliminate(total, src_names)
-    back = {rename[nm]: nm for nm in m.target.ring.names}
-    out = [transport(g, m.target.ring, back) for g in small.gens]
-    return Ideal(m.target.ring, out)
+    return _image(m, _graph_ideal(m, ideal))
 
 
 def pushforward_module(m, M=None, extra=None):
@@ -191,19 +234,13 @@ def pushforward_module(m, M=None, extra=None):
     target coordinates, presented on the standard monomial generators.
 
     Requires the map restricted to V(extra) to be finite."""
-    P, G, src_names, rename = m.graph()
+    P, _, _, rename = m.graph()
     if M is None:
         M = FPModule.free(m.source.ring, 1)
     if M.ring != m.source.ring:
         raise RingMismatchError("module not over the source chart")
-    total = G
-    if extra is not None:
-        total = total + Ideal(P, [transport(g, P) for g in extra.gens])
-    idx, std = _source_standard_exponents(P, total, src_names)
-    if std is None:
-        raise EngineError(
-            f"map {m.source.name} -> {m.target.name} is not finite here; "
-            "pushforward needs module-finiteness")
+    total = _graph_ideal(m, extra)
+    idx, std = _finite_exponents(m, total)
     monos = []
     for exps in std:
         full = [0] * P.nvars
@@ -236,13 +273,14 @@ def pullback_module(m, M):
 
 
 def degree(m):
-    """Generic degree: the rank of the pushed-forward structure sheaf at
-    the generic point of the image (source and image both integral)."""
+    """Generic degree: [k(source):k(image)] for an integral source finite
+    over the target (_degree_over_image with p the source ideal)."""
     if not m.source.is_integral():
         raise EngineError("degree needs an integral source chart")
-    image = zariski_image(m) + m.target.ideal
-    M = pushforward_module(m)
-    return generic_rank(M, PrimeIdeal(image), modulo=m.target.ideal)
+    _, G, _, _ = m.graph()
+    image = PrimeIdeal(_image(m, G) + m.target.ideal)
+    _finite_exponents(m, G)
+    return _degree_over_image(m, G, image)
 
 
 def flat_pullback(m, cycle):
@@ -262,14 +300,26 @@ def flat_pullback(m, cycle):
 def proper_pushforward(m, cycle):
     """Image cycle with field-extension degrees as multiplicities; verified
     finite onto its image component-by-component, with honest dimension
-    drops allowed only for maps marked proper."""
+    drops allowed only for maps marked proper.
+
+    A component p counts [k(p):k(q)] times its image q (Fulton,
+    Intersection Theory, section 1.4), all read off total = G + p, G the
+    graph ideal in P = k[x, y].  Its source-eliminating basis gives
+    q = total meet k[y] and the finiteness check.  P/total is A/p, whose
+    fraction field is k(p).  With T = independent_set(q), the y_T are
+    independent modulo q, hence modulo total, and there are dim q = dim p
+    of them: a transcendence basis of k(p) and of k(q).  So
+    [k(p):k(q)] = [k(p):k(y_T)] / [k(q):k(y_T)], and residue_degree counts
+    each on a basis of total or of q under an order eliminating the
+    variables outside y_T."""
     if cycle.chart != m.source:
         raise EngineError("cycle does not live on the source chart")
     grade_out = m.target.dim() - (m.source.dim() - cycle.grade)
     out = Cycle.zero(m.target, grade_out)
     for p, mult in cycle.coeffs.items():
-        image = zariski_image(m, p.ideal) + m.target.ideal
-        q = PrimeIdeal(image)  # image of an irreducible stays irreducible
+        total = _graph_ideal(m, p.ideal)
+        # the image of an irreducible stays irreducible
+        q = PrimeIdeal(_image(m, total) + m.target.ideal)
         if q.dim() < p.dim():
             if m.proper is not True:
                 raise EngineError(
@@ -277,12 +327,12 @@ def proper_pushforward(m, cycle):
                     "defined for proper maps (mark the map proper)")
             continue
         try:
-            M = pushforward_module(m, extra=p.ideal)
+            _finite_exponents(m, total)
         except EngineError:
             raise EngineError(
                 f"component {p} is not finite over its image; outside the "
                 "supported fragment")
-        deg = generic_rank(M, q, modulo=m.target.ideal)
+        deg = _degree_over_image(m, total, q)
         out = out + Cycle(m.target, grade_out, {q: mult * deg})
     return out
 

@@ -53,7 +53,9 @@ span inside M (groebner.span_times, whose only caller this is) and no
 further basis is built; elsewhere each N costs one module basis, seeded
 with M's, under an order eliminating the variables U outside S.  No stop
 within max_steps is reported as HypothesisError; the generic rank is the
-N = 1 count.
+N = 1 count.  The residue degree [k(p):k(x_S)] is the same count on p's
+leading ideal (residue_degree), which morphisms also reads for
+pushforward degrees.
 """
 
 import contextvars
@@ -808,11 +810,20 @@ def _dependent_variables(p):
     return tuple(i for i in range(p.ring.nvars) if i not in S)
 
 
+def residue_degree(lead, U):
+    """[k(p):k(x_S)] for a prime p and a largest independent set S of p, U
+    the variables outside S: the number of standard U-monomials of `lead`,
+    the leading exponents of p's basis under an order eliminating U (any
+    order when U is every variable).  That basis is one of p over k(x_S),
+    led there by the U-parts of its leading monomials (Gianni, Trager &
+    Zacharias 1988), and p k(x_S)[x_U] is the maximal ideal with residue
+    field k(p)."""
+    return len(_standard_terms([(0, e) for e in lead], 1, U))
+
+
 def _per_residue_degree(count, p, U):
-    """count / [k(p):k(x_S)]; the degree is the same count on p's leading
-    ideal."""
-    lead = p.ideal.leading_exponents(_fiber_order(p.ring, U))
-    degree = len(_standard_terms([(0, e) for e in lead], 1, U))
+    """count / [k(p):k(x_S)]."""
+    degree = residue_degree(p.ideal.leading_exponents(_fiber_order(p.ring, U)), U)
     if count % degree:
         raise ConsistencyError(
             f"dimension {count} at {p} is not a multiple of its residue degree {degree}")

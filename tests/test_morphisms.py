@@ -1,9 +1,11 @@
 """Chart maps: images, finiteness, degree, pullback, pushforward."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chowcalc.errors import EngineError
-from chowcalc.fields import QQ
+from chowcalc import groebner, homology, morphisms, primes
+from chowcalc.errors import ConsistencyError, EngineError
+from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, Cycle, cycle_of_subscheme, point_cycle
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule
@@ -11,8 +13,8 @@ from chowcalc.morphisms import (ChartMap, degree, fiber_product, flat_pullback,
                                 identity_map, proper_pushforward, pullback_module,
                                 pushforward_module, zariski_image)
 from chowcalc.morphisms import ProductChart
-from chowcalc.polyring import PolynomialRing
-from chowcalc.primes import minimal_primes
+from chowcalc.polyring import PolynomialRing, elimination_order
+from chowcalc.primes import PrimeIdeal, generic_rank, minimal_primes
 
 LINE_T = Chart("At", PolynomialRing(QQ, ("t",)))
 LINE_X = Chart("Ax", PolynomialRing(QQ, ("x",)))
@@ -184,3 +186,149 @@ def test_functoriality_of_pushforward():
     via_stages = proper_pushforward(second, proper_pushforward(SQUARING, c))
     assert via_composite == via_stages
     assert str(via_composite) == "[(t - 16)]"
+
+
+# ---------------------------------------------------------------------------
+# pushforward degrees against the rank of the pushed-forward module
+
+# c with t^2 - c, and with t^3 - c, irreducible over each field
+NON_SQUARES = {QQ: (2, 3, 5, -1, -2, -3), GF(7): (3, 5, 6)}
+NON_CUBES = {QQ: (2, 3, 4, 5, -2, -3), GF(7): (2, 3, 4, 5)}
+FIELDS = (QQ, GF(7))
+
+
+def _module_rank_degree(m, p):
+    """The image of p and the rank there of its pushed-forward module."""
+    q = PrimeIdeal(zariski_image(m, p.ideal) + m.target.ideal)
+    M = pushforward_module(m, extra=p.ideal)
+    return q, generic_rank(M, q, modulo=m.target.ideal)
+
+
+def _check_against_module_rank(m, ideal, grade):
+    for p in minimal_primes(ideal):
+        q, rank = _module_rank_degree(m, p)
+        push = proper_pushforward(m, Cycle(m.source, grade, {p: 1}))
+        assert push.coeffs == {q: rank}
+
+
+@st.composite
+def _univariate(draw, t, field, kinds):
+    """A polynomial in t: t - a, or (t + b)^2 - c and (t + b)^3 - c
+    irreducible, or 0 (the whole chart)."""
+    kind = draw(st.sampled_from(kinds))
+    b = draw(st.integers(-6, 6))
+    if kind == 1:
+        return t - b
+    if kind == 2:
+        return (t + b) ** 2 - draw(st.sampled_from(NON_SQUARES[field]))
+    if kind == 3:
+        return (t + b) ** 3 - draw(st.sampled_from(NON_CUBES[field]))
+    return t.ring.zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a1_pushforward_degrees_match_the_module_rank(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    src = Chart("At", PolynomialRing(field, ("t",)))
+    tgt = Chart("Ax", PolynomialRing(field, ("x",)))
+    t = src.ring.var(0)
+    d = data.draw(st.integers(1, 4))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    f = sum((c * t ** i for i, c in enumerate(coeffs)), src.ring.zero) + t ** d
+    m = ChartMap(src, tgt, {"x": f})
+    g = data.draw(_univariate(t, field, (0, 1, 2, 3)))
+    _check_against_module_rank(m, Ideal(src.ring, (g,)), 0 if g.is_zero() else 1)
+    image = PrimeIdeal(zariski_image(m) + tgt.ideal)
+    assert degree(m) == generic_rank(pushforward_module(m), image) == d
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a2_pushforward_degrees_match_the_module_rank(data):
+    # (x, y) -> (x, y^2 + a*x + b) on points, curves and the whole chart
+    field = data.draw(st.sampled_from(FIELDS))
+    src = Chart("A2", PolynomialRing(field, ("x", "y")))
+    tgt = Chart("B", PolynomialRing(field, ("u", "v")))
+    x, y = src.ring.gens()
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+    m = ChartMap(src, tgt, {"u": x, "v": y ** 2 + a * x + b})
+    kind = data.draw(st.sampled_from(("point", "curve", "whole")))
+    c = data.draw(st.integers(-4, 4))
+    if kind == "point":
+        gens = (data.draw(_univariate(x, field, (1, 2))),
+                data.draw(_univariate(y, field, (1, 2, 3))))
+    elif kind == "curve":
+        gens = (data.draw(st.sampled_from((x - c, y - c * x ** 2 - 1, y ** 2 - x - c))),)
+    else:
+        gens = ()
+    _check_against_module_rank(m, Ideal(src.ring, gens), len(gens))
+    assert degree(m) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(FIELDS), c=st.integers(1, 6))
+def test_pushforward_errors_keep_their_type_and_message(field, c):
+    plane = Chart("A2", PolynomialRing(field, ("x", "y")))
+    line = Chart("Ax", PolynomialRing(field, ("x",)))
+    collapse = ChartMap(plane, plane, {"x": "x", "y": "0"})
+    vertical = cycle_of_subscheme(Ideal(plane.ring, (f"x - {c}",)), plane)
+    (p,) = vertical.support()
+    with pytest.raises(EngineError) as drop:
+        proper_pushforward(collapse, vertical)
+    assert type(drop.value) is EngineError
+    assert str(drop.value) == (f"component {p} drops dimension; pushforward is only "
+                               "defined for proper maps (mark the map proper)")
+    hyperbola = Chart("H", plane.ring, (f"x*y - {c}",))
+    proj = ChartMap(hyperbola, line, {"x": "x"}, proper=True)
+    (h,) = minimal_primes(hyperbola.ideal)
+    with pytest.raises(EngineError) as infinite:
+        proper_pushforward(proj, Cycle(hyperbola, 0, {h: 1}))
+    assert type(infinite.value) is EngineError
+    assert str(infinite.value) == (f"component {h} is not finite over its image; "
+                                   "outside the supported fragment")
+    with pytest.raises(EngineError) as not_finite:
+        degree(proj)
+    assert type(not_finite.value) is EngineError
+    assert str(not_finite.value) == ("map H -> Ax is not finite here; "
+                                     "pushforward needs module-finiteness")
+
+
+def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
+    m = ChartMap(LINE_T, LINE_X, {"x": "t^2"}, finite=True, proper=True)
+    point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t^2 - 2",)))
+    P = m.graph()[0]
+    source_order = elimination_order([P.index_of("t")], P.nvars)
+    built = []
+    computed = groebner.Ideal._computed
+
+    def counting(self, order=None):
+        tag = (order or self.ring.order).tag
+        if tag not in self._cache:
+            built.append((self.ring, tag))
+        return computed(self, order)
+
+    monkeypatch.setattr(groebner.Ideal, "_computed", counting)
+    called = []
+
+    def noting(name, fn):
+        def wrapper(*args, **kw):
+            called.append(name)
+            return fn(*args, **kw)
+        return wrapper
+
+    for module in (groebner, homology, primes, morphisms):
+        for name in ("coefficient_module", "witness_syzygies", "generic_rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, noting(name, getattr(module, name)))
+    assert str(proper_pushforward(m, point)) == "2*[(x - 2)]"
+    assert called == []
+    assert built.count((P, source_order.tag)) == 1
+
+
+def test_a_degree_quotient_that_is_not_whole_raises(monkeypatch):
+    counts = iter((3, 2))
+    monkeypatch.setattr(morphisms, "residue_degree", lambda lead, U: next(counts))
+    point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t - 1",)))
+    with pytest.raises(ConsistencyError, match="not a multiple"):
+        proper_pushforward(SQUARING, point)
