@@ -273,16 +273,27 @@ def serialize_cycle(c):
 
 
 def _cycle_from_support(M, ann, chart, grade):
+    """The codimension-`grade` part of the cycle of M, ann = Ann M with the
+    chart ideal in it.  Supp M = V(ann), so its minimal primes go to
+    length_at_prime as the component list, each in the support
+    (full_support).  By additivity of length (Atiyah & Macdonald, Thm 8.7)
+    a length is then read off whole, M's count over k(x_S): 0 when whole
+    is 0; whole / [k(p):k(x_S)] when p is the only listed prime meeting
+    k[x_S] in 0 with dimension |S|; 1 when those primes' degrees sum to
+    whole; unless a listed prime meeting k[x_S] in 0 has dimension above
+    |S|."""
     if ann.is_unit():
         return Cycle.zero(chart, grade)
     coeffs = {}
-    for p in minimal_primes(ann):
+    comps = minimal_primes(ann)
+    for p in comps:
         c = codim(p, chart)
         if c < grade:
             raise HypothesisError(
                 f"support component {p} has codimension {c} < {grade}")
         if c == grade:
-            coeffs[p] = length_at_prime(M, p, modulo=chart.ideal)
+            coeffs[p] = length_at_prime(M, p, modulo=chart.ideal, components=comps,
+                                        full_support=True)
     return Cycle(chart, grade, coeffs)
 
 

@@ -13,7 +13,14 @@ One private kernel resolves the two structure algebras of a pair once and
 measures the torsion at each requested component; `tor_length_table`,
 `serre_multiplicity` and `intersection_product` all take their lengths from
 it, and `intersects_properly` shares the properness scan of
-`intersection_product`.
+`intersection_product`.  `tor_length_table` and `intersection_product`
+pass every component of V(I + K) to length_at_prime, which reads a length
+off one count over k(x_S) by additivity (Atiyah & Macdonald, Thm 8.7 and
+Ex. 3.19): when its component is the only listed one at that fiber, or,
+for Tor_0 alone, whose support is all of V(I + K), when the listed
+components' residue degrees there sum to the count (each length is then
+1).  A listed component of higher dimension meeting k[x_S] in 0 blocks
+both rules.  `serre_multiplicity` passes no list and keeps the filtration.
 """
 
 from .errors import EngineError, HypothesisError
@@ -54,19 +61,30 @@ def _improper(chart, comps, want):
     return next((z for z in comps if codim(z, chart) < want), None)
 
 
-def _tor_lengths(chart, I, K, comps):
+def _tor_lengths(chart, I, K, at, comps=None):
     """(z, [length at z of Tor_0, Tor_1, ...]) for A/I and A/K on the chart
-    and each z in comps, from one resolution shared by all of them (and no
-    resolution when comps is empty).  Lazy, so that a caller's check on one
-    row runs before the next row is measured."""
-    if not comps:
+    and each z in `at`, from one resolution shared by all of them (and no
+    resolution when `at` is empty).  Lazy, so that a caller's check on one
+    row runs before the next row is measured.
+
+    `comps`, when given, is every minimal prime of I + K + J, J the chart
+    ideal.  Each Tor_i lives on V(I + K + J), so length_at_prime may read a
+    length off whole, the count of Tor_i over k(x_S), by additivity
+    (Atiyah & Macdonald, Thm 8.7): 0 when whole is 0, whole / [k(z):k(x_S)]
+    when z is the only listed prime at that fiber, and no rule while a
+    listed prime of higher dimension meets k[x_S] in 0.  Tor_0 = A/(I + K)
+    has all of V(I + K + J) as support (Supp(M tensor N) = Supp M ∩ Supp
+    N), so it alone is flagged full_support: its lengths are 1 when the
+    listed primes' degrees at the fiber sum to whole."""
+    if not at:
         return
     tors = tor_modules(FPModule.cyclic(I + chart.ideal),
                        FPModule.cyclic(K + chart.ideal),
                        modulo=chart.ideal, up_to=chart.dim() + 2)
-    for z in comps:
-        yield z, [length_at_prime(T, z, modulo=chart.ideal) if T.rank else 0
-                  for T in tors]
+    for z in at:
+        yield z, [length_at_prime(T, z, modulo=chart.ideal, components=comps,
+                                  full_support=i == 0) if T.rank else 0
+                  for i, T in enumerate(tors)]
 
 
 def _alternating_sum(z, lengths):
@@ -92,7 +110,8 @@ def tor_length_table(chart, I, K):
     structure modules A/I and A/K on the chart."""
     I = _as_ideal(chart, I)
     K = _as_ideal(chart, K)
-    return list(_tor_lengths(chart, I, K, _components(chart, I, K)))
+    comps = _components(chart, I, K)
+    return list(_tor_lengths(chart, I, K, comps, comps))
 
 
 def serre_multiplicity(chart, I, K, z):
@@ -162,7 +181,7 @@ def intersection_product(a, b, report=False):
                     f"{p} . {q} meets in codimension "
                     f"{codim(low, chart)} < {want}")
             exact = [z for z in comps if codim(z, chart) == want]
-            for z, lengths in _tor_lengths(chart, p.ideal, q.ideal, exact):
+            for z, lengths in _tor_lengths(chart, p.ideal, q.ideal, exact, comps):
                 mult = _alternating_sum(z, lengths)
                 rows.append({"left": p, "right": q, "component": z,
                              "tor_lengths": lengths, "multiplicity": mult,

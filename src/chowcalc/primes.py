@@ -43,15 +43,25 @@ over QQ in its own variables and over F_p in its one variable (a
 homogeneous bivariate one is dehomogenized first).
 
 Local lengths and generic ranks share one kernel.  With S a largest set of
-variables independent modulo p's leading ideal, M / p^N M tensor k(x_S)
-lives at p alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
-[k(p):k(x_S)] once p^N M_p = 0.  The first N at which the count repeats,
-or reaches the count of M itself, gives p^N M_p = 0 by Nakayama.  M's
-reduced relation basis is built once, kept on M, and read by every count.
-At a closed point, with M of finite dimension over k, p^N M is an echelon
-span inside M (groebner.span_times, whose only caller this is) and no
-further basis is built; elsewhere each N costs one module basis, seeded
-with M's, under an order eliminating the variables U outside S.  No stop
+variables independent modulo p's leading ideal, M's reduced relation basis
+(built once, kept on M, read by every count) gives whole = dim_k(x_S)(M
+tensor k(x_S)).  When finite, whole is the sum of length(M_P) *
+[k(P):k(x_S)] over the P in Supp M meeting k[x_S] in 0, each of dimension
+|S| (Atiyah & Macdonald, Thm 8.7 and Ex. 3.19 (v), (vii)).  So whole = 0
+gives length 0.  A caller may pass the minimal primes of a closed set
+containing Supp M: if p is the only listed prime meeting k[x_S] in 0 with
+dimension |S|, the length is whole / [k(p):k(x_S)]; if every listed prime
+lies in Supp M (full_support) and those at k(x_S) have degrees summing to
+whole, each of their lengths is 1.  Neither rule is taken when a listed
+prime meets k[x_S] in 0 with dimension above |S|: a prime of Supp M inside
+it need not be listed.  Otherwise M / p^N M tensor k(x_S) lives at p
+alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
+[k(p):k(x_S)] once p^N M_p = 0; the first N at which the count repeats, or
+reaches whole, gives p^N M_p = 0 by Nakayama.  At a closed point, with M
+of finite dimension over k, p^N M is an echelon span inside M
+(groebner.span_times, whose only caller this is) and no further basis is
+built; elsewhere each N costs one module basis, seeded with M's, under an
+order eliminating the variables U outside S.  No stop of this filtration
 within max_steps is reported as HypothesisError; the generic rank is the
 N = 1 count.  The residue degree [k(p):k(x_S)] is the same count on p's
 leading ideal (residue_degree), which morphisms also reads for
@@ -821,6 +831,45 @@ def residue_degree(lead, U):
     return len(_standard_terms([(0, e) for e in lead], 1, U))
 
 
+def _fiber_degree(q, U):
+    """[k(q):k(x_S)], S the variables outside U, when q meets k[x_S] in 0
+    and has dimension |S|; 0 when q meets k[x_S] in more than 0; None when
+    q meets it in 0 with dimension above |S|.  A prime meeting k[x_S] in 0
+    has dimension at least |S|, and under the order eliminating U a basis
+    element led by an S-monomial lies in k[x_S]."""
+    if q.dim() < q.ring.nvars - len(U):
+        return 0
+    lead = q.ideal.leading_exponents(_fiber_order(q.ring, U))
+    if any(not any(e[i] for i in U) for e in lead):
+        return 0
+    std = _standard_terms([(0, e) for e in lead], 1, U)
+    return None if std is None else len(std)
+
+
+def _length_by_additivity(whole, p, U, components, full_support):
+    """length(M_p) read off whole = dim M tensor k(x_S), or None when
+    neither rule applies; `components` are the minimal primes of a closed
+    set containing Supp M, and `full_support` says each lies in Supp M.
+
+    Finite `whole` is the sum of length(M_P) * [k(P):k(x_S)] over the P in
+    Supp M meeting k[x_S] in 0, each of dimension |S| (Atiyah & Macdonald,
+    Thm 8.7 and Ex. 3.19 (v), (vii)).  Each such P contains a listed prime
+    meeting k[x_S] in 0; when no listed one has dimension above |S| (the
+    guard), that listed prime is P itself.  So when p is the only listed
+    prime at k(x_S), the length is whole / [k(p):k(x_S)].  When every
+    listed prime is in Supp M, each one at k(x_S) adds at least its degree
+    to whole; if those degrees sum to whole, each length is 1."""
+    degrees = {q: _fiber_degree(q, U) for q in components}
+    if None in degrees.values() or not degrees.get(p):
+        return None
+    at_fiber = [d for d in degrees.values() if d]
+    if len(at_fiber) == 1:
+        return _per_residue_degree(whole, p, U)
+    if full_support and sum(at_fiber) == whole:
+        return 1
+    return None
+
+
 def _per_residue_degree(count, p, U):
     """count / [k(p):k(x_S)]."""
     degree = residue_degree(p.ideal.leading_exponents(_fiber_order(p.ring, U)), U)
@@ -838,16 +887,22 @@ def generic_rank(M, p, modulo=None):
     return _per_residue_degree(_fiber_dimension(basis, p.gens, M, U), p, U)
 
 
-def length_at_prime(M, p, modulo=None, max_steps=60):
+def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
+                    full_support=False):
     """Length of the localization of M at p (p minimal over Ann M).
 
-    With S a largest independent set of p, every prime above p meets
-    k[x_S], so M / p^N M tensor k(x_S) lives at p alone: its dimension over
-    k(x_S) is [k(p):k(x_S)] * length(M_p / p^N M_p).  These counts grow
-    with N and never pass the count of M itself; once one repeats, or
-    reaches M's, p^N M_p = 0 (Nakayama) and it gives the length.  No stop
-    within max_steps means p was not minimal over the annihilator or the
-    length is at least max_steps, reported as HypothesisError.
+    With S a largest independent set of p, the count of M tensor k(x_S)
+    alone answers when it is 0, and when `components` (the minimal primes
+    of a closed set containing Supp M, each in Supp M if full_support)
+    lets _length_by_additivity read the length off it.
+
+    Otherwise: every prime above p meets k[x_S], so M / p^N M tensor
+    k(x_S) lives at p alone: its dimension over k(x_S) is [k(p):k(x_S)] *
+    length(M_p / p^N M_p).  These counts grow with N and never pass the
+    count of M itself; once one repeats, or reaches M's, p^N M_p = 0
+    (Nakayama) and it gives the length.  No stop within max_steps means p
+    was not minimal over the annihilator or the length is at least
+    max_steps, reported as HypothesisError.
 
     At a closed point (every variable has a pure power among p's leading
     monomials) with M of finite dimension over k, the counts come from
@@ -857,9 +912,15 @@ def length_at_prime(M, p, modulo=None, max_steps=60):
     U = tuple(range(ring.nvars)) if closed else _dependent_variables(p)
     basis = _relation_basis(M, modulo, U)
     std = _standard_terms([v[0][0] for v in basis], M.rank, U)
+    whole = None if std is None else len(std)
+    if whole == 0:
+        return 0
+    if whole is not None and components is not None:
+        length = _length_by_additivity(whole, p, U, components, full_support)
+        if length is not None:
+            return length
     if closed and std is not None:
         return _closed_point_length(M, p, U, basis, std, max_steps)
-    whole = None if std is None else len(std)
     power = (ring.one,)
     dim = 0
     for _ in range(max_steps):

@@ -424,6 +424,24 @@ def matrix_rank_mod_prime(rows, p):
     return rank
 
 
+def module_dimension(M, modulo=None):
+    """dim_k M, or None when infinite: the standard monomials of M's
+    relation basis, counted position by position."""
+    basis = module_basis(M.relations, M.rank, M.ring, modulo=modulo)
+    key = position_order(M.rank, M.ring.order)
+    heads = [leading_term(v, key) for v in basis]
+    total = 0
+    for a in range(M.rank):
+        lead = [e for pos, e, _ in heads if pos == a]
+        if any(not any(e) for e in lead):
+            continue  # e_a itself is a relation
+        count = count_standard_monomials(lead)
+        if count is None:
+            return None
+        total += count
+    return total
+
+
 def rank_at_prime(M, p, modulo=None):
     """Rank of M at the generic point of V(p): rank minus the rank of the
     relation matrix, J folded in, over the residue field of p."""

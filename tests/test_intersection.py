@@ -2,18 +2,24 @@
 correction term, locality, and the structural identities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chowcalc import intersection as intersection_module
+from chowcalc import primes as primes_module
 from chowcalc.errors import EngineError, HypothesisError
-from chowcalc.fields import QQ
+from chowcalc.fields import GF, QQ
 from chowcalc.geometry import (Chart, Cycle, cycle_of_subscheme, point_cycle,
                                restrict_cycle)
 from chowcalc.groebner import Ideal
+from chowcalc.homology import FPModule, tor_modules
 from chowcalc.intersection import (IntersectionReport, intersection_product,
                                    intersects_properly, serre_multiplicity,
                                    tor_length_table, verify_identity)
 from chowcalc.morphisms import ChartMap, flat_pullback, proper_pushforward
 from chowcalc.polyring import PolynomialRing
 from chowcalc.primes import PrimeIdeal, vector_space_dimension
+
+from oracles import count_standard_monomials, filtration_length, module_dimension
 
 
 def plane():
@@ -325,3 +331,118 @@ def test_properness_predicate_matches_the_product():
         assert intersects_properly(a, b) is not improper
         outcomes.append(improper)
     assert outcomes == [True, False, False, True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# lengths read off one count by additivity: the component list, the
+# full-support flag of Tor_0, and where the filtration still runs
+
+def test_lengths_past_the_filtration_step_bound_answer_at_a_lone_component():
+    # (x^k, x^(k-1)*y) against a smooth curve through the origin meet there
+    # alone, so Tor_0 (length k) and Tor_1 (length 1) are read off their
+    # counts over k, past the filtration's 60-step bound
+    A2 = plane()
+    for k in (61, 70):
+        table = tor_length_table(A2, (f"x^{k}", f"x^{k - 1}*y"), ("y - 3*x - 5*x^2",))
+        assert [(str(z), lengths) for z, lengths in table] == [("(x, y)", [k, 1, 0, 0, 0])]
+
+
+def _spy_on_span_times(monkeypatch):
+    runs = []
+    original = primes_module.span_times
+
+    def spy(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(primes_module, "span_times", spy)
+    return runs
+
+
+def test_transverse_conics_run_no_filtration(monkeypatch):
+    # x^2 + y^2 = 5 meets xy = 2 in four rational points: Tor_0 has
+    # dimension 4, the sum of their degrees, so each has length 1
+    runs = _spy_on_span_times(monkeypatch)
+    A2 = plane()
+    prod = intersection_product(curve_cycle(A2, "x^2 + y^2 - 5"), curve_cycle(A2, "x*y - 2"))
+    assert sorted(m for _, m in prod.components()) == [1, 1, 1, 1]
+    assert runs == []
+
+
+def test_cycle_of_an_irreducible_curve_runs_no_filtration(monkeypatch):
+    # the twisted cubic is the only component of its subscheme, doubled or
+    # not, so its multiplicity is the count over k(x) by its residue degree
+    monkeypatch.setattr(primes_module, "_fiber_dimension", None)
+    A3 = Chart("A3", PolynomialRing(QQ, ("x", "y", "z")))
+    cubic = "(x^2 - y, x*y - z, y^2 - x*z)"
+    for gens, cycle in ((["y - x^2", "z - x^3"], f"[{cubic}]"),
+                        (["(y - x^2)^2", "z - x^3"], f"2*[{cubic}]")):
+        assert str(cycle_of_subscheme(Ideal(A3.ring, gens), A3)) == cycle
+
+
+def test_serre_multiplicity_keeps_the_filtration(monkeypatch):
+    # the origin is the only point of y = x^2 on y = 0; the table reads its
+    # length off the count, serre_multiplicity is given no component list
+    runs = _spy_on_span_times(monkeypatch)
+    A2 = plane()
+    [(z, lengths)] = tor_length_table(A2, ["y - x^2"], ["y"])
+    assert lengths == [2, 0, 0, 0, 0] and runs == []
+    assert serre_multiplicity(A2, ["y - x^2"], ["y"], z) == 2
+    assert runs
+
+
+def test_only_tor_0_is_flagged_full_support(monkeypatch):
+    seen, made = [], []
+    tors, length = intersection_module.tor_modules, intersection_module.length_at_prime
+
+    def tors_spy(*args, **kwargs):
+        made.append(tors(*args, **kwargs))
+        return made[-1]
+
+    def length_spy(T, z, **kwargs):
+        seen.append((T, kwargs))
+        return length(T, z, **kwargs)
+
+    monkeypatch.setattr(intersection_module, "tor_modules", tors_spy)
+    monkeypatch.setattr(intersection_module, "length_at_prime", length_spy)
+    A4 = four_space()
+    union, slant = planes_union_ideal(A4), Ideal(A4.ring, ["x - z", "y - w"])
+    table = tor_length_table(A4, union, slant)
+    [(z, _)] = table
+    [tor] = made
+    assert {T is tor[0] for T, _ in seen} == {True, False}
+    for T, kwargs in seen:
+        assert kwargs["full_support"] is (T is tor[0])
+        assert list(kwargs["components"]) == [z]
+    seen.clear()
+    assert serre_multiplicity(A4, union, slant, z) == 2
+    assert seen and all(kwargs["components"] is None for _, kwargs in seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]), data=st.data())
+def test_bezout_tables_match_the_filtration_oracle(field, data):
+    # y = g(x) against y = g(x) + c*P(x), P with simple and double integer
+    # roots and maybe the factor x^2 + 2, irreducible over QQ and F_7
+    R = PolynomialRing(field, ("x", "y"))
+    A2 = Chart("A2", R)
+    x, y = R.gens()
+    coeff = st.integers(-3, 3)
+    g = R.const(data.draw(coeff)) * x ** 2 + R.const(data.draw(coeff)) * x
+    P = R.const(data.draw(st.integers(1, 3), label="c"))
+    for r in data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True),
+                       label="roots"):
+        P = P * (x - R.const(r)) ** data.draw(st.integers(1, 2), label="multiplicity")
+    if data.draw(st.booleans(), label="x^2 + 2"):
+        P = P * (x ** 2 + R.const(2))
+    I, K = Ideal(R, [y - g]), Ideal(R, [y - g - P])
+    table = tor_length_table(A2, I, K)
+    tors = tor_modules(FPModule.cyclic(I), FPModule.cyclic(K), up_to=A2.dim() + 2)
+    for z, lengths in table:
+        assert lengths == [filtration_length(T, z) if T.rank else 0 for T in tors]
+    # every component is a closed point, so S is empty and the count over
+    # k(x_S) is dim_k Tor_i: it is the sum of len * [k(z):k] over the rows
+    degrees = [count_standard_monomials(z.ideal.leading_exponents()) for z, _ in table]
+    for i, T in enumerate(tors):
+        assert sum(d * lengths[i] for d, (_, lengths) in zip(degrees, table)) == (
+            module_dimension(T) if T.rank else 0)

@@ -647,8 +647,16 @@ def test_tor_lengths_of_crossing_planes():
 # the counting kernel against the filtration and rank oracles
 
 def _local_case(data):
-    """A prime p of A^n (n = 2, 3) of any dimension, a module near it, and
-    a chart ideal inside p.
+    M, p, modulo, _, _ = _local_case_listed(data)
+    return M, p, modulo
+
+
+def _local_case_listed(data):
+    """A prime p of A^n (n = 2, 3) of any dimension, a module near it, a
+    chart ideal inside p, the drawn primes (p and the second component
+    when drawn: the minimal primes of a closed set containing the
+    support) and whether each of them lies in the support: no mixing
+    relation was drawn and the chart, if any, runs through them.
 
     p = (t_0, ..., t_{c-1}) for c = codim p (c = 0: the zero prime), with
     t_i = x_i - a_i - b_i*w for w the last variable (w = 0 when p is a
@@ -681,18 +689,25 @@ def _local_case(data):
         return f
 
     rels = []
+    listed = [p]
     for a in range(rank):
         for i, t in enumerate(coords):
             g = t ** data.draw(st.integers(1, top))
             if i == 0 and data.draw(st.booleans(), label="second component"):
-                g = g * (ring.var(0) - ring.const(shift[0] + 1))
+                other = ring.var(0) - ring.const(shift[0] + 1)
+                g = g * other
+                listed.append(assert_prime(Ideal(ring, [other] + coords[1:])))
             rels.append(tuple(g if b == a else ring.zero for b in range(rank)))
-    for _ in range(data.draw(st.integers(0, 2))):
+    mixing = data.draw(st.integers(0, 2))
+    for _ in range(mixing):
         rels.append(tuple(local_poly() for _ in range(rank)))
     modulo = None
     if codim and data.draw(st.booleans(), label="chart"):
         modulo = Ideal(ring, (coords[-1] - local_poly() * coords[0],))
-    return FPModule(ring, rank, rels), p, modulo
+    listed = list(dict.fromkeys(listed))
+    full = not mixing and (modulo is None or all(q.contains(g) for q in listed
+                                                 for g in modulo.gens))
+    return FPModule(ring, rank, rels), p, modulo, listed, full
 
 
 @settings(max_examples=60, deadline=None)
@@ -718,8 +733,15 @@ def test_generic_rank_matches_the_rank_oracle(data):
 
 
 def _closed_case(data):
+    M, p, modulo, _, _ = _closed_case_listed(data)
+    return M, p, modulo
+
+
+def _closed_case_listed(data):
     """A module over A^n (n = 2, 3) supported at 1-3 closed points, one of
-    which is p, and maybe a chart ideal through all of them.
+    which is p, maybe a chart ideal through all of them, the points as
+    primes, and whether each of them lies in the support (no mixing
+    relation was drawn).
 
     A point is rational, (x - a, y - b, z - c), or of residue degree 2,
     (x^2 + 2, y - b, z - c), irreducible over QQ and F_7.  Every position
@@ -759,16 +781,17 @@ def _closed_case(data):
 
     rels = [tuple(g if b == a else ring.zero for b in range(rank))
             for a in range(rank) for g in support.gens]
-    rels += [tuple(small_poly() for _ in range(rank))
-             for _ in range(data.draw(st.integers(0, 2)))]
-    p = assert_prime(Ideal(ring, data.draw(st.sampled_from(ideals), label="p")))
+    mixing = data.draw(st.integers(0, 2))
+    rels += [tuple(small_poly() for _ in range(rank)) for _ in range(mixing)]
+    listed = [assert_prime(Ideal(ring, gens)) for gens in ideals]
+    p = data.draw(st.sampled_from(listed), label="p")
     modulo = None
     if data.draw(st.booleans(), label="chart"):
         f = small_poly() + ring.one
         for gens in ideals:
             f = f * data.draw(st.sampled_from(gens))
         modulo = Ideal(ring, (f,))
-    return FPModule(ring, rank, rels), p, modulo
+    return FPModule(ring, rank, rels), p, modulo, listed, not mixing
 
 
 @settings(max_examples=60, deadline=None)
@@ -776,6 +799,62 @@ def _closed_case(data):
 def test_closed_point_length_matches_the_filtration_oracle(data):
     M, p, modulo = _closed_case(data)
     assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+
+
+def _with_a_line(data, p, listed, full):
+    """Maybe list the line x = 3 too, off every drawn prime: a prime of
+    higher dimension meeting k[x_S] in 0 whenever x is outside S, which no
+    rule may read past."""
+    ring = p.ring
+    if p.gens and data.draw(st.booleans(), label="a line on the list"):
+        return listed + [assert_prime(Ideal(ring, (ring.var(0) - ring.const(3),)))], False
+    return listed, full
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_lengths_by_additivity_match_the_filtration_oracle(data):
+    M, p, modulo, listed, full = _closed_case_listed(data)
+    listed, full = _with_a_line(data, p, listed, full)
+    assert (length_at_prime(M, p, modulo, components=listed, full_support=full)
+            == filtration_length(M, p, modulo))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lengths_by_additivity_match_the_filtration_oracle(data):
+    M, p, modulo, listed, full = _local_case_listed(data)
+    listed, full = _with_a_line(data, p, listed, full)
+    assert (length_at_prime(M, p, modulo, components=listed, full_support=full)
+            == filtration_length(M, p, modulo))
+
+
+def test_a_listed_prime_of_higher_dimension_blocks_the_lone_component_rule():
+    # M = A/(x, y) + A/(x - 1, y) lies in V(x) ∪ V(x - 1, y), and M tensor k
+    # has dimension 2.  (x - 1, y) is the only listed point, but the origin
+    # on the listed line x = 0 is in Supp M too: the length is 1, not 2 / 1
+    zero = R2.zero
+    M = FPModule(R2, 2, [(R2.parse("x"), zero), (R2.parse("y"), zero),
+                         (zero, R2.parse("x - 1")), (zero, R2.parse("y"))])
+    line, point = prime_of(R2, "x"), prime_of(R2, "x - 1", "y")
+    assert length_at_prime(M, point, components=[line, point]) == 1
+
+
+def test_the_unit_length_rule_needs_every_listed_prime_in_the_support():
+    # A/((x - 1)^2, y) lies in {(0, 0), (1, 0)}, and its dimension 2 is the
+    # sum of the two points' degrees; but the origin is not in its support,
+    # so the lengths are 0 and 2, not 1 and 1
+    M = FPModule.cyclic(Ideal(R2, ("x^2 - 2*x + 1", "y")))
+    comps = [prime_of(R2, "x", "y"), prime_of(R2, "x - 1", "y")]
+    assert [length_at_prime(M, z, components=comps) for z in comps] == [0, 2]
+
+
+def test_a_module_gone_over_k_of_x_s_has_length_zero_without_a_filtration(monkeypatch):
+    # A/(x) tensor k(x) = 0, so its length at (y), where S = {x}, is 0
+    # before any count of M / (y)^N M
+    monkeypatch.setattr(primes_module, "_fiber_dimension", None)
+    M = FPModule.cyclic(Ideal(R2, ("x",)))
+    assert length_at_prime(M, prime_of(R2, "y")) == 0
 
 
 def test_closed_components_of_one_tor_module_share_one_basis(monkeypatch):
