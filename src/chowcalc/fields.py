@@ -13,6 +13,7 @@ also takes a fractions.Fraction and converts it, since MPQ and Fraction
 values do not mix in arithmetic.
 """
 
+import math
 import operator
 from fractions import Fraction
 
@@ -58,6 +59,15 @@ class RationalField:
         if den == 0:
             raise EngineError("zero denominator in coefficient")
         return PythonMPQ(num, den)
+
+    def sqrt(self, a):
+        """A square root of a in QQ, or None: a = n/d in lowest terms is a
+        square exactly when n and d are."""
+        n, d = a.numerator, a.denominator
+        if n < 0:
+            return None
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        return PythonMPQ(rn, rd) if rn * rn == n and rd * rd == d else None
 
     def is_negative(self, a):
         return a.numerator < 0
@@ -151,6 +161,34 @@ class PrimeField:
         if den % self.p == 0:
             raise EngineError("zero denominator in coefficient")
         return self.div(num % self.p, den % self.p)
+
+    def sqrt(self, a):
+        """A square root of a in F_p, or None: Euler's criterion decides,
+        Tonelli-Shanks finds the root (Cohen, A Course in Computational
+        Algebraic Number Theory, 1.5.1)."""
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1  # the least non-residue
+        c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            r, c = r * b % p, b * b % p
+            t, s = t * c % p, i
+        return r
 
     def is_negative(self, a):
         # canonical representatives live in [0, p); nothing prints as negative

@@ -36,11 +36,14 @@ p_1 ∩ ... ∩ p_r ⊆ rad(I) proved from scratch, by intersecting and the
 Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
-Factors come from `factor`.  A polynomial c*y + b, with c a nonzero
-constant and the variable y not occurring in b, is irreducible and is
-answered on sight; every other one goes to sympy's sparse polynomial rings,
-over QQ in its own variables and over F_p in its one variable (a
-homogeneous bivariate one is dehomogenized first).
+Factors come from `factor`.  Four shapes are answered without sympy, in
+sympy's normalization and order: c*y + b (c a nonzero constant, y not in
+b) is irreducible on sight; a monomial is read off; a quadric with a square
+term, in odd characteristic, by completing the square; a*x + b with a and b
+in one other variable y by Gauss's lemma, its gcd in k[y] factored in turn.
+Every other polynomial goes to sympy's sparse polynomial rings, over QQ in
+its own variables and over F_p in its one variable (a homogeneous bivariate
+one is dehomogenized first, before any shape but c*y + b is tried).
 
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M's reduced relation basis
@@ -91,7 +94,15 @@ from .polyring import (PolynomialRing, elimination_order, fresh_names,
 class FactorizationUnavailable(EngineError):
     """Raised when a polynomial over F_p falls outside the finite-field
     fragment of factor: univariate polynomials, homogeneous bivariate ones,
-    and c*y + b with c a nonzero constant and y not occurring in b."""
+    monomials, c*y + b with c a nonzero constant and y not occurring in b,
+    quadrics with a square term in odd characteristic, and a*x + b with a
+    and b in one other variable."""
+
+
+def _is_homogeneous_bivariate(f):
+    """Whether f is homogeneous in exactly two variables."""
+    d = f.total_degree()
+    return len(f.support()) == 2 and all(sum(e) == d for e, _ in f.terms)
 
 
 def _factor_homogeneous_bivariate(f):
@@ -99,14 +110,11 @@ def _factor_homogeneous_bivariate(f):
     dehomogenizing to a univariate one; None when the shape does not
     apply.  This is the one multivariate case the finite-field backend
     can always handle."""
+    if not _is_homogeneous_bivariate(f):
+        return None
     ring = f.ring
-    sup = sorted(f.support())
-    if len(sup) != 2:
-        return None
     d = f.total_degree()
-    if any(sum(e) != d for e, _ in f.terms):
-        return None
-    i, j = sup
+    i, j = sorted(f.support())
     shadow_terms = {}
     for e, c in f.terms:
         key = tuple(e[i] if k == i else 0 for k in range(ring.nvars))
@@ -154,6 +162,161 @@ def _normalized(f):
     return f * scale
 
 
+def _dense(terms):
+    """sympy's dense recursive coefficient list of `terms` [(exponents, c)]:
+    coefficients of the first variable from the top degree down, each the
+    list of the remaining variables; a zero coefficient is [] (0 at the last
+    level), which sorts first either way."""
+    if len(terms[0][0]) == 1:
+        by = {e[0]: c for e, c in terms}
+        return [by.get(k, 0) for k in range(max(by), -1, -1)]
+    by = {}
+    for e, c in terms:
+        by.setdefault(e[0], []).append((e[1:], c))
+    return [_dense(by[k]) if k in by else [] for k in range(max(by), -1, -1)]
+
+
+def _in_sympy_order(f, pairs):
+    """The factors `pairs` of f in the order sympy's factor_list returns
+    them (sympy's _sort_factors): by degree in the first variable plus one,
+    then multiplicity, then the dense recursive coefficient list.  The
+    variables are those of the ring sympy would factor in: over QQ f's
+    ring's, over F_p f's own."""
+    if isinstance(f.ring.field, RationalField):
+        at = range(f.ring.nvars)
+    else:
+        at = sorted(f.support())
+
+    def key(pair):
+        terms = [(tuple(e[i] for i in at), c) for e, c in pair[0].terms]
+        return max(e[0] for e, _ in terms) + 1, pair[1], _dense(terms)
+    return sorted(pairs, key=key)
+
+
+def _monomial_factors(f):
+    """c*x^e, read off as [(x_i, e_i)]: the variables are prime in the
+    polynomial ring, a unique factorization domain."""
+    if len(f.terms) != 1:
+        return None
+    ring = f.ring
+    return _in_sympy_order(f, [(ring.var(i), k) for i, k in enumerate(f.terms[0][0]) if k])
+
+
+def _square_root(D):
+    """L with L*L == D, for D of total degree at most 2, or None.  A
+    nonconstant square L*L has some z^2 term, s^2*z^2 with s the
+    coefficient of z in L, and its z-linear part is 2*s*z*(L - s*z); so
+    L = s*z + D_z/(2*s), D_z the coefficient of z in D, is the one
+    candidate up to sign, and one expansion tests it."""
+    ring = D.ring
+    field = ring.field
+    if not D:
+        return D
+    if D.is_constant():
+        s = field.sqrt(D.lc())
+        return None if s is None else ring.const(s)
+    z = min((e.index(2) for e, _ in D.terms if 2 in e), default=None)
+    if z is None:
+        return None
+    s = field.sqrt(next(c for e, c in D.terms if e[z] == 2))
+    if s is None:
+        return None
+    half = field.inv(field.add(s, s))
+    L = ring.from_dict({e[:z] + (0,) + e[z + 1:]: field.mul(c, half)
+                        for e, c in D.terms if e[z] == 1})
+    L = L + ring.var(z) * s
+    return L if L * L == D else None
+
+
+def _quadric_factors(f):
+    """f of total degree 2 with a y^2 term, over a field of characteristic
+    other than 2: with f = a*y^2 + B*y + C (a a nonzero constant, B and C
+    free of y) and D = B^2 - 4*a*C, 4*a*f = (2*a*y + B)^2 - D.  A factor
+    of f free of y divides the constant a, so f splits iff it has a factor
+    of degree one in y, a root y = r with D = (2*a*r + B)^2: iff D = L^2 in
+    the other variables (Lam, Introduction to Quadratic Forms over Fields,
+    ch. I).  The factors are then 2*a*y + B -+ L, one of multiplicity 2
+    when L = 0; each has a unit coefficient of y, so is irreducible."""
+    ring = f.ring
+    field = ring.field
+    if field.characteristic == 2 or f.total_degree() != 2:
+        return None
+    y = min((e.index(2) for e, _ in f.terms if 2 in e), default=None)
+    if y is None:
+        return None
+    parts = ({}, {}, {})
+    for e, c in f.terms:
+        parts[e[y]][e[:y] + (0,) + e[y + 1:]] = c
+    (a,) = parts[2].values()
+    B, C = ring.from_dict(parts[1]), ring.from_dict(parts[0])
+    L = _square_root(B * B - C * field.mul(field.coerce(4), a))
+    if L is None:
+        return [(_normalized(f), 1)]
+    lin = ring.var(y) * field.add(a, a) + B
+    if not L:
+        return [(_normalized(lin), 2)]
+    return _in_sympy_order(f, [(_normalized(lin - L), 1), (_normalized(lin + L), 1)])
+
+
+def _stripped(a):
+    """A univariate coefficient list (top degree first) without leading
+    zeros."""
+    k = 0
+    while k < len(a) and not a[k]:
+        k += 1
+    return a[k:]
+
+
+def _divmod(a, b, field):
+    """Quotient and remainder of univariate coefficient lists (top degree
+    first, b's leading coefficient nonzero)."""
+    a = list(a)
+    inv = field.inv(b[0])
+    quo = []
+    while len(a) >= len(b):
+        c = field.mul(a.pop(0), inv)
+        quo.append(c)
+        for i in range(1, len(b)):
+            a[i - 1] = field.sub(a[i - 1], field.mul(c, b[i]))
+    return quo, _stripped(a)
+
+
+def _gauss_factors(f):
+    """f = a*x + b with a and b in k[y], y the one other variable of f:
+    with g the monic gcd of a and b (Euclid in k[y]), f = g*((a/g)*x + b/g),
+    and the cofactor, primitive of degree one in x over k[y], is
+    irreducible (Gauss's lemma; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 6.2).  g is factored in turn."""
+    support = f.support()
+    if len(support) != 2:
+        return None
+    x = next((i for i in sorted(support) if max(e[i] for e, _ in f.terms) == 1), None)
+    if x is None:
+        return None
+    (y,) = support - {x}
+    ring = f.ring
+    field = ring.field
+    top = max(e[y] for e, _ in f.terms)
+    a, b = [field.zero] * (top + 1), [field.zero] * (top + 1)
+    for e, c in f.terms:
+        (a if e[x] else b)[top - e[y]] = c
+    a, b = _stripped(a), _stripped(b)
+    g, r = a, b
+    while r:
+        g, r = r, _divmod(g, r, field)[1]
+    if len(g) == 1:
+        return [(_normalized(f), 1)]
+    g = [field.div(c, g[0]) for c in g]
+
+    def poly(coeffs, ex):
+        n = len(coeffs) - 1
+        return ring.from_dict({tuple(ex if i == x else n - k if i == y else 0
+                                     for i in range(ring.nvars)): c
+                               for k, c in enumerate(coeffs)})
+    cofactor = poly(_divmod(a, g, field)[0], 1) + poly(_divmod(b, g, field)[0], 0)
+    return _in_sympy_order(f, factor(poly(g, 0)) + [(_normalized(cofactor), 1)])
+
+
 def _factor_with_sympy(f):
     """Factor through sympy's sparse rings: over QQ in f's own variables,
     over F_p in the one variable of a univariate f (a homogeneous bivariate
@@ -185,19 +348,29 @@ def _factor_with_sympy(f):
 
 
 def factor(f):
-    """[(irreducible factor, multiplicity)], constants dropped.
+    """[(irreducible factor, multiplicity)], constants dropped, in sympy's
+    order.
 
     Exact over QQ in any number of variables.  Over F_p the fragment is
-    univariate polynomials, homogeneous bivariate ones, and c*y + b with c a
-    nonzero constant and y not occurring in b (FactorizationUnavailable
-    otherwise).  A polynomial c*y + b is irreducible on sight and answered
-    without sympy, normalized as sympy would (_normalized); other answers
-    are kept in the prime_cache_scope dict, so sympy sees each polynomial
-    once per top-level call."""
+    univariate polynomials, homogeneous bivariate ones, monomials, c*y + b
+    with c a nonzero constant and y not occurring in b, quadrics with a
+    square term in odd characteristic, and a*x + b with a and b in one
+    other variable (FactorizationUnavailable otherwise).  Those last four
+    shapes are answered without sympy (_degree_one_alone, _monomial_factors,
+    _quadric_factors, _gauss_factors), normalized as sympy would
+    (_normalized); over F_p a homogeneous bivariate polynomial keeps its
+    dehomogenization instead.  Other answers are kept in the
+    prime_cache_scope dict, so sympy sees each polynomial once per
+    top-level call."""
     if f.is_zero() or f.is_constant():
         return []
     if next(_degree_one_alone(f), None) is not None:
         return [(_normalized(f), 1)]
+    if isinstance(f.ring.field, RationalField) or not _is_homogeneous_bivariate(f):
+        for shape in (_monomial_factors, _quadric_factors, _gauss_factors):
+            pairs = shape(f)
+            if pairs is not None:
+                return pairs
     cache = _prime_cache_var.get()
     if cache is None:
         return _factor_with_sympy(f)

@@ -14,7 +14,10 @@ normal forms, by the filtration by powers of the prime and by elimination
 over the residue field, routes that its counting kernel does not take.
 The factorization reference goes through sympy's expression layer (symbols,
 Poly and factor_list), where the engine builds sparse ring elements and
-recognizes c*y + b without sympy.
+recognizes monomials, quadrics, c*y + b and a*x + b without sympy.  Over
+F_p in several variables sympy has no reference; there quadric_splits
+decides a quadric by the rank of its matrix, where the engine completes
+the square.
 """
 
 import warnings
@@ -387,6 +390,58 @@ def factor_by_expressions(f):
         if not g.is_constant():
             out.append((g, e))
     return out
+
+
+def _is_square(c, field):
+    """Whether c is a square in the field: by sympy's exact square root
+    over QQ, by trying every residue over F_p."""
+    if isinstance(field, RationalField):
+        return sympy.sqrt(sympy.Rational(c.numerator, c.denominator)).is_Rational
+    return any(x * x % field.p == c % field.p for x in range(field.p))
+
+
+def quadric_splits(f):
+    """Whether f, of total degree 2 over a field of characteristic other
+    than 2, is a product of two linear polynomials over that field.
+    Homogenize and take the (n+1) x (n+1) symmetric matrix Q of the
+    quadratic form.  Rank 1 is c*l^2.  At rank 2 the form is equivalent to
+    a*X^2 + b*Y^2, which splits iff -a*b is a square, and any nonzero 2 x 2
+    principal minor of Q is a*b times a square (Lam, Introduction to
+    Quadratic Forms over Fields, ch. I).  Rank 3 or more never splits."""
+    ring = f.ring
+    field = ring.field
+    n = ring.nvars + 1
+    if isinstance(field, RationalField):
+        num = lambda c: Fraction(c.numerator, c.denominator)
+        div = lambda a, b: a / b
+    else:
+        p = field.p
+        num = lambda c: int(c) % p
+        div = lambda a, b: a * pow(b, p - 2, p) % p
+    sub = lambda a, b: num(a - b)
+    Q = [[num(0)] * n for _ in range(n)]
+    for e, c in f.terms:
+        i, j = [i for i, k in enumerate(tuple(e) + (2 - sum(e),)) for _ in range(k)]
+        if i == j:
+            Q[i][i] = num(Q[i][i] + num(c))
+        else:
+            Q[i][j] = Q[j][i] = num(Q[i][j] + div(num(c), num(2)))
+    rows = [row[:] for row in Q]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, n):
+            scale = div(rows[r][col], rows[rank][col])
+            rows[r] = [sub(a, scale * b) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    if rank != 2:
+        return rank == 1
+    minor = next(m for i, j in combinations(range(n), 2)
+                 if (m := sub(Q[i][i] * Q[j][j], Q[i][j] * Q[j][i])))
+    return _is_square(-minor, field)
 
 
 # ---------------------------------------------------------------------------

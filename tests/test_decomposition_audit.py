@@ -380,13 +380,29 @@ def test_minimal_primes_pass_the_full_audit_and_the_reference(data):
     (QQ, "xyz", ("2*x*y^3*z^2 - 2*y^2*z^2 + 6*y*z^2",
                  "3*x^3*y^2*z^4 - 2*x^3*y^2*z^2 + 3*x^2*y*z^4 - 2*x^2*y*z^2"),
      "ideal shape outside the certification fragment: (x*y^2 - y + 3, z^2 - 2/3)"),
-    (GF(7), "xy", ("5*x^2*y^2 + 3*x*y^2", "6*x^2*y^3 + 4*x^2*y"),
-     "ideal shape outside the certification fragment: "
-     "(x^3*y + 2*x^2*y, x^2*y^2 + 2*x*y^2, x*y^3 + 2*x^2*y)"),
-    (GF(7), "xyz", ("x*y*z + y", "5*x^3*y*z^3", "2*x^2*y^2*z^4 + 4*x*z^4 + 3*z^4"),
-     "ideal shape outside the certification fragment: (x*z^4 + 6*z^4)"),
+    (GF(7), "xy", ("6*x^3*y^2 + 2*y^3",),
+     "ideal shape outside the certification fragment: (x^3*y^2 + 5*y^3)"),
+    (GF(7), "xyz", ("6*x^3*y^2*z^4 + 4*x^3*y^2*z^3",),
+     "ideal shape outside the certification fragment: (x^3*y^2*z^4 + 3*x^3*y^2*z^3)"),
 ])
 def test_inputs_outside_the_fragment_still_raise(field, names, gens, message):
     ring = PolynomialRing(field, tuple(names))
     with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
         minimal_primes(Ideal(ring, gens))
+
+
+@pytest.mark.parametrize("names, gens, expected", [
+    # x^3*y + 2*x^2*y = x^2*y*(x + 2) is degree one in y over k[x]
+    ("xy", ("5*x^2*y^2 + 3*x*y^2", "6*x^2*y^3 + 4*x^2*y"),
+     [("x",), ("y",), ("x + 2", "y + 2"), ("x + 2", "y + 5")]),
+    # x*z^4 + 6*z^4 = z^4*(x + 6) is degree one in x over k[z]
+    ("xyz", ("x*y*z + y", "5*x^3*y*z^3", "2*x^2*y^2*z^4 + 4*x*z^4 + 3*z^4"),
+     [("x + 6", "y"), ("y", "z")]),
+])
+def test_inputs_that_left_the_fragment_pass_the_full_audit(names, gens, expected):
+    # over F_7 these raised while a*x + b went unfactored
+    I = Ideal(PolynomialRing(GF(7), tuple(names)), gens)
+    primes = minimal_primes(I)
+    assert [p.key for p in primes] == expected
+    assert [p.key for p in assert_decomposition(I, [p.ideal for p in primes])] == expected
+    assert audit_accepts(I, [p.ideal for p in primes])

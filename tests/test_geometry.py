@@ -14,7 +14,7 @@ from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
-from chowcalc.primes import minimal_primes
+from chowcalc.primes import assert_decomposition, minimal_primes
 
 from oracles import laplace_det
 
@@ -73,7 +73,7 @@ def test_codimension_sup_convention():
 
 
 def _prime(ring, *gens):
-    from chowcalc.primes import minimal_primes
+    from chowcalc.primes import assert_decomposition, minimal_primes
     primes = minimal_primes(Ideal(ring, gens))
     assert len(primes) == 1
     return primes[0]
@@ -336,13 +336,28 @@ def _no_decomposition(ideal):
 
 
 def test_localized_chart_decomposes_itself_when_its_parent_cannot():
-    # over F_7 the backend cannot factor x*y - x^3 = x*(y - x^2), but
-    # inverting x leaves a shape the fragment certifies
+    # over F_7 the backend cannot factor x*y^2 - x^2 = x*(y^2 - x), a
+    # non-homogeneous cubic with no variable of degree one, but inverting x
+    # leaves a shape the fragment certifies
     ring = PolynomialRing(GF(7), ("x", "y"))
-    parent = Chart("A", ring, ("x*y - x^3",))
+    parent = Chart("A", ring, ("x*y^2 - x^2",))
     with pytest.raises(DecompositionError):
         parent.components()
     child = parent.localize("x")
+    assert [str(p) for p in child.components()] == ["(y^2 + 6*x, x*u + 6)"]
+
+
+def test_chart_over_a_finite_field_splits_off_a_variable_by_gauss():
+    # x*y - x^3 = x*(y - x^2) over F_7: degree one in y with coefficients
+    # x and -x^3, whose gcd x splits off
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    chart = Chart("A", ring, ("x*y - x^3",))
+    primes = chart.components()
+    assert [str(p) for p in primes] == ["(x)", "(x^2 + 6*y)"]
+    I = Ideal(ring, ("x*y - x^3",))
+    assert [p.key for p in assert_decomposition(I, [p.ideal for p in primes])] == [
+        p.key for p in primes]
+    child = chart.localize("x")
     assert [str(p) for p in child.components()] == ["(x^2 + 6*y, x*u + 6, y*u + 6*x)"]
 
 

@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
@@ -14,10 +16,13 @@ from chowcalc import groebner as groebner_module
 from chowcalc import primes as primes_module
 from chowcalc.errors import (ConsistencyError, DecompositionError, HypothesisError,
                              NotPrimeError)
-from chowcalc.fields import GF, QQ
+from chowcalc.fields import GF, QQ, RationalField
+from chowcalc.correspondences import compose, correspondence_degree, graph
 from chowcalc.geometry import Chart, cycle_of_subscheme
 from chowcalc.groebner import Ideal, intersect
 from chowcalc.homology import FPModule, FreeModuleElement, tor_modules
+from chowcalc.intersection import intersection_product, tor_length_table
+from chowcalc.morphisms import ChartMap
 from chowcalc.polyring import PolynomialRing
 from chowcalc.primes import (FactorizationUnavailable, PrimeIdeal, assert_decomposition,
                              assert_prime, factor, generic_rank, is_prime,
@@ -28,7 +33,7 @@ from chowcalc.primes import standard_exponents
 from chowcalc.script import run_script
 
 from oracles import (count_standard_monomials, factor_by_expressions, filtration_length,
-                     rank_at_prime)
+                     quadric_splits, rank_at_prime)
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -68,8 +73,23 @@ def test_factor_finite_field():
     facs = factor(F5.parse("x^3*y^2 + x*y^4"))
     assert sorted((str(q), e) for q, e in facs) == [
         ("x", 1), ("x + 2*y", 1), ("x + 3*y", 1), ("y", 2)]
+    # a non-homogeneous bivariate cubic with no variable of degree one
     with pytest.raises(FactorizationUnavailable):
-        factor(F5.parse("x^2 + y^2 + 1"))
+        factor(F5.parse("x^3 + y^3 + 1"))
+
+
+def test_factor_finite_field_quadric_without_a_square_root():
+    # x^2 + y^2 + 1 raised at the fragment's old edge; completing the square
+    # leaves D = y^2 + 1, not a square over F_5, and the matrix has rank 3
+    F5 = PolynomialRing(GF(5), ("x", "y"))
+    f = F5.parse("x^2 + y^2 + 1")
+    assert not quadric_splits(f)
+    assert factor(f) == [(f, 1)]
+    I = Ideal(F5, (f,))
+    primes = minimal_primes(I)
+    assert [p.key for p in primes] == [("x^2 + y^2 + 1",)]
+    assert [p.key for p in assert_decomposition(I, [p.ideal for p in primes])] == [
+        ("x^2 + y^2 + 1",)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,18 +167,18 @@ def test_factor_reaches_sympy_once_per_polynomial_in_a_scope(monkeypatch):
     monkeypatch.setattr(PolyElement, "factor_list", counted)
     F7 = PolynomialRing(GF(7), ("x", "y"))
     RUV = PolynomialRing(QQ, ("u", "v"))  # same exponent tuples, another ring
-    polys = [R2.parse("x^2 - y^2"), R2.parse("x^2 + 1"), RUV.parse("u^2 + 1"),
-             F7.parse("x^2 + 1"), F7.parse("x^3 - 1"), F7.parse("x^2 + y^2"),
+    polys = [R2.parse("x^3 - y^3"), R2.parse("x^3 + 2"), RUV.parse("u^3 + 2"),
+             F7.parse("x^3 + 2"), F7.parse("x^3 - 1"), F7.parse("x^3 + 2*y^3"),
              R2.parse("2*x - 3*y + 1"), F7.parse("x + 3*y"),
              R2.parse("x^3 - x + 2*y"), F7.parse("3*y + x^2 + 1")]
     with primes_module.prime_cache_scope() as cache:
         first = [factor(f) for f in polys]
         assert [factor(f) for f in reversed(polys)] == first[::-1]
-        assert factor(R2.parse("x^2 - y^2")) == first[0]
-    # linear forms and c*y + b never reach sympy; x^2 + y^2 over F_7 does
-    # through its dehomogenization x^2 + 1, already factored in the same scope
+        assert factor(R2.parse("x^3 - y^3")) == first[0]
+    # linear forms and c*y + b never reach sympy; x^3 + 2*y^3 over F_7 does
+    # through its dehomogenization x^3 + 2, already factored in the same scope
     assert sorted(calls) == ["Fp", "Fp", "QQ", "QQ", "QQ"]
-    assert ("factor", R2, R2.parse("x^2 + 1").terms) in cache
+    assert ("factor", R2, R2.parse("x^3 + 2").terms) in cache
     with primes_module.prime_cache_scope():
         assert [factor(f) for f in polys] == first
     assert len(calls) == 10
@@ -184,6 +204,199 @@ def test_factor_finite_field_degree_one_in_a_variable():
     # x leads in lex, y^3 under the ring's grevlex order
     assert [(str(q), e) for q, e in factor(F5.parse("y^3 + 2*x + z^2"))] == [
         ("3*y^3 + 3*z^2 + x", 1)]
+
+
+@contextmanager
+def sympy_factor_calls():
+    """The polynomials that reach sympy's factor_list, as strings."""
+    calls = []
+    real = PolyElement.factor_list
+
+    def counted(self):
+        calls.append(str(self))
+        return real(self)
+
+    with mock.patch.object(PolyElement, "factor_list", counted):
+        yield calls
+
+
+def test_quadrics_that_reached_sympy_answer_without_it():
+    # the inputs of the cache-scope test before quadrics were recognized;
+    # x^2 + y^2 over F_7 keeps its dehomogenization, now to a quadric
+    F7 = PolynomialRing(GF(7), ("x", "y"))
+    RUV = PolynomialRing(QQ, ("u", "v"))
+    polys = [R2.parse("x^2 - y^2"), R2.parse("x^2 + 1"), RUV.parse("u^2 + 1"),
+             F7.parse("x^2 + 1")]
+    with sympy_factor_calls() as calls, primes_module.prime_cache_scope():
+        got = [factor(f) for f in polys] + [factor(F7.parse("x^2 + y^2"))]
+    assert calls == []
+    assert got[:4] == [factor_by_expressions(f) for f in polys]
+    assert [(str(q), e) for q, e in got[4]] == [("x^2 + y^2", 1)]
+
+
+_FLAGS = {"flat": True, "finite": True, "proper": True}
+
+
+def test_graph_against_its_transpose_reaches_sympy_zero_times():
+    # f(s) - f(t) on A1, and y^2 - y_r^2 on A2, are quadrics
+    S, X = (Chart(n, PolynomialRing(QQ, (v,))) for n, v in (("S", "t"), ("X", "x")))
+    A, B = Chart("A", R2), Chart("B", PolynomialRing(QQ, ("u", "v")))
+    with sympy_factor_calls() as calls:
+        g = graph(ChartMap(S, X, {"x": "t^2 - 20*t + 3"}, **_FLAGS))
+        h = compose(g, g.transpose())
+        assert (str(h.cycle), correspondence_degree(h)) == ("[(t + t_r - 20)] + [(t - t_r)]", 2)
+        g = graph(ChartMap(A, B, {"u": "x", "v": "y^2 + 3*x - 7"}, **_FLAGS))
+        assert str(compose(g, g.transpose()).cycle) == "[(x - x_r, y + y_r)] + [(x - x_r, y - y_r)]"
+    assert calls == []
+
+
+def test_excess_tor_table_reaches_sympy_zero_times():
+    # (x^k, x^(k-1)*y) against a slant meets monomials and a*x + b only
+    A = Chart("A", R2)
+    with sympy_factor_calls() as calls:
+        for k in (2, 3, 4):
+            [(z, lengths)] = tor_length_table(A, (f"x^{k}", f"x^{k - 1}*y"), ("y - 3*x - 5*x^2",))
+            assert (str(z), lengths) == ("(x, y)", [k, 1, 0, 0, 0])
+    assert calls == []
+
+
+def test_bezout_product_with_linear_and_quadratic_factors_reaches_sympy_zero_times():
+    A = Chart("A", R2)
+    line = "y - x^2 - 3*x + 1"
+    with sympy_factor_calls() as calls:
+        for diff, want in (("2*(x - 1)*(x + 2)", "[(x + 2, y + 3)] + [(x - 1, y - 3)]"),
+                           ("3*(x^2 + 3)", "[(y^2 + 8*y + 43, x - 1/3*y - 4/3)]"),
+                           ("5*(x - 1)^2", "2*[(x - 1, y - 3)]")):
+            a = cycle_of_subscheme(Ideal(R2, (line,)), A)
+            b = cycle_of_subscheme(Ideal(R2, (f"{line} + {diff}",)), A)
+            assert str(intersection_product(a, b)) == want
+    assert calls == []
+
+
+def test_quadrics_in_characteristic_two_keep_the_sympy_route():
+    # completing the square divides by 2: over GF(2) a quadric still goes
+    # to sympy when univariate and raises otherwise, x^2 + y^2 + 1 being
+    # (x + y + 1)^2 there
+    F2 = PolynomialRing(GF(2), ("x", "y"))
+    with sympy_factor_calls() as calls:
+        assert [(str(q), e) for q, e in factor(F2.parse("x^2 + 1"))] == [("x + 1", 2)]
+    assert calls == ["x**2 + 1 mod 2"]
+    with pytest.raises(FactorizationUnavailable):
+        factor(F2.parse("x^2 + y^2 + 1"))
+
+
+_SHAPE_FIELDS = [None, 7, 101]
+
+
+def _shape_ring(data, nvars):
+    p = data.draw(st.sampled_from(_SHAPE_FIELDS), label="field")
+    field = QQ if p is None else GF(p)
+    ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
+    coeff = (st.fractions(min_value=-20, max_value=20, max_denominator=12) if p is None
+             else st.integers(0, p - 1))
+    return ring, coeff
+
+
+def _check_factors(f, facs):
+    """The factors multiply to f up to a nonzero constant, each in sympy's
+    normalization (monic in its lex-leading term over F_p); where sympy has
+    a reference (QQ, or one variable) they equal it, order included."""
+    ring = f.ring
+    product = ring.one
+    for q, e in facs:
+        assert not q.is_constant() and e >= 1
+        product = product * q ** e
+    assert product * ring.field.div(f.lc(), product.lc()) == f
+    if isinstance(ring.field, RationalField) or len(f.support()) == 1:
+        want = factor_by_expressions(f)
+        assert [(q.terms, e) for q, e in facs] == [(q.terms, e) for q, e in want]
+    else:
+        assert all(max(q.terms)[1] == 1 for q, _ in facs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_monomials_are_read_off(data):
+    ring, coeff = _shape_ring(data, data.draw(st.integers(1, 3)))
+    exps = data.draw(st.tuples(*[st.integers(0, 4)] * ring.nvars))
+    f = ring.monomial(exps, data.draw(coeff.filter(bool)))
+    if f.is_constant():
+        return
+    with sympy_factor_calls() as calls:
+        facs = factor(f)
+    assert calls == []
+    assert sorted((q.terms[0][0].index(1), e) for q, e in facs) == [
+        (i, k) for i, k in enumerate(exps) if k]
+    _check_factors(f, facs)
+
+
+def _linear_form(data, ring, coeff):
+    n = ring.nvars
+    terms = {tuple(int(j == i) for j in range(n)): data.draw(coeff) for i in range(n)}
+    terms[(0,) * n] = data.draw(coeff)
+    return ring.from_dict(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quadrics_split_exactly_when_their_matrix_says_so(data):
+    # reducible draws are products of two linear polynomials, irreducible
+    # ones random terms of degree at most 2; quadric_splits decides by rank
+    ring, coeff = _shape_ring(data, data.draw(st.integers(1, 3)))
+    n = ring.nvars
+    if data.draw(st.booleans(), label="product"):
+        f = _linear_form(data, ring, coeff) * _linear_form(data, ring, coeff)
+    else:
+        exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+        f = ring.from_dict(data.draw(st.dictionaries(exps, coeff, min_size=1, max_size=6)))
+    if f.total_degree() != 2 or not any(2 in e for e, _ in f.terms):
+        return
+    with sympy_factor_calls() as calls:
+        facs = factor(f)
+    assert calls == []
+    _check_factors(f, facs)
+    assert quadric_splits(f) == (len(facs) > 1 or facs[0][1] > 1)
+    if quadric_splits(f):
+        assert all(q.total_degree() == 1 for q, _ in facs)
+
+
+def _poly_in(data, ring, var, coeff, degree):
+    n = ring.nvars
+    return ring.from_dict({tuple(k if j == var else 0 for j in range(n)): data.draw(coeff)
+                           for k in range(degree + 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_degree_one_in_x_over_one_other_variable_splits_off_the_gcd(data):
+    # f = a*x + b, a and b in k[y]: reducible draws g*(a*x + b), irreducible
+    # ones random a, b; over F_p the factors free of x multiply to gcd(a, b),
+    # which sympy's expression layer computes independently
+    ring, coeff = _shape_ring(data, data.draw(st.integers(2, 3)))
+    a = _poly_in(data, ring, 1, coeff, data.draw(st.integers(1, 2)))
+    b = _poly_in(data, ring, 1, coeff, data.draw(st.integers(0, 3)))
+    f = a * ring.var(0) + b
+    if data.draw(st.booleans(), label="product"):
+        f = f * _poly_in(data, ring, 1, coeff, data.draw(st.integers(1, 2)))
+    if f.support() != {0, 1} or max(e[0] for e, _ in f.terms) != 1:
+        return
+    facs = factor(f)
+    _check_factors(f, facs)
+    with_x = [(q, e) for q, e in facs if 0 in q.support()]
+    assert len(with_x) == 1 and with_x[0][1] == 1
+    if not isinstance(ring.field, RationalField):
+        p = ring.field.p
+        y = sympy.Symbol("y")
+        expr = lambda g: sum(int(c) * y ** e[1] for e, c in g.terms)
+        coeffs = {0: ring.zero, 1: ring.zero}
+        for e, c in f.terms:
+            coeffs[e[0]] = coeffs[e[0]] + ring.monomial((0,) + e[1:], c)
+        gcd = sympy.Poly(sympy.gcd(expr(coeffs[0]), expr(coeffs[1]), modulus=p), y, modulus=p)
+        free = sympy.Integer(1)
+        for q, e in facs:
+            if 0 not in q.support():
+                free *= expr(q) ** e
+        assert sympy.Poly(free, y, modulus=p).monic() == gcd.monic()
 
 
 def test_prime_ideal_identity():
@@ -367,7 +580,7 @@ def test_decomposition_error_outside_fragment():
         minimal_primes(Ideal(R3, ("x^2 + y^2", "z^2 - 2")))
     F5 = PolynomialRing(GF(5), ("x", "y"))
     with pytest.raises(DecompositionError):
-        minimal_primes(Ideal(F5, ("x^2 + y^2 + 1",)))
+        minimal_primes(Ideal(F5, ("x^3 + y^3 + 1",)))
 
 
 @pytest.mark.parametrize("field, gens, expected", [

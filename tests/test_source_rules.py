@@ -118,6 +118,23 @@ def test_engine_builds_no_sympy_expressions():
     assert found == []
 
 
+def test_one_function_reaches_sympy_factorization():
+    # every recognizer in primes.factor answers on its own or passes the
+    # polynomial on; none may fall back to sympy quietly, so factor_list is
+    # named in _factor_with_sympy alone
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first: inner ones win
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found |= {f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "factor_list"
+                  or isinstance(node, ast.Name) and node.id == "factor_list"}
+    assert found == {"primes.py:_factor_with_sympy"}
+
+
 def test_engine_names_one_rational_type():
     # QQ's coefficient type is fields.py's choice alone: values of two
     # rational types do not mix in arithmetic, so no other module builds one
