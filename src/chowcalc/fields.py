@@ -6,6 +6,20 @@ code stays agnostic.  In both fields a coefficient is zero exactly when it
 is falsy, so hot loops test `if c`.  Field objects are immutable and
 compare by value.
 
+The vector engine of groebner.py computes in a working domain that each
+field supplies through four methods: `integral` and `primitive` bring a
+term tuple in, `cancel` gives the two multipliers of one reduction step,
+and `monic` brings a reduced vector out.  Over QQ the working domain is
+the integers: a vector is scaled to coprime integers, a step cancels the
+head c*m against a head lc as (lc/g)*work - (c/g)*t*reducer with
+g = gcd(c, lc), and a rational is built only by `monic`.  Every step
+multiplies by nonzero constants, which change no span and no leading
+term, and the reduced basis is the unique monic one, so the answer is the
+one that rational arithmetic gives, while each coefficient operation is
+an int operation (Geddes, Czapor & Labahn, Algorithms for Computer
+Algebra, 1992, ch. 10).  Over F_p the working domain is the field:
+nothing is scaled, and `cancel` is (1, c/lc).
+
 PythonMPQ is named here rather than taken from sympy's ground-type switch,
 so the coefficient type, and every answer, is the same whether or not gmpy2
 is installed.  This is the one module that names a rational type: `coerce`
@@ -74,6 +88,33 @@ class RationalField:
 
     def abs(self, a):
         return -a if a.numerator < 0 else a
+
+    # the working domain of groebner's vector engine: the integers
+
+    def integral(self, v):
+        """(d, d*v) for a term tuple v, d the lcm of its denominators, so
+        d*v has int coefficients.  Ints are taken as they are."""
+        d = math.lcm(*(c.denominator for _, c in v))
+        return d, tuple((m, c.numerator * (d // c.denominator)) for m, c in v)
+
+    def primitive(self, w):
+        """w, with int coefficients, divided by their gcd, signed so that
+        its head is positive."""
+        g = math.gcd(*(c for _, c in w))
+        if w and w[0][1] < 0:
+            g = -g
+        return w if g in (0, 1) else tuple((m, c // g) for m, c in w)
+
+    def cancel(self, c, lc):
+        """(a, b) with a*c == b*lc, in lowest terms: a*work - b*t*reducer
+        cancels work's head c*m against t times a reducer's head lc."""
+        g = math.gcd(c, lc)
+        return lc // g, c // g
+
+    def monic(self, w):
+        """The rational vector w / (w's head coefficient)."""
+        lc = w[0][1]
+        return tuple((m, self.fraction(c, lc)) for m, c in w)
 
     def to_str(self, a):
         return str(a)
@@ -196,6 +237,23 @@ class PrimeField:
 
     def abs(self, a):
         return a
+
+    # the working domain of groebner's vector engine: the field itself
+
+    def integral(self, v):
+        return 1, v
+
+    def primitive(self, w):
+        return w
+
+    def cancel(self, c, lc):
+        return 1, self.div(c, lc)
+
+    def monic(self, w):
+        if w[0][1] == 1:
+            return w
+        inv = self.inv(w[0][1])
+        return tuple((m, c * inv % self.p) for m, c in w)
 
     def to_str(self, a):
         return str(a)

@@ -22,6 +22,17 @@ Reduced bases (monic, fully auto-reduced, sorted by descending leading
 monomial) are canonical, cached per ideal per order, and every computation
 here is deterministic.
 
+The engine computes in its field's working domain (fields.py): over QQ on
+integer vectors.  An input vector is scaled to coprime integers once
+(`working`); an S-vector and a reduction step cancel a head c*m against
+a head lc by the multipliers (lc/g, c/g), g = gcd(c, lc) (`field.cancel`);
+each new basis vector has its content divided out; and the reduced basis
+is made monic, through `field.fraction`, only in `_reduce_basis`.  These
+steps multiply vectors by nonzero constants, which keeps every span and
+every leading term, so the pairs, their order and the reduced basis are
+those of rational arithmetic; only the coefficient operations are on ints.
+Over F_p the working domain is the field and nothing is rescaled.
+
 The witness trick lives here too (`witness_syzygies`); `intersect`,
 `quotient` and `homology.annihilator` are colon computations on it.  So
 does `span_times`, linear algebra over k inside a quotient of finite
@@ -104,33 +115,42 @@ def vec_mul_term(v, exps, coeff, field):
     return tuple(((pos, mono_mul(e, exps)), field.mul(c, coeff)) for (pos, e), c in v)
 
 
-def vec_monic(v, field):
-    if not v or v[0][1] == field.one:
-        return v
-    inv = field.inv(v[0][1])
-    return tuple((m, field.mul(c, inv)) for m, c in v)
+def vec_scale(v, a, field):
+    return v if a == 1 else tuple((m, field.mul(c, a)) for m, c in v)
+
+
+def working(v, field):
+    """v brought into the working domain (fields.py): coprime integers
+    with a positive head over QQ, v itself over F_p."""
+    return field.primitive(field.integral(v)[1])
 
 
 def vec_reduce(v, prepared, key, field):
-    """Full normal form of v against prepared = [(lm, lc, terms), ...]."""
+    """Full normal form of a working vector v against prepared =
+    [(lm, lc, terms), ...], up to a factor: (s, r) with r = s * (normal
+    form of v), s a nonzero working scalar (1 over F_p).  Each step
+    cancels the head of the remaining work by `field.cancel`, and scales
+    the part of r already emitted by the same factor as the work."""
     out = []
+    scale = 1
     work = v
     while work:
         (pos, e), c = work[0]
-        hit = None
         for lm, lc, terms in prepared:
             if lm[0] == pos and mono_divides(lm[1], e):
-                hit = (lm, lc, terms)
                 break
-        if hit is None:
+        else:
             out.append(work[0])
             work = work[1:]
-        else:
-            lm, lc, terms = hit
-            factor = field.div(c, lc)
-            work = merge_terms(work, vec_mul_term(terms, mono_div(e, lm[1]), factor, field),
-                               key, field, subtract=True)
-    return tuple(out)
+            continue
+        a, b = field.cancel(c, lc)
+        if a != 1:
+            work = vec_scale(work, a, field)
+            out = list(vec_scale(out, a, field))
+            scale = field.mul(scale, a)
+        work = merge_terms(work, vec_mul_term(terms, mono_div(e, lm[1]), b, field),
+                           key, field, subtract=True)
+    return scale, tuple(out)
 
 
 def _prepare(basis):
@@ -140,23 +160,27 @@ def _prepare(basis):
 def span_times(span, gens, basis, key, field):
     """An echelon set, one vector per leading term, spanning the normal
     forms against the reduced `basis` of g*v, for v in `span` and
-    polynomials g in `gens`.  Vectors are term tuples sorted by `key`; the
-    normal forms live in the span of the standard terms of `basis`, so
-    there are at most as many rows as standard terms."""
-    prepared = _prepare(basis)
+    polynomials g in `gens`.  Vectors are term tuples sorted by `key`, and
+    `span` and the rows returned are working vectors (fields.py); a row is
+    a basis vector up to a factor, which does not change the count of
+    rows.  The normal forms live in the span of the standard terms of
+    `basis`, so there are at most as many rows as standard terms."""
+    prepared = _prepare([working(v, field) for v in basis])
+    gens = [working(g.terms, field) for g in gens]
     rows = {}
     for v in span:
         for g in gens:
             prod = ()
-            for e, c in g.terms:
+            for e, c in g:
                 prod = merge_terms(prod, vec_mul_term(v, e, c, field), key, field)
-            r = vec_reduce(prod, prepared, key, field)
+            r = field.primitive(vec_reduce(prod, prepared, key, field)[1])
             while r and r[0][0] in rows:
-                lead = r[0][1]
-                r = merge_terms(r, tuple((m, field.mul(c, lead)) for m, c in rows[r[0][0]]),
-                                key, field, subtract=True)
+                row = rows[r[0][0]]
+                a, b = field.cancel(r[0][1], row[0][1])
+                r = field.primitive(merge_terms(vec_scale(r, a, field), vec_scale(row, b, field),
+                                                key, field, subtract=True))
             if r:
-                rows[r[0][0]] = vec_monic(r, field)
+                rows[r[0][0]] = r
     return list(rows.values())
 
 
@@ -164,9 +188,9 @@ def _spair(f, g, key, field):
     (_, ef), cf = f[0]
     (_, eg), cg = g[0]
     l = mono_lcm(ef, eg)
-    a = vec_mul_term(f, mono_div(l, ef), field.inv(cf), field)
-    b = vec_mul_term(g, mono_div(l, eg), field.inv(cg), field)
-    return merge_terms(a, b, key, field, subtract=True)
+    a, b = field.cancel(cf, cg)
+    return merge_terms(vec_mul_term(f, mono_div(l, ef), a, field),
+                       vec_mul_term(g, mono_div(l, eg), b, field), key, field, subtract=True)
 
 
 def _top_degree(v):
@@ -185,7 +209,7 @@ def buchberger(vecs, key, field):
     elements; for vectors, (x, 1) and (y, 0) have coprime heads x*e_0 and
     y*e_0, but their S-vector (0, y) does not reduce to zero against them."""
     limit = _degree_limit_var.get()
-    basis = [v for v in vecs if v]
+    basis = [working(v, field) for v in vecs if v]
     basis.sort(key=lambda v: key(v[0][0]))
     prepared = _prepare(basis)
     coprime_ok = len({pos for v in basis for (pos, _), _ in v}) <= 1
@@ -220,7 +244,8 @@ def buchberger(vecs, key, field):
                and (min(j, k), max(j, k)) not in pending
                for k, ((pk, ek), _, _) in enumerate(prepared)):
             continue
-        r = vec_reduce(_spair(basis[i], basis[j], key, field), prepared, key, field)
+        r = field.primitive(vec_reduce(_spair(basis[i], basis[j], key, field),
+                                       prepared, key, field)[1])
         if not r:
             continue
         if limit is not None and mono_degree(r[0][0][1]) > limit:
@@ -249,7 +274,7 @@ def _reduce_basis(basis, key, field):
     reduced = []
     for idx, v in enumerate(kept):
         others = _prepare([u for t, u in enumerate(kept) if t != idx])
-        reduced.append(vec_monic(vec_reduce(v, others, key, field), field))
+        reduced.append(field.monic(vec_reduce(v, others, key, field)[1]))
     reduced.sort(key=lambda v: key(v[0][0]), reverse=True)
     return tuple(reduced)
 
@@ -272,6 +297,7 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._cache = {}
+        self._working = None  # the ring order's basis as working vectors, for normal_form
 
     def _computed(self, order=None):
         order = order or self.ring.order
@@ -299,9 +325,13 @@ class Ideal:
         _, _, basis, key = self._computed()
         if not basis:
             return f
-        v = vec_from_polys((f,), key)
-        r = vec_reduce(v, _prepare(basis), key, self.ring.field)
-        return vec_to_polys(r, 1, self.ring)[0]
+        field = self.ring.field
+        if self._working is None:
+            self._working = _prepare([working(v, field) for v in basis])
+        d, w = field.integral(vec_from_polys((f,), key))
+        s, r = vec_reduce(w, self._working, key, field)
+        ds = field.mul(d, s)  # r is d*s times the normal form of f
+        return vec_to_polys(tuple((m, field.fraction(c, ds)) for m, c in r), 1, self.ring)[0]
 
     def contains(self, f):
         return self.normal_form(f).is_zero()

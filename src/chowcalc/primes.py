@@ -38,7 +38,8 @@ Shapes outside the fragment raise DecompositionError rather than guess.
 
 Factors come from `factor`.  Four shapes are answered without sympy, in
 sympy's normalization and order: c*y + b (c a nonzero constant, y not in
-b) is irreducible on sight; a monomial is read off; a quadric with a square
+b) is irreducible on sight; a monomial content x^J is divided out first and
+its variables read off, the rest factored in turn; a quadric with a square
 term, in odd characteristic, by completing the square; a*x + b with a and b
 in one other variable y by Gauss's lemma, its gcd in k[y] factored in turn.
 Every other polynomial goes to sympy's sparse polynomial rings, over QQ in
@@ -88,15 +89,15 @@ from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
                        vec_from_polys)
 from .homology import fold_modulo, unit_multiples
 from .polyring import (PolynomialRing, elimination_order, fresh_names,
-                       mono_divides, transport)
+                       mono_div, mono_divides, transport)
 
 
 class FactorizationUnavailable(EngineError):
     """Raised when a polynomial over F_p falls outside the finite-field
     fragment of factor: univariate polynomials, homogeneous bivariate ones,
-    monomials, c*y + b with c a nonzero constant and y not occurring in b,
-    quadrics with a square term in odd characteristic, and a*x + b with a
-    and b in one other variable."""
+    c*y + b with c a nonzero constant and y not occurring in b, quadrics
+    with a square term in odd characteristic, a*x + b with a and b in one
+    other variable, and a monomial x^J times any of these, or times 1."""
 
 
 def _is_homogeneous_bivariate(f):
@@ -193,13 +194,19 @@ def _in_sympy_order(f, pairs):
     return sorted(pairs, key=key)
 
 
-def _monomial_factors(f):
-    """c*x^e, read off as [(x_i, e_i)]: the variables are prime in the
-    polynomial ring, a unique factorization domain."""
-    if len(f.terms) != 1:
+def _monomial_content(f):
+    """([(x_i, J_i)], g) with f = x^J * g, J the least exponent of each
+    variable over f's terms, or None when J = 0.  The variables are prime
+    in the polynomial ring, a unique factorization domain, so the factors
+    of f are the x_i with their exponents J_i and the factors of g, which
+    no x_i divides (sympy's dmp_terms_gcd).  A monomial is the case g
+    constant."""
+    J = tuple(map(min, zip(*(e for e, _ in f.terms))))
+    if not any(J):
         return None
     ring = f.ring
-    return _in_sympy_order(f, [(ring.var(i), k) for i, k in enumerate(f.terms[0][0]) if k])
+    return ([(ring.var(i), k) for i, k in enumerate(J) if k],
+            ring.from_dict({mono_div(e, J): c for e, c in f.terms}))
 
 
 def _square_root(D):
@@ -352,22 +359,35 @@ def factor(f):
     order.
 
     Exact over QQ in any number of variables.  Over F_p the fragment is
-    univariate polynomials, homogeneous bivariate ones, monomials, c*y + b
-    with c a nonzero constant and y not occurring in b, quadrics with a
-    square term in odd characteristic, and a*x + b with a and b in one
-    other variable (FactorizationUnavailable otherwise).  Those last four
-    shapes are answered without sympy (_degree_one_alone, _monomial_factors,
-    _quadric_factors, _gauss_factors), normalized as sympy would
-    (_normalized); over F_p a homogeneous bivariate polynomial keeps its
-    dehomogenization instead.  Other answers are kept in the
-    prime_cache_scope dict, so sympy sees each polynomial once per
-    top-level call."""
+    univariate polynomials, homogeneous bivariate ones, c*y + b with c a
+    nonzero constant and y not occurring in b, quadrics with a square term
+    in odd characteristic, a*x + b with a and b in one other variable, and
+    a monomial x^J times any of these, or times 1
+    (FactorizationUnavailable otherwise).  Those last four shapes are
+    answered without sympy (_degree_one_alone, _quadric_factors,
+    _gauss_factors, and _monomial_content, which divides x^J out first),
+    normalized as sympy would (_normalized); over F_p a homogeneous
+    bivariate polynomial keeps its dehomogenization instead.  Other
+    answers are kept in the prime_cache_scope dict, so sympy sees each
+    polynomial once per top-level call."""
+    if isinstance(f.ring.field, RationalField) or not _is_homogeneous_bivariate(f):
+        split = _monomial_content(f)
+        if split is not None:
+            variables, g = split
+            return _in_sympy_order(f, variables + _factor_without_content(g))
+    return _factor_without_content(f)
+
+
+def _factor_without_content(f):
+    """factor once a monomial content is divided out: for a constant, an
+    f that no variable divides, or a homogeneous bivariate f over F_p,
+    which keeps its dehomogenization."""
     if f.is_zero() or f.is_constant():
         return []
     if next(_degree_one_alone(f), None) is not None:
         return [(_normalized(f), 1)]
     if isinstance(f.ring.field, RationalField) or not _is_homogeneous_bivariate(f):
-        for shape in (_monomial_factors, _quadric_factors, _gauss_factors):
+        for shape in (_quadric_factors, _gauss_factors):
             pairs = shape(f)
             if pairs is not None:
                 return pairs
@@ -1117,7 +1137,7 @@ def _closed_point_length(M, p, U, basis, std, max_steps):
     Geometry, ch. 2 §2 and ch. 4 §2)."""
     key = _fiber_key(M.ring, M.rank, U)
     field = M.ring.field
-    span = [(((a, e), field.one),) for a, e in std]
+    span = [(((a, e), 1),) for a, e in std]  # working vectors: 1 in either field
     for _ in range(max_steps):
         prev = len(span)
         span = span_times(span, p.gens, basis, key, field)

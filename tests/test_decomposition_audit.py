@@ -380,10 +380,12 @@ def test_minimal_primes_pass_the_full_audit_and_the_reference(data):
     (QQ, "xyz", ("2*x*y^3*z^2 - 2*y^2*z^2 + 6*y*z^2",
                  "3*x^3*y^2*z^4 - 2*x^3*y^2*z^2 + 3*x^2*y*z^4 - 2*x^2*y*z^2"),
      "ideal shape outside the certification fragment: (x*y^2 - y + 3, z^2 - 2/3)"),
-    (GF(7), "xy", ("6*x^3*y^2 + 2*y^3",),
-     "ideal shape outside the certification fragment: (x^3*y^2 + 5*y^3)"),
-    (GF(7), "xyz", ("6*x^3*y^2*z^4 + 4*x^3*y^2*z^3",),
-     "ideal shape outside the certification fragment: (x^3*y^2*z^4 + 3*x^3*y^2*z^3)"),
+    # x^J times a cubic that no shape of the finite-field fragment covers
+    (GF(7), "xy", ("6*x^3*y^2 + 2*y^5 + y^2",),
+     "ideal shape outside the certification fragment: (x^3*y^2 + 5*y^5 + 6*y^2)"),
+    (GF(7), "xyz", ("6*x^3*y^2*z^6 + 4*x^5*y^3*z^3 + x^3*y^2*z^3",),
+     "ideal shape outside the certification fragment: "
+     "(x^5*y^3*z^3 + 5*x^3*y^2*z^6 + 2*x^3*y^2*z^3)"),
 ])
 def test_inputs_outside_the_fragment_still_raise(field, names, gens, message):
     ring = PolynomialRing(field, tuple(names))
@@ -398,9 +400,14 @@ def test_inputs_outside_the_fragment_still_raise(field, names, gens, message):
     # x*z^4 + 6*z^4 = z^4*(x + 6) is degree one in x over k[z]
     ("xyz", ("x*y*z + y", "5*x^3*y*z^3", "2*x^2*y^2*z^4 + 4*x*z^4 + 3*z^4"),
      [("x + 6", "y"), ("y", "z")]),
+    # y^2*(6*x^3 + 2*y) once its monomial content is divided out
+    ("xy", ("6*x^3*y^2 + 2*y^3",), [("x^3 + 5*y",), ("y",)]),
+    # x^3*y^2*z^3*(6*z + 4)
+    ("xyz", ("6*x^3*y^2*z^4 + 4*x^3*y^2*z^3",), [("x",), ("y",), ("z",), ("z + 3",)]),
 ])
 def test_inputs_that_left_the_fragment_pass_the_full_audit(names, gens, expected):
-    # over F_7 these raised while a*x + b went unfactored
+    # over F_7 these raised while a*x + b, and then while a monomial
+    # content, went unfactored
     I = Ideal(PolynomialRing(GF(7), tuple(names)), gens)
     primes = minimal_primes(I)
     assert [p.key for p in primes] == expected

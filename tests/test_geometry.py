@@ -336,13 +336,23 @@ def _no_decomposition(ideal):
 
 
 def test_localized_chart_decomposes_itself_when_its_parent_cannot():
-    # over F_7 the backend cannot factor x*y^2 - x^2 = x*(y^2 - x), a
-    # non-homogeneous cubic with no variable of degree one, but inverting x
-    # leaves a shape the fragment certifies
+    # over F_7 the backend cannot factor x^2*y^2 + 1, a non-homogeneous
+    # quartic with no variable of degree one and no monomial content, but
+    # inverting x leaves y^2 + u^2, homogeneous in y and u = 1/x
     ring = PolynomialRing(GF(7), ("x", "y"))
-    parent = Chart("A", ring, ("x*y^2 - x^2",))
+    parent = Chart("A", ring, ("x^2*y^2 + 1",))
     with pytest.raises(DecompositionError):
         parent.components()
+    child = parent.localize("x")
+    assert [str(p) for p in child.components()] == ["(y^2 + u^2, x*u + 6)"]
+
+
+def test_a_monomial_content_no_longer_needs_a_localization():
+    # x*y^2 - x^2 = x*(y^2 - x) raised over F_7 until factor divided out
+    # its monomial content; the quotient is degree one in x
+    ring = PolynomialRing(GF(7), ("x", "y"))
+    parent = Chart("A", ring, ("x*y^2 - x^2",))
+    assert [str(p) for p in parent.components()] == ["(x)", "(y^2 + 6*x)"]
     child = parent.localize("x")
     assert [str(p) for p in child.components()] == ["(y^2 + 6*x, x*u + 6)"]
 

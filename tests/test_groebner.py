@@ -6,10 +6,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from chowcalc.errors import DegreeOverflowError, InexactDivisionError
-from chowcalc.fields import GF, QQ
-from chowcalc.groebner import (Ideal, degree_limit, divide_exact, eliminate,
+from chowcalc.fields import GF, QQ, RationalField
+from chowcalc.groebner import (Ideal, buchberger, degree_limit, divide_exact, eliminate,
                                in_radical, independent_set, intersect,
-                               is_regular_element, krull_dim, quotient)
+                               is_regular_element, krull_dim, module_order, quotient,
+                               vec_from_polys)
 from chowcalc.polyring import PolynomialRing, grevlex, lex
 
 from oracles import (assert_good_basis, independent_set_by_scan, is_groebner,
@@ -275,6 +276,36 @@ def test_krull_dim_of_thirty_variables_returns():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_rational_basis_builds_rationals_only_at_the_monic_step(monkeypatch):
+    # over QQ the engine reduces integer vectors: from the input conversion
+    # on, the one rational built per coefficient is the monic step's
+    ring = R3()
+    key = module_order(ring.order, 1).key
+    vecs = [vec_from_polys((ring.parse(g),), key)
+            for g in ("1/2*x^2*y - 3*y + 1", "2/3*x*y^2 - x + 5", "x^3 - 5/4*y^2 + z")]
+    mpq = type(QQ.one)
+    built, fractions = [0], [0]
+    new, fraction = mpq._new.__func__, RationalField.fraction
+
+    def counted_new(cls, num, den):
+        built[0] += 1
+        return new(cls, num, den)
+
+    def counted_fraction(self, num, den):
+        fractions[0] += 1
+        return fraction(self, num, den)
+
+    monkeypatch.setattr(mpq, "_new", classmethod(counted_new))
+    monkeypatch.setattr(RationalField, "fraction", counted_fraction)
+    basis = buchberger(vecs, key, QQ)
+    monkeypatch.undo()
+    terms = sum(len(v) for v in basis)
+    assert len(basis) > 3 and terms > 20
+    assert built[0] == fractions[0] == terms
+    assert all(type(c) is mpq for v in basis for _, c in v)
+    assert all(v[0][1] == QQ.one for v in basis)
+
+
 # ---------------------------------------------------------------------------
 # randomized basis soundness (acceptance criterion 8 feeds on this oracle)
 
@@ -303,7 +334,11 @@ def test_reduced_basis_matches_sympy(data):
     names = ("x", "y", "z")[:nvars]
     ring = PolynomialRing(field, names, grevlex if order_name == "grevlex" else lex)
     exps = st.tuples(*[st.integers(0, 2)] * nvars)
-    poly = st.dictionaries(exps, st.integers(-4, 4).filter(bool), min_size=1, max_size=3)
+    # over QQ rationals too, so the engine's input conversion clears denominators
+    coeff = st.integers(-4, 4)
+    if not p:
+        coeff = st.one_of(coeff, st.fractions(-4, 4, max_denominator=9))
+    poly = st.dictionaries(exps, coeff.filter(bool), min_size=1, max_size=3)
     raw = data.draw(st.lists(poly, min_size=1, max_size=3), label="gens")
     gens = [ring.from_dict({e: field.coerce(c) for e, c in d.items()}) for d in raw]
     gens = [g for g in gens if not g.is_zero()]
@@ -311,7 +346,8 @@ def test_reduced_basis_matches_sympy(data):
         return
 
     syms = sympy.symbols(names)
-    exprs = [sympy.Add(*[int(c) * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+    exprs = [sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                         * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
                          for e, c in d.items()]) for d in raw]
     opts = {"order": order_name}
     if p:

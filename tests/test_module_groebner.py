@@ -94,6 +94,21 @@ def test_oracle_rejects_a_non_basis():
                              COPRIME_HEADS, key).is_zero()
 
 
+FRACTIONAL = [vec("1/2*x*y - 2/3", "3/4*z"), vec("2/5*y*z", "x - 1/7"),
+              vec("5/3*x^2", "-7/2")]
+
+
+def test_module_basis_with_fractional_coordinates():
+    # the engine works on these scaled to coprime integers; the reduced basis
+    # is the monic one of their span, so integer multiples give the same one
+    key = position_order(2, R3.order)
+    basis = module_basis(FRACTIONAL, 2, R3)
+    assert_good_module_basis(FRACTIONAL, basis, key)
+    scaled = [v.scale(R3.const(c)) for v, c in zip(FRACTIONAL, (6, -35, 2))]
+    assert strs(module_basis(scaled, 2, R3)) == strs(basis)
+    assert any("/" in s for s in strs(basis))
+
+
 # ---------------------------------------------------------------------------
 # randomized: module_basis and the raw coefficient_module basis
 

@@ -330,6 +330,44 @@ def test_monomials_are_read_off(data):
     _check_factors(f, facs)
 
 
+def test_factor_divides_out_the_monomial_content_first():
+    # over F_7 both raised FactorizationUnavailable: neither is univariate,
+    # homogeneous bivariate or one of the shapes until x^J is divided out
+    F7 = PolynomialRing(GF(7), ("x", "y", "z"))
+    with sympy_factor_calls() as calls:
+        assert [(str(q), e) for q, e in factor(F7.parse("6*x^3*y^2*z^4 + 4*x^3*y^2*z^3"))] == [
+            ("z + 3", 1), ("y", 2), ("z", 3), ("x", 3)]
+        assert [(str(q), e) for q, e in factor(F7.parse("6*x^3*y^2 + 2*y^3"))] == [
+            ("y", 2), ("x^3 + 5*y", 1)]
+    assert calls == []
+    # a cofactor outside the fragment still raises
+    with pytest.raises(FactorizationUnavailable):
+        factor(F7.parse("x*y^3 + x^4 + x"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_monomial_content_times_a_polynomial_factors_as_sympy_does(data):
+    # x^J * g for random g: over QQ the answer is sympy's, order included;
+    # over F_p g is a linear form, which every shape route can answer
+    ring, coeff = _shape_ring(data, data.draw(st.integers(1, 3)))
+    n = ring.nvars
+    J = data.draw(st.tuples(*[st.integers(0, 3)] * n), label="J")
+    if isinstance(ring.field, RationalField):
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        g = ring.from_dict(data.draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
+    else:
+        g = _linear_form(data, ring, coeff)
+    f = g * ring.monomial(J)
+    if f.is_zero() or f.is_constant() or any(all(e[i] for e, _ in g.terms) for i in range(n)):
+        return  # g has a monomial content of its own
+    facs = factor(f)
+    _check_factors(f, facs)
+    assert sorted((q.terms, e) for q, e in facs) == sorted(
+        [(ring.var(i).terms, k) for i, k in enumerate(J) if k]
+        + [(q.terms, e) for q, e in factor(g)])
+
+
 def _linear_form(data, ring, coeff):
     n = ring.nvars
     terms = {tuple(int(j == i) for j in range(n)): data.draw(coeff) for i in range(n)}
@@ -1012,6 +1050,22 @@ def _closed_case_listed(data):
 def test_closed_point_length_matches_the_filtration_oracle(data):
     M, p, modulo = _closed_case(data)
     assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+
+
+def test_closed_lengths_on_points_of_residue_degree_up_to_four():
+    # M = QQ[x, y]/(prod_(c=1..6) (x^2 + y^2 - c), x*y - 1), of dimension 24
+    # over QQ: nine points, of residue degree 1 (c = 2), 2 (c = 3, 6) and 4
+    # (c = 1, 4, 5); every echelon span is reduced at all nine
+    prod = R2.one
+    for c in range(1, 7):
+        prod = prod * R2.parse(f"x^2 + y^2 - {c}")
+    I = Ideal(R2, (prod, R2.parse("x*y - 1")))
+    assert vector_space_dimension(I) == 24
+    comps = minimal_primes(I)
+    M = FPModule.cyclic(I)
+    lengths = [length_at_prime(M, p) for p in comps]
+    assert lengths == [filtration_length(M, p) for p in comps]
+    assert lengths == [2, 2, 1, 1, 1, 1, 1, 1, 1]
 
 
 def _with_a_line(data, p, listed, full):
