@@ -14,6 +14,7 @@ from .groebner import Ideal
 from .intersection import intersection_product
 from .morphisms import (ChartMap, ProductChart, flat_pullback, identity_map,
                         proper_pushforward, zariski_image)
+from .polyring import transport
 from .primes import PrimeIdeal, prime_cache_scope
 
 
@@ -93,9 +94,16 @@ class Correspondence:
 
 def graph(f):
     """The graph of a chart map as a correspondence from its source to its
-    target; always elementary (it projects isomorphically to the source)."""
-    return Correspondence.from_gens(ProductChart(f.source, f.target),
-                                    f.graph()[1].gens)
+    target: the product chart's relations plus each (renamed) target
+    coordinate minus its image.  Always elementary (it projects
+    isomorphically to the source)."""
+    prod = ProductChart(f.source, f.target)
+    P = prod.chart.ring
+    to_x, to_y = prod.renames
+    gens = list(prod.chart.ideal.gens)
+    gens += [P.var(to_y[nm]) - transport(f.images[nm], P, to_x)
+             for nm in f.target.ring.names]
+    return Correspondence.from_gens(prod, gens)
 
 
 def identity_correspondence(chart):

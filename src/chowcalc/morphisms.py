@@ -3,15 +3,20 @@
 A ChartMap is a morphism of charts source -> target, stored through its
 algebra map: each target variable gets a polynomial image over the source
 (checked to send the target relations to zero).  All geometric operations
-run through the graph: the product ring on source and (renamed) target
-variables, with the graph ideal
+run through the graph: the source variables plus one fresh variable for
+each target coordinate whose image is not a source variable, with the graph
+ideal
 
-    (source relations) + (target variable - its image).
+    (source relations) + (fresh target variable - its image).
 
-Eliminating the source block gives closures of images; pure powers of the
-source variables in a block-order basis certify finiteness; residue degrees
-over the image, counted on leading ideals, give pushforward degrees;
-coefficient modules over the target block present pushforward modules.
+A coordinate whose image is a source variable is named by that variable
+(see _build_graph), so a coordinate projection's graph is its source.
+The target block is the fresh variables and the reused source variables;
+the source block is the rest.  Eliminating the source block gives closures
+of images; pure powers of the source-block variables in a block-order basis
+certify finiteness; residue degrees over the image, counted on leading
+ideals, give pushforward degrees; coefficient modules over the target block
+present pushforward modules.
 """
 
 from .errors import ConsistencyError, EngineError, RingMismatchError
@@ -69,14 +74,17 @@ class ChartMap:
                         flat=flat, finite=finite, proper=proper)
 
     def graph(self):
-        """(product ring, graph ideal, source var names, target rename map)."""
+        """(graph ring, graph ideal, source-block names, target rename map):
+        the pushforward's presentation, in which a target coordinate whose
+        image is a source variable is that variable (see _build_graph)."""
         if self._graph is None:
             self._graph = _build_graph(self)
         return self._graph
 
     def is_finite(self):
-        """Pure powers of every source variable in the elimination basis of
-        the graph ideal certify module-finiteness over the target."""
+        """Pure powers of every source-block variable in the elimination
+        basis of the graph ideal certify module-finiteness over the
+        target."""
         if self._finite_checked is None:
             self._finite_checked = (
                 _source_standard_exponents(self, self.graph()[1])[1] is not None)
@@ -144,22 +152,51 @@ def identity_map(chart):
 
 
 def _build_graph(m):
-    P, (_, rename) = product_ring(m.source.ring, m.target.ring)
-    gens = [transport(g, P) for g in m.source.ideal.gens]
+    """m.graph(): (P, G, source-block names, rename) for m with source
+    relations I and images phi.
+
+    A target coordinate y_j whose image is a source variable x_k, each x_k
+    taken by the first such y_j, is named x_k in P (rename[y_j] = x_k) and
+    gets no relation; every other y_j gets a fresh name and the relation
+    y_j - phi(y_j).  So P = k[x, y_rest], G = I + (y_rest - phi(y_rest)),
+    the target block is x_picked and y_rest, and the source block, the
+    variables to eliminate, is the unpicked x.
+
+    This is the full graph ring k[x, y], G_full = I + (y - phi(y)), up to
+    isomorphism.  sigma: k[x, y] -> P, y_j -> x_k for the picked pairs, is
+    onto with kernel (y_j - x_k), which lies in G_full + J for every source
+    ideal J, and sigma(G_full + J) = G + J.  So sigma induces
+    k[x, y]/(G_full + J) = P/(G + J), and it maps k[y] isomorphically onto
+    the target block k[x_picked, y_rest].  The image (the contraction to
+    the target block), module-finiteness over it, residue degrees over its
+    variables and coefficient modules over it are therefore the same on
+    either presentation.  In the full one each picked x_k has the pure
+    power x_k, the lead of x_k - y_j under the block order, so the source
+    standard monomials are the same too."""
+    S = m.source.ring
+    unpicked = {S.var(nm).terms: nm for nm in S.names}
+    rename, rest = {}, []
     for nm in m.target.ring.names:
-        yvar = P.var(P.index_of(rename[nm]))
-        gens.append(yvar - transport(m.images[nm], P))
-    return P, Ideal(P, gens), m.source.ring.names, rename
+        x = unpicked.pop(m.images[nm].terms, None)
+        if x is None:
+            rest.append(nm)
+        else:
+            rename[nm] = x
+    rename.update(zip(rest, fresh_names(rest, set(S.names), "_r")))
+    P = PolynomialRing(S.field, S.names + tuple(rename[nm] for nm in rest))
+    gens = [transport(g, P) for g in m.source.ideal.gens]
+    gens += [P.var(rename[nm]) - transport(m.images[nm], P) for nm in rest]
+    return P, Ideal(P, gens), tuple(unpicked.values()), rename
 
 
 _PUSHFORWARD_BOUND = 100000  # largest box of source standard monomials
 
 
 def _source_standard_exponents(m, total):
-    """Positions of the source variables in the graph ring P, and the
-    exponents over them of the source monomials outside the leading ideal
-    of total's block-order basis; None in place of the exponents when some
-    source variable has no pure power (the map is then not finite).  The
+    """Positions of the source-block variables in the graph ring P, and the
+    exponents over them of the source-block monomials outside the leading
+    ideal of total's block-order basis; None in place of the exponents when
+    some source-block variable has no pure power (the map is then not finite).  The
     unit ideal, whose basis is 1, has none: the zero module is finite."""
     P, _, src_names, _ = m.graph()
     idx = [P.index_of(nm) for nm in src_names]
@@ -184,7 +221,8 @@ def _graph_ideal(m, ideal):
 
 def _image(m, total):
     """The target ideal total meets: the part of total's source-eliminating
-    basis free of source variables, carried back to the target ring."""
+    basis free of source-block variables, carried back to the target
+    ring."""
     _, _, src_names, rename = m.graph()
     small = eliminate(total, src_names)
     back = {rename[nm]: nm for nm in m.target.ring.names}

@@ -17,7 +17,9 @@ Poly and factor_list), where the engine builds sparse ring elements and
 recognizes monomials, quadrics, c*y + b and a*x + b without sympy.  Over
 F_p in several variables sympy has no reference; there quadric_splits
 decides a quadric by the rank of its matrix, where the engine completes
-the square.
+the square.  ProductRingGraphMap is a chart map whose graph gives every
+target coordinate a fresh variable and a relation, where the engine's graph
+reuses a source variable for a coordinate whose image is one.
 """
 
 import warnings
@@ -31,6 +33,7 @@ from chowcalc.fields import RationalField
 from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
 from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
                                module_basis, unit_multiples)
+from chowcalc.morphisms import ChartMap, product_ring
 from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
                                mono_divides, mono_lcm, transport)
 
@@ -530,3 +533,20 @@ def filtration_length(M, p, modulo=None, max_steps=60):
         total += d
         level = nxt
     raise HypothesisError(f"filtration at {p} did not end within {max_steps} steps")
+
+
+class ProductRingGraphMap(ChartMap):
+    """A chart map presented on the full graph ring k[x, y]: the source
+    relations and y - phi(y) for every target coordinate y, the target
+    variables renamed apart from the source's, and every source variable
+    eliminated.  The engine's pushforward, image, finiteness and degree
+    read it through graph() as they read the engine's own graph."""
+
+    def graph(self):
+        if self._graph is None:
+            P, (_, rename) = product_ring(self.source.ring, self.target.ring)
+            gens = [transport(g, P) for g in self.source.ideal.gens]
+            gens += [P.var(rename[nm]) - transport(self.images[nm], P)
+                     for nm in self.target.ring.names]
+            self._graph = (P, Ideal(P, gens), self.source.ring.names, rename)
+        return self._graph

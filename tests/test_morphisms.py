@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowcalc import groebner, homology, morphisms, primes
+from chowcalc import correspondences, groebner, homology, morphisms, primes
+from chowcalc.correspondences import compose, correspondence_degree, graph
 from chowcalc.errors import ConsistencyError, EngineError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, Cycle, cycle_of_subscheme, point_cycle
@@ -15,6 +16,7 @@ from chowcalc.morphisms import (ChartMap, degree, fiber_product, flat_pullback,
 from chowcalc.morphisms import ProductChart
 from chowcalc.polyring import PolynomialRing, elimination_order
 from chowcalc.primes import PrimeIdeal, generic_rank, minimal_primes
+from oracles import ProductRingGraphMap
 
 LINE_T = Chart("At", PolynomialRing(QQ, ("t",)))
 LINE_X = Chart("Ax", PolynomialRing(QQ, ("x",)))
@@ -294,11 +296,9 @@ def test_pushforward_errors_keep_their_type_and_message(field, c):
                                      "pushforward needs module-finiteness")
 
 
-def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
-    m = ChartMap(LINE_T, LINE_X, {"x": "t^2"}, finite=True, proper=True)
-    point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t^2 - 2",)))
-    P = m.graph()[0]
-    source_order = elimination_order([P.index_of("t")], P.nvars)
+def _count_bases(monkeypatch):
+    """A list that gets (ring, order tag) for every Groebner basis built
+    from now on, cached ones not counted."""
     built = []
     computed = groebner.Ideal._computed
 
@@ -309,6 +309,15 @@ def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
         return computed(self, order)
 
     monkeypatch.setattr(groebner.Ideal, "_computed", counting)
+    return built
+
+
+def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
+    m = ChartMap(LINE_T, LINE_X, {"x": "t^2"}, finite=True, proper=True)
+    point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t^2 - 2",)))
+    P = m.graph()[0]
+    source_order = elimination_order([P.index_of("t")], P.nvars)
+    built = _count_bases(monkeypatch)
     called = []
 
     def noting(name, fn):
@@ -326,9 +335,108 @@ def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
     assert built.count((P, source_order.tag)) == 1
 
 
+@pytest.mark.parametrize("image, cycle, deg", [
+    ("t^2", "[(t + t_r)] + [(t - t_r)]", 2),
+    ("t^3 - t", "[(t - t_r)] + [(t^2 + t*t_r + t_r^2 - 1)]", 3)])
+def test_composing_along_a_projection_works_in_the_triple_product(
+        monkeypatch, image, cycle, deg):
+    # the projection that forgets the middle factor of At x Ax x At names
+    # its target coordinates by the source variables they are, so every
+    # basis of the pushforward lives in the 3-variable triple product
+    g = graph(ChartMap(LINE_T, LINE_X, {"x": image}))
+    built = _count_bases(monkeypatch)
+    pushed = []
+    push = correspondences.proper_pushforward
+
+    def noting(m, c):
+        start = len(built)
+        out = push(m, c)
+        pushed.extend(built[start:])
+        return out
+
+    monkeypatch.setattr(correspondences, "proper_pushforward", noting)
+    composite = compose(g, g.transpose())
+    assert str(composite.cycle) == cycle
+    assert pushed and max(ring.nvars for ring, _ in pushed) <= 3
+    assert correspondence_degree(composite) == deg
+
+
 def test_a_degree_quotient_that_is_not_whole_raises(monkeypatch):
     counts = iter((3, 2))
     monkeypatch.setattr(morphisms, "residue_degree", lambda lead, U: next(counts))
     point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t - 1",)))
     with pytest.raises(ConsistencyError, match="not a multiple"):
         proper_pushforward(SQUARING, point)
+
+
+# ---------------------------------------------------------------------------
+# the engine's graph against the full product-ring graph
+
+def _outcome(fn, *args, **kw):
+    """fn's answer, or the type and message of the EngineError it raises."""
+    try:
+        return fn(*args, **kw)
+    except EngineError as err:
+        return type(err), str(err)
+
+
+def _module_rank_and_generic_rank(m, extra=None):
+    M = pushforward_module(m, extra=extra)
+    q = PrimeIdeal(zariski_image(m, extra) + m.target.ideal)
+    return M.rank, generic_rank(M, q, modulo=m.target.ideal)
+
+
+@st.composite
+def _source_polynomial(draw, ring):
+    """A source variable, or up to three terms of degree at most 2."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ring.gens()))
+    x, y = ring.gens()
+    monomials = (ring.one, x, y, x ** 2, x * y, y ** 2)
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(monomials)),
+                          min_size=1, max_size=3))
+    return sum((c * mono for c, mono in terms), ring.zero)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_graph_presentations_agree_with_the_product_ring(data):
+    # variable images (repeated, swapped, mixed with polynomials) and target
+    # names that clash with source names and with the "_r" renames
+    field = data.draw(st.sampled_from(FIELDS))
+    ring = PolynomialRing(field, ("x", "y"))
+    # the engine certifies the cusp x^2 = y^3 as prime over QQ only
+    relations = ((), ("x^2 + y^2 - 1",)) + ((("x^2 - y^3",),) if field == QQ else ())
+    src = Chart("S", ring, data.draw(st.sampled_from(relations)))
+    names = data.draw(st.lists(st.sampled_from(("u", "v", "x", "y", "x_r", "y_r")),
+                               min_size=1, max_size=3, unique=True))
+    tgt = Chart("T", PolynomialRing(field, names))
+    images = {nm: data.draw(_source_polynomial(ring)) for nm in names}
+    engine = ChartMap(src, tgt, images)
+    oracle = ProductRingGraphMap(src, tgt, images)
+    gens = data.draw(st.sampled_from(((), ("x - 1",), ("y + 2",), ("y - x",),
+                                      ("x^2 - 2",), ("x - 1", "y + 1"))))
+    cycle = cycle_of_subscheme(Ideal(ring, gens), src)
+    assert zariski_image(engine) == zariski_image(oracle)
+    assert engine.is_finite() == oracle.is_finite()
+    assert _outcome(degree, engine) == _outcome(degree, oracle)
+    assert (_outcome(proper_pushforward, engine, cycle)
+            == _outcome(proper_pushforward, oracle, cycle))
+    assert (_outcome(_module_rank_and_generic_rank, engine)
+            == _outcome(_module_rank_and_generic_rank, oracle))
+    for p in cycle.support():
+        assert (_outcome(_module_rank_and_generic_rank, engine, p.ideal)
+                == _outcome(_module_rank_and_generic_rank, oracle, p.ideal))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("images", [{"u": "x", "v": "y^2 + x"}, {"u": "x", "v": "x"},
+                                    {"u": "y", "v": "x"}])
+def test_pushforward_modules_print_as_on_the_product_ring(field, images):
+    cusp = Chart("C", PolynomialRing(field, ("x", "y")), ("x^2 - y^3",))
+    plane = Chart("B", PolynomialRing(field, ("u", "v")))
+    engine = pushforward_module(ChartMap(cusp, plane, images))
+    oracle = pushforward_module(ProductRingGraphMap(cusp, plane, images))
+    assert engine.rank == oracle.rank
+    assert ([[str(c) for c in v.coords] for v in engine.relations]
+            == [[str(c) for c in v.coords] for v in oracle.relations])

@@ -135,6 +135,18 @@ def test_one_function_reaches_sympy_factorization():
     assert found == {"primes.py:_factor_with_sympy"}
 
 
+def test_only_morphisms_reads_the_pushforward_graph():
+    # ChartMap.graph() is the pushforward's presentation, free to drop
+    # variables and relations; other modules build graphs on their own rings
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "graph"]
+    assert found and {entry.split(":")[0] for entry in found} == {"morphisms.py"}
+
+
 def test_engine_names_one_rational_type():
     # QQ's coefficient type is fields.py's choice alone: values of two
     # rational types do not mix in arithmetic, so no other module builds one
