@@ -36,15 +36,18 @@ p_1 ∩ ... ∩ p_r ⊆ rad(I) proved from scratch, by intersecting and the
 Rabinowitsch radical-membership test.
 Shapes outside the fragment raise DecompositionError rather than guess.
 
-Factors come from `factor`.  Four shapes are answered without sympy, in
-sympy's normalization and order: c*y + b (c a nonzero constant, y not in
-b) is irreducible on sight; a monomial content x^J is divided out first and
-its variables read off, the rest factored in turn; a quadric with a square
-term, in odd characteristic, by completing the square; a*x + b with a and b
-in one other variable y by Gauss's lemma, its gcd in k[y] factored in turn.
-Every other polynomial goes to sympy's sparse polynomial rings, over QQ in
-its own variables and over F_p in its one variable (a homogeneous bivariate
-one is dehomogenized first, before any shape but c*y + b is tried).
+Factors come from `factor`, each up to a unit and in no fixed order: a
+split uses a factor q only through its branch J + (q), whose key is a
+reduced basis, and the audit compares products up to a unit.  A monomial
+content x^J is divided out first and its variables read off.  Four shapes
+of the rest are answered without sympy: c*y + b (c a nonzero constant, y
+not in b) and a binomial whose two exponents differ by a primitive vector
+are irreducible on sight; a quadric with a square term, in odd
+characteristic, splits by completing the square; a*x + b with a and b in
+one other variable y splits off its gcd in k[y] by Gauss's lemma, and the
+gcd is factored in turn.  Every other polynomial goes to sympy's sparse
+polynomial rings, over QQ in its own variables and over F_p in its one
+variable (a homogeneous bivariate one through its dehomogenization).
 
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M's reduced relation basis
@@ -94,45 +97,11 @@ from .polyring import (PolynomialRing, elimination_order, fresh_names,
 
 class FactorizationUnavailable(EngineError):
     """Raised when a polynomial over F_p falls outside the finite-field
-    fragment of factor: univariate polynomials, homogeneous bivariate ones,
-    c*y + b with c a nonzero constant and y not occurring in b, quadrics
-    with a square term in odd characteristic, a*x + b with a and b in one
-    other variable, and a monomial x^J times any of these, or times 1."""
-
-
-def _is_homogeneous_bivariate(f):
-    """Whether f is homogeneous in exactly two variables."""
-    d = f.total_degree()
-    return len(f.support()) == 2 and all(sum(e) == d for e, _ in f.terms)
-
-
-def _factor_homogeneous_bivariate(f):
-    """Factor a homogeneous polynomial in exactly two variables by
-    dehomogenizing to a univariate one; None when the shape does not
-    apply.  This is the one multivariate case the finite-field backend
-    can always handle."""
-    if not _is_homogeneous_bivariate(f):
-        return None
-    ring = f.ring
-    d = f.total_degree()
-    i, j = sorted(f.support())
-    shadow_terms = {}
-    for e, c in f.terms:
-        key = tuple(e[i] if k == i else 0 for k in range(ring.nvars))
-        shadow_terms[key] = c
-    shadow = ring.from_dict(shadow_terms)
-    out = []
-    if d - shadow.total_degree():
-        out.append((ring.var(j), d - shadow.total_degree()))
-    for q, e in factor(shadow):
-        dq = q.total_degree()
-        homog = {}
-        for eq, c in q.terms:
-            key = tuple(eq[i] if k == i else (dq - eq[i] if k == j else 0)
-                        for k in range(ring.nvars))
-            homog[key] = c
-        out.append((ring.from_dict(homog), e))
-    return out
+    fragment of factor: a monomial x^J times 1 or times a univariate
+    polynomial, a homogeneous bivariate one, c*y + b with c a nonzero
+    constant and y not occurring in b, a binomial whose two exponents differ
+    by a primitive vector, a quadric with a square term in odd
+    characteristic, or a*x + b with a and b in one other variable."""
 
 
 def _degree_one_alone(f):
@@ -148,62 +117,29 @@ def _degree_one_alone(f):
                 yield y
 
 
-def _normalized(f):
-    """The normalization sympy gives an irreducible factor: over QQ integer,
-    primitive and positive on its lex-leading term; over F_p monic in it.
-    For a linear form that is the term of its first variable."""
-    field = f.ring.field
-    lead = max(f.terms)[1]
-    if isinstance(field, RationalField):
-        den = math.lcm(*(c.denominator for _, c in f.terms))
-        num = math.gcd(*(c.numerator * (den // c.denominator) for _, c in f.terms))
-        scale = field.fraction(den if lead > 0 else -den, num)
-    else:
-        scale = field.inv(lead)
-    return f * scale
-
-
-def _dense(terms):
-    """sympy's dense recursive coefficient list of `terms` [(exponents, c)]:
-    coefficients of the first variable from the top degree down, each the
-    list of the remaining variables; a zero coefficient is [] (0 at the last
-    level), which sorts first either way."""
-    if len(terms[0][0]) == 1:
-        by = {e[0]: c for e, c in terms}
-        return [by.get(k, 0) for k in range(max(by), -1, -1)]
-    by = {}
-    for e, c in terms:
-        by.setdefault(e[0], []).append((e[1:], c))
-    return [_dense(by[k]) if k in by else [] for k in range(max(by), -1, -1)]
-
-
-def _in_sympy_order(f, pairs):
-    """The factors `pairs` of f in the order sympy's factor_list returns
-    them (sympy's _sort_factors): by degree in the first variable plus one,
-    then multiplicity, then the dense recursive coefficient list.  The
-    variables are those of the ring sympy would factor in: over QQ f's
-    ring's, over F_p f's own."""
-    if isinstance(f.ring.field, RationalField):
-        at = range(f.ring.nvars)
-    else:
-        at = sorted(f.support())
-
-    def key(pair):
-        terms = [(tuple(e[i] for i in at), c) for e, c in pair[0].terms]
-        return max(e[0] for e, _ in terms) + 1, pair[1], _dense(terms)
-    return sorted(pairs, key=key)
+def _is_primitive_binomial(f):
+    """Whether f, which no variable divides, is c1*x^A + c2*x^B with the
+    entries of A - B coprime.  Its Newton polytope is then a segment with
+    no lattice point inside, not a Minkowski sum of two lattice polytopes
+    with more than one point each, so f is irreducible over the algebraic
+    closure of any field (Gao, "Absolute irreducibility of polynomials via
+    Newton polytopes", J. Algebra 237, 2001)."""
+    if len(f.terms) != 2:
+        return False
+    (A, _), (B, _) = f.terms
+    return math.gcd(*(a - b for a, b in zip(A, B))) == 1
 
 
 def _monomial_content(f):
     """([(x_i, J_i)], g) with f = x^J * g, J the least exponent of each
-    variable over f's terms, or None when J = 0.  The variables are prime
+    variable over f's terms; ([], f) when J = 0.  The variables are prime
     in the polynomial ring, a unique factorization domain, so the factors
     of f are the x_i with their exponents J_i and the factors of g, which
     no x_i divides (sympy's dmp_terms_gcd).  A monomial is the case g
     constant."""
     J = tuple(map(min, zip(*(e for e, _ in f.terms))))
     if not any(J):
-        return None
+        return [], f
     ring = f.ring
     return ([(ring.var(i), k) for i, k in enumerate(J) if k],
             ring.from_dict({mono_div(e, J): c for e, c in f.terms}))
@@ -258,11 +194,11 @@ def _quadric_factors(f):
     B, C = ring.from_dict(parts[1]), ring.from_dict(parts[0])
     L = _square_root(B * B - C * field.mul(field.coerce(4), a))
     if L is None:
-        return [(_normalized(f), 1)]
+        return [(f, 1)]
     lin = ring.var(y) * field.add(a, a) + B
     if not L:
-        return [(_normalized(lin), 2)]
-    return _in_sympy_order(f, [(_normalized(lin - L), 1), (_normalized(lin + L), 1)])
+        return [(lin, 2)]
+    return [(lin - L, 1), (lin + L, 1)]
 
 
 def _stripped(a):
@@ -288,12 +224,12 @@ def _divmod(a, b, field):
     return quo, _stripped(a)
 
 
-def _gauss_factors(f):
-    """f = a*x + b with a and b in k[y], y the one other variable of f:
-    with g the monic gcd of a and b (Euclid in k[y]), f = g*((a/g)*x + b/g),
-    and the cofactor, primitive of degree one in x over k[y], is
-    irreducible (Gauss's lemma; von zur Gathen & Gerhard, Modern Computer
-    Algebra, 6.2).  g is factored in turn."""
+def _gauss_split(f):
+    """(g, f/g) for f = a*x + b with a and b in k[y], y the one other
+    variable of f, and g the monic gcd of a and b (Euclid in k[y]); None
+    for other shapes.  The cofactor, primitive of degree one in x over
+    k[y], is irreducible (Gauss's lemma; von zur Gathen & Gerhard, Modern
+    Computer Algebra, 6.2)."""
     support = f.support()
     if len(support) != 2:
         return None
@@ -311,8 +247,6 @@ def _gauss_factors(f):
     g, r = a, b
     while r:
         g, r = r, _divmod(g, r, field)[1]
-    if len(g) == 1:
-        return [(_normalized(f), 1)]
     g = [field.div(c, g[0]) for c in g]
 
     def poly(coeffs, ex):
@@ -320,85 +254,93 @@ def _gauss_factors(f):
         return ring.from_dict({tuple(ex if i == x else n - k if i == y else 0
                                      for i in range(ring.nvars)): c
                                for k, c in enumerate(coeffs)})
-    cofactor = poly(_divmod(a, g, field)[0], 1) + poly(_divmod(b, g, field)[0], 0)
-    return _in_sympy_order(f, factor(poly(g, 0)) + [(_normalized(cofactor), 1)])
+    return poly(g, 0), poly(_divmod(a, g, field)[0], 1) + poly(_divmod(b, g, field)[0], 0)
+
+
+def _factor_homogeneous_bivariate(f):
+    """Factor f over F_p, homogeneous in exactly two variables x_i and x_j
+    and divisible by neither, through sympy and its dehomogenization
+    f(x_j = 1).  That keeps f's degree, as f has a term free of x_j, so its
+    factors q, each homogenized back to x_j^deg(q) * q(x_i/x_j), are f's.
+    This is the one multivariate shape the finite-field backend can always
+    handle; other shapes raise FactorizationUnavailable."""
+    ring = f.ring
+    support = sorted(f.support())
+    d = f.total_degree()
+    if len(support) != 2 or any(sum(e) != d for e, _ in f.terms):
+        raise FactorizationUnavailable(
+            "multivariate factorization over a finite field is not supported")
+    i, j = support
+    shadow = ring.from_dict({e[:j] + (0,) + e[j + 1:]: c for e, c in f.terms})
+    return [(ring.from_dict({e[:j] + (q.total_degree() - e[i],) + e[j + 1:]: c
+                             for e, c in q.terms}), k)
+            for q, k in _factor_with_sympy(shadow)]
 
 
 def _factor_with_sympy(f):
-    """Factor through sympy's sparse rings: over QQ in f's own variables,
-    over F_p in the one variable of a univariate f (a homogeneous bivariate
-    f is dehomogenized first)."""
+    """sympy's factor_list of f, over QQ in f's ring's variables, over F_p
+    in f's one variable.  Answers are kept in the prime_cache_scope dict,
+    so sympy sees each polynomial once per top-level call."""
+    cache = _prime_cache_var.get()
+    key = ("factor", f.ring, f.terms)
+    if cache is not None and key in cache:
+        return list(cache[key])
     ring = f.ring
     field = ring.field
     if isinstance(field, RationalField):
         sparse = PolyRing(ring.names, sympy.QQ)
         g = sparse.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in f.terms})
         _, raw = g.factor_list()
-        return [(ring.from_dict({e: field.fraction(int(c.numerator), int(c.denominator))
-                                 for e, c in q.to_dict().items()}), k)
-                for q, k in raw]
-    support = f.support()
-    if len(support) > 1:
-        pairs = _factor_homogeneous_bivariate(f)
-        if pairs is None:
-            raise FactorizationUnavailable(
-                "multivariate factorization over a finite field is not supported")
-        return pairs
-    (v,) = support
-    sparse = PolyRing((ring.names[v],), sympy.GF(field.p))
-    g = sparse.from_dict({(e[v],): c for e, c in f.terms})
-    _, raw = g.factor_list()
-    unit = (0,) * ring.nvars
-    return [(ring.from_dict({unit[:v] + (k,) + unit[v + 1:]: int(c) % field.p
-                             for (k,), c in q.to_dict().items()}), m)
-            for q, m in raw]
+        out = [(ring.from_dict({e: field.fraction(int(c.numerator), int(c.denominator))
+                                for e, c in q.to_dict().items()}), k)
+               for q, k in raw]
+    else:
+        (v,) = f.support()
+        sparse = PolyRing((ring.names[v],), sympy.GF(field.p))
+        g = sparse.from_dict({(e[v],): c for e, c in f.terms})
+        _, raw = g.factor_list()
+        unit = (0,) * ring.nvars
+        out = [(ring.from_dict({unit[:v] + (k,) + unit[v + 1:]: int(c) % field.p
+                                for (k,), c in q.to_dict().items()}), m)
+               for q, m in raw]
+    if cache is not None:
+        cache[key] = tuple(out)
+    return out
 
 
 def factor(f):
-    """[(irreducible factor, multiplicity)], constants dropped, in sympy's
-    order.
+    """[(irreducible factor, multiplicity)] of f, constants dropped, each
+    factor up to a unit and in no fixed order.
 
-    Exact over QQ in any number of variables.  Over F_p the fragment is
-    univariate polynomials, homogeneous bivariate ones, c*y + b with c a
-    nonzero constant and y not occurring in b, quadrics with a square term
-    in odd characteristic, a*x + b with a and b in one other variable, and
-    a monomial x^J times any of these, or times 1
-    (FactorizationUnavailable otherwise).  Those last four shapes are
-    answered without sympy (_degree_one_alone, _quadric_factors,
-    _gauss_factors, and _monomial_content, which divides x^J out first),
-    normalized as sympy would (_normalized); over F_p a homogeneous
-    bivariate polynomial keeps its dehomogenization instead.  Other
-    answers are kept in the prime_cache_scope dict, so sympy sees each
-    polynomial once per top-level call."""
-    if isinstance(f.ring.field, RationalField) or not _is_homogeneous_bivariate(f):
-        split = _monomial_content(f)
-        if split is not None:
-            variables, g = split
-            return _in_sympy_order(f, variables + _factor_without_content(g))
-    return _factor_without_content(f)
-
-
-def _factor_without_content(f):
-    """factor once a monomial content is divided out: for a constant, an
-    f that no variable divides, or a homogeneous bivariate f over F_p,
-    which keeps its dehomogenization."""
-    if f.is_zero() or f.is_constant():
-        return []
-    if next(_degree_one_alone(f), None) is not None:
-        return [(_normalized(f), 1)]
-    if isinstance(f.ring.field, RationalField) or not _is_homogeneous_bivariate(f):
-        for shape in (_quadric_factors, _gauss_factors):
-            pairs = shape(f)
-            if pairs is not None:
-                return pairs
-    cache = _prime_cache_var.get()
-    if cache is None:
-        return _factor_with_sympy(f)
-    key = ("factor", f.ring, f.terms)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = tuple(_factor_with_sympy(f))
-    return list(hit)
+    Exact over QQ in any number of variables; over F_p in the fragment
+    FactorizationUnavailable names (it is raised otherwise).  The monomial
+    content x^J is divided out first (_monomial_content).  The rest is
+    answered without sympy when it is c*y + b (_degree_one_alone), a
+    primitive binomial (_is_primitive_binomial), a quadric
+    (_quadric_factors) or a*x + b over k[y] (_gauss_split, whose gcd in
+    k[y] goes round the same loop); any other polynomial goes to sympy
+    (_factor_with_sympy), over F_p in several variables through its
+    dehomogenization (_factor_homogeneous_bivariate)."""
+    out = []
+    todo = [f]
+    while todo:
+        variables, g = _monomial_content(todo.pop())
+        out += variables
+        if g.is_constant():
+            continue
+        if next(_degree_one_alone(g), None) is not None or _is_primitive_binomial(g):
+            out.append((g, 1))
+        elif (pairs := _quadric_factors(g)) is not None:
+            out += pairs
+        elif (split := _gauss_split(g)) is not None:
+            gcd, cofactor = split
+            out.append((cofactor, 1))
+            todo.append(gcd)
+        elif isinstance(g.ring.field, RationalField) or len(g.support()) == 1:
+            out += _factor_with_sympy(g)
+        else:
+            out += _factor_homogeneous_bivariate(g)
+    return out
 
 
 def _splits(facs):
@@ -780,13 +722,13 @@ def minimal_primes(I):
     while work:
         key, J = work.pop()
         step = tree[key] = _process(J)
-        for B in step.branches if isinstance(step, Split) else ():
-            if B.is_unit():
-                continue
-            k = B.key()
-            if k not in seen:
+        if isinstance(step, Split):
+            # pushed in key order: the walk, and so the first failure it
+            # meets, does not depend on the order or units of the factors
+            branches = {B.key(): B for B in step.branches if not B.is_unit()}
+            for k in sorted(branches.keys() - seen):
                 seen.add(k)
-                work.append((k, B))
+                work.append((k, branches[k]))
     result = cache[I] = _audit_tree(I, tree)
     return result
 
@@ -1020,8 +962,9 @@ def residue_degree(lead, U):
     order when U is every variable).  That basis is one of p over k(x_S),
     led there by the U-parts of its leading monomials (Gianni, Trager &
     Zacharias 1988), and p k(x_S)[x_U] is the maximal ideal with residue
-    field k(p)."""
-    return len(_standard_terms([(0, e) for e in lead], 1, U))
+    field k(p).  None when the count is infinite."""
+    std = _standard_terms([(0, e) for e in lead], 1, U)
+    return None if std is None else len(std)
 
 
 def _fiber_degree(q, U):
@@ -1035,8 +978,7 @@ def _fiber_degree(q, U):
     lead = q.ideal.leading_exponents(_fiber_order(q.ring, U))
     if any(not any(e[i] for i in U) for e in lead):
         return 0
-    std = _standard_terms([(0, e) for e in lead], 1, U)
-    return None if std is None else len(std)
+    return residue_degree(lead, U)
 
 
 def _length_by_additivity(whole, p, U, components, full_support):
@@ -1097,12 +1039,12 @@ def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
     was not minimal over the annihilator or the length is at least
     max_steps, reported as HypothesisError.
 
-    At a closed point (every variable has a pure power among p's leading
-    monomials) with M of finite dimension over k, the counts come from
-    M's cached basis alone (_closed_point_length)."""
+    At a closed point (S empty: p has dimension 0) with M of finite
+    dimension over k, the counts come from M's cached basis alone
+    (_closed_point_length)."""
     ring = M.ring
-    closed = _pure_power_caps(p.ideal.leading_exponents(), ring.nvars) is not None
-    U = tuple(range(ring.nvars)) if closed else _dependent_variables(p)
+    U = _dependent_variables(p)
+    closed = len(U) == ring.nvars
     basis = _relation_basis(M, modulo, U)
     std = _standard_terms([v[0][0] for v in basis], M.rank, U)
     whole = None if std is None else len(std)

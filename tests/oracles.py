@@ -14,12 +14,14 @@ normal forms, by the filtration by powers of the prime and by elimination
 over the residue field, routes that its counting kernel does not take.
 The factorization reference goes through sympy's expression layer (symbols,
 Poly and factor_list), where the engine builds sparse ring elements and
-recognizes monomials, quadrics, c*y + b and a*x + b without sympy.  Over
-F_p in several variables sympy has no reference; there quadric_splits
-decides a quadric by the rank of its matrix, where the engine completes
-the square.  ProductRingGraphMap is a chart map whose graph gives every
-target coordinate a fresh variable and a relation, where the engine's graph
-reuses a source variable for a coordinate whose image is one.
+recognizes monomials, primitive binomials, quadrics, c*y + b and a*x + b
+without sympy; factor_multiset compares two factorizations up to units
+and order.  Over F_p in several variables sympy has no reference; there
+quadric_splits decides a quadric by the rank of its matrix, where the
+engine completes the square.  ProductRingGraphMap is a chart map whose
+graph gives every target coordinate a fresh variable and a relation,
+where the engine's graph reuses a source variable for a coordinate whose
+image is one.
 """
 
 import warnings
@@ -393,6 +395,14 @@ def factor_by_expressions(f):
         if not g.is_constant():
             out.append((g, e))
     return out
+
+
+def factor_multiset(facs):
+    """A factorization [(factor, multiplicity)] as the sorted list of
+    (monic factor, multiplicity), factors printed: two factorizations give
+    the same list exactly when they agree up to one unit per factor, in
+    any order, with the same multiplicities."""
+    return sorted((str(q.monic()), e) for q, e in facs)
 
 
 def _is_square(c, field):

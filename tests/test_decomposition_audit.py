@@ -8,6 +8,7 @@ rejected, and its answers must pass the full audit and the reference."""
 
 import re
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +375,35 @@ def test_minimal_primes_pass_the_full_audit_and_the_reference(data):
     assert audit_accepts(I, ideals)
     assert [p.key for p in assert_decomposition(I, ideals)] == [p.key for p in primes]
     assert primes_module._covers_by_rabinowitsch(I, ideals)
+
+
+def _decomposition_outcome(I):
+    """The keys of I's minimal primes, or the type and message raised."""
+    try:
+        return [p.key for p in minimal_primes(I)]
+    except EngineError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minimal_primes_ignore_the_order_and_units_of_factors(data):
+    # factor answers up to units and in no fixed order: reversing every
+    # answer and scaling each factor by a nonzero constant changes nothing
+    I = _random_ideal(data)
+    field = I.ring.field
+    scales = data.draw(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3, 5]),
+                                          st.sampled_from([1, 2, 3, 4])),
+                                min_size=1, max_size=4), label="scales")
+    real = primes_module.factor
+
+    def scrambled(f):
+        return [(q * field.fraction(*scales[k % len(scales)]), e)
+                for k, (q, e) in enumerate(reversed(real(f)))]
+
+    want = _decomposition_outcome(I)
+    with mock.patch.object(primes_module, "factor", scrambled):
+        assert _decomposition_outcome(I) == want
 
 
 @pytest.mark.parametrize("field, names, gens, message", [

@@ -100,6 +100,29 @@ def test_engine_defines_no_unreachable_functions():
     assert found == []
 
 
+def test_engine_private_functions_are_referenced_outside_their_own_body():
+    # a module-level helper that only its own body names (or nothing names)
+    # is dead code, even when the package still imports cleanly
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))]
+    refs = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs.setdefault(node.attr, []).append(node)
+    found = []
+    for path, tree in zip(sorted(SRC.glob("*.py")), trees):
+        for fn in tree.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_")):
+                own = set(ast.walk(fn))
+                if all(node in own for node in refs.get(fn.name, ())):
+                    found.append(f"{path.name}:{fn.name}")
+    assert found == []
+
+
 def test_engine_builds_no_sympy_expressions():
     # the engine reaches sympy through its sparse rings only: symbols,
     # Poly and the expression-level factor_list stay out of src/
