@@ -12,20 +12,21 @@ ideal
 A coordinate whose image is a source variable is named by that variable
 (see _build_graph), so a coordinate projection's graph is its source.
 The target block is the fresh variables and the reused source variables;
-the source block is the rest.  Eliminating the source block gives closures
-of images; pure powers of the source-block variables in a block-order basis
-certify finiteness; residue degrees over the image, counted on leading
-ideals, give pushforward degrees; coefficient modules over the target block
-present pushforward modules.
+the source block is the rest.  One basis eliminating the source block
+serves a component: its elements free of the source block give the closure
+of the image, its pure powers of source-block variables certify finiteness,
+and its leads with coefficients outside the image count the pushforward
+degree (_push_component); coefficient modules over the target block present
+pushforward modules.
 """
 
-from .errors import ConsistencyError, EngineError, RingMismatchError
+from .errors import EngineError, RingMismatchError
 from .geometry import Chart, Cycle, cycle_of_subscheme
-from .groebner import Ideal, eliminate, independent_set
+from .groebner import Ideal, eliminate
 from .homology import (FPModule, FreeModuleElement, coefficient_module,
                        unit_multiples)
 from .polyring import PolynomialRing, elimination_order, fresh_names, transport
-from .primes import PrimeIdeal, residue_degree, standard_exponents
+from .primes import PrimeIdeal, pure_power_caps, residue_degree, standard_exponents
 
 
 class ChartMap:
@@ -82,12 +83,12 @@ class ChartMap:
         return self._graph
 
     def is_finite(self):
-        """Pure powers of every source-block variable in the elimination
-        basis of the graph ideal certify module-finiteness over the
-        target."""
+        """Pure powers of every source-block variable among the monic leads
+        of the graph ideal (_monic_leads), or the lead 1, certify
+        module-finiteness over the target; nothing is enumerated."""
         if self._finite_checked is None:
-            self._finite_checked = (
-                _source_standard_exponents(self, self.graph()[1])[1] is not None)
+            idx, _, lead = _monic_leads(self, self.graph()[1])
+            self._finite_checked = pure_power_caps(lead, len(idx)) is not None
             if self._finite_checked:
                 self.finite = True
         return self._finite_checked
@@ -192,20 +193,22 @@ def _build_graph(m):
 _PUSHFORWARD_BOUND = 100000  # largest box of source standard monomials
 
 
-def _source_standard_exponents(m, total):
-    """Positions of the source-block variables in the graph ring P, and the
-    exponents over them of the source-block monomials outside the leading
-    ideal of total's block-order basis; None in place of the exponents when
-    some source-block variable has no pure power (the map is then not finite).  The
-    unit ideal, whose basis is 1, has none: the zero module is finite."""
+def _monic_leads(m, total):
+    """The source-block positions in the graph ring, the block order
+    eliminating them, and the leads of total's basis under it that are free
+    of the target block (of elements with a constant leading coefficient
+    over it), as exponents over those positions."""
     P, _, src_names, _ = m.graph()
     idx = [P.index_of(nm) for nm in src_names]
     order = elimination_order(idx, P.nvars)
-    lead = []
-    for e in total.leading_exponents(order):
-        if all(e[i] == 0 for i in range(P.nvars) if i not in idx):
-            lead.append(tuple(e[i] for i in idx))
-    return idx, standard_exponents(lead, len(idx), _PUSHFORWARD_BOUND)
+    lead = [tuple(e[i] for i in idx) for e in total.leading_exponents(order)
+            if not any(k for i, k in enumerate(e) if i not in idx)]
+    return idx, order, lead
+
+
+def _not_finite(m):
+    return EngineError(f"map {m.source.name} -> {m.target.name} is not finite here; "
+                       "pushforward needs module-finiteness")
 
 
 def _graph_ideal(m, ideal):
@@ -229,36 +232,39 @@ def _image(m, total):
     return Ideal(m.target.ring, [transport(g, m.target.ring, back) for g in small.gens])
 
 
-def _finite_exponents(m, total):
-    """_source_standard_exponents of total, which must be finite over the
-    target."""
-    idx, std = _source_standard_exponents(m, total)
-    if std is None:
-        raise EngineError(
-            f"map {m.source.name} -> {m.target.name} is not finite here; "
-            "pushforward needs module-finiteness")
-    return idx, std
+def _push_component(m, total):
+    """(q, [k(p):k(q)]) for a prime p of the source and total = G + p, q
+    the image of p; None for the degree when p is not finite over q.  Read
+    off B, total's source-eliminating basis, and q's ring-order basis.
 
-
-def _degree_over_image(m, total, q):
-    """[k(p):k(q)] by the tower law through k(y_T) (see proper_pushforward).
-    With T empty any order counts, so total's count reads its
-    source-eliminating basis and q's its ring-order basis."""
-    P, _, src_names, rename = m.graph()
+    Write P = k[y][x], x the source block, and lc(h) in k[y] for the
+    coefficient of h's leading x-monomial.  Under the block order the lc(h)
+    of the h in total led by x^a form an ideal of k[y] (with 0), generated
+    by the lc(g) of the g in B whose lead divides x^a.  Keep the g with
+    lc(g) outside q.  An f in total k(q)[x], times a denominator, lifts to
+    an h in total; dropping h's terms with coefficients in q, which lies in
+    total, leaves lc(h) outside q, so some kept g has a lead dividing f's.
+    So the kept g specialize to a Gröbner basis of total k(q)[x]
+    (Kalkbrener, J. Symb. Comp. 24, 1997; Gianni, EUROCAL '87), whose
+    standard monomials count [k(p):k(q)]: P/total = A/p is a domain finite
+    over k[y]/q, so (P/total) tensor k(q) is its fraction field.  An
+    element of B led by a monomial free of x lies in total meet k[y] = q."""
+    P, _, _, rename = m.graph()
     ring = m.target.ring
-    T = independent_set(q.ideal)
-    U = tuple(i for i in range(ring.nvars) if i not in T)
-    src = [P.index_of(nm) for nm in src_names]
-    outside = tuple(sorted(src + [P.index_of(rename[ring.names[i]]) for i in U]))
-    up = residue_degree(total.leading_exponents(
-        elimination_order(outside if T else src, P.nvars)), outside)
-    down = residue_degree(q.ideal.leading_exponents(
-        elimination_order(U, ring.nvars) if T else None), U)
-    if up % down:
-        raise ConsistencyError(
-            f"residue degree {up} of a component over {q} is not a multiple "
-            f"of the image's residue degree {down}")
-    return up // down
+    # the image of an irreducible stays irreducible
+    q = PrimeIdeal(_image(m, total) + m.target.ideal)
+    idx, order, lead = _monic_leads(m, total)
+    if pure_power_caps(lead, len(idx)) is None:
+        return q, None
+    back = {rename[nm]: nm for nm in ring.names}
+    kept = []
+    for g, e in zip(total.groebner_basis(order), total.leading_exponents(order)):
+        a = [e[i] for i in idx]
+        lc = P.from_dict({tuple(0 if i in idx else k for i, k in enumerate(f)): c
+                          for f, c in g.terms if [f[i] for i in idx] == a})
+        if lc.is_constant() or (any(a) and not q.contains(transport(lc, ring, back))):
+            kept.append(e)
+    return q, residue_degree(kept, idx)
 
 
 def zariski_image(m, ideal=None):
@@ -278,7 +284,10 @@ def pushforward_module(m, M=None, extra=None):
     if M.ring != m.source.ring:
         raise RingMismatchError("module not over the source chart")
     total = _graph_ideal(m, extra)
-    idx, std = _finite_exponents(m, total)
+    idx, _, lead = _monic_leads(m, total)
+    std = standard_exponents(lead, len(idx), _PUSHFORWARD_BOUND)
+    if std is None:
+        raise _not_finite(m)
     monos = []
     for exps in std:
         full = [0] * P.nvars
@@ -312,13 +321,13 @@ def pullback_module(m, M):
 
 def degree(m):
     """Generic degree: [k(source):k(image)] for an integral source finite
-    over the target (_degree_over_image with p the source ideal)."""
+    over the target (_push_component with p the source ideal)."""
     if not m.source.is_integral():
         raise EngineError("degree needs an integral source chart")
-    _, G, _, _ = m.graph()
-    image = PrimeIdeal(_image(m, G) + m.target.ideal)
-    _finite_exponents(m, G)
-    return _degree_over_image(m, G, image)
+    _, deg = _push_component(m, m.graph()[1])
+    if deg is None:
+        raise _not_finite(m)
+    return deg
 
 
 def flat_pullback(m, cycle):
@@ -341,36 +350,25 @@ def proper_pushforward(m, cycle):
     drops allowed only for maps marked proper.
 
     A component p counts [k(p):k(q)] times its image q (Fulton,
-    Intersection Theory, section 1.4), all read off total = G + p, G the
-    graph ideal in P = k[x, y].  Its source-eliminating basis gives
-    q = total meet k[y] and the finiteness check.  P/total is A/p, whose
-    fraction field is k(p).  With T = independent_set(q), the y_T are
-    independent modulo q, hence modulo total, and there are dim q = dim p
-    of them: a transcendence basis of k(p) and of k(q).  So
-    [k(p):k(q)] = [k(p):k(y_T)] / [k(q):k(y_T)], and residue_degree counts
-    each on a basis of total or of q under an order eliminating the
-    variables outside y_T."""
+    Intersection Theory, section 1.4).  _push_component reads q, finiteness
+    and the degree off one basis of the graph ideal plus p: the degree is
+    the count of standard monomials of its specialization to k(q)."""
     if cycle.chart != m.source:
         raise EngineError("cycle does not live on the source chart")
     grade_out = m.target.dim() - (m.source.dim() - cycle.grade)
     out = Cycle.zero(m.target, grade_out)
     for p, mult in cycle.coeffs.items():
-        total = _graph_ideal(m, p.ideal)
-        # the image of an irreducible stays irreducible
-        q = PrimeIdeal(_image(m, total) + m.target.ideal)
+        q, deg = _push_component(m, _graph_ideal(m, p.ideal))
         if q.dim() < p.dim():
             if m.proper is not True:
                 raise EngineError(
                     f"component {p} drops dimension; pushforward is only "
                     "defined for proper maps (mark the map proper)")
             continue
-        try:
-            _finite_exponents(m, total)
-        except EngineError:
+        if deg is None:
             raise EngineError(
                 f"component {p} is not finite over its image; outside the "
                 "supported fragment")
-        deg = _degree_over_image(m, total, q)
         out = out + Cycle(m.target, grade_out, {q: mult * deg})
     return out
 

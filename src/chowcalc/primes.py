@@ -71,8 +71,8 @@ built; elsewhere each N costs one module basis, seeded with M's, under an
 order eliminating the variables U outside S.  No stop of this filtration
 within max_steps is reported as HypothesisError; the generic rank is the
 N = 1 count.  The residue degree [k(p):k(x_S)] is the same count on p's
-leading ideal (residue_degree), which morphisms also reads for
-pushforward degrees.
+leading ideal (residue_degree); morphisms runs it on leads of a graph
+ideal's basis for pushforward degrees, never on the image's leading ideal.
 """
 
 import contextvars
@@ -402,7 +402,7 @@ def assert_prime(I):
     return PrimeIdeal(I, certified=False)
 
 
-def _pure_power_caps(lead, nvars):
+def pure_power_caps(lead, nvars):
     """The least k with x_i^k in `lead`, for each of nvars variables (all 0
     when 1 leads), or None when some variable has no pure power in `lead`.
     Every standard exponent lies in the box range(k_1) x ... x range(k_n)."""
@@ -420,7 +420,7 @@ def standard_exponents(lead, nvars, bound):
     """Exponent tuples in nvars variables divisible by no exponent in `lead`,
     or None when some variable has no pure power in `lead` (there are then
     infinitely many).  Raises when the enclosing box exceeds `bound`."""
-    caps = _pure_power_caps(lead, nvars)
+    caps = pure_power_caps(lead, nvars)
     if caps is None:
         return None
     box = 1

@@ -21,7 +21,9 @@ quadric_splits decides a quadric by the rank of its matrix, where the
 engine completes the square.  ProductRingGraphMap is a chart map whose
 graph gives every target coordinate a fresh variable and a relation,
 where the engine's graph reuses a source variable for a coordinate whose
-image is one.
+image is one.  tower_law_degree counts a pushforward degree by the tower
+law through a transcendence basis of the image, on two further bases,
+where the engine counts on its source-eliminating basis alone.
 """
 
 import warnings
@@ -32,12 +34,13 @@ import sympy
 
 from chowcalc.errors import HypothesisError
 from chowcalc.fields import RationalField
-from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical
+from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical, independent_set
 from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
                                module_basis, unit_multiples)
-from chowcalc.morphisms import ChartMap, product_ring
-from chowcalc.polyring import (PolynomialRing, fresh_names, grevlex, mono_div,
-                               mono_divides, mono_lcm, transport)
+from chowcalc.morphisms import ChartMap, product_ring, zariski_image
+from chowcalc.polyring import (PolynomialRing, elimination_order, fresh_names, grevlex,
+                               mono_div, mono_divides, mono_lcm, transport)
+from chowcalc.primes import PrimeIdeal, residue_degree
 
 
 def independent_set_by_scan(I):
@@ -560,3 +563,27 @@ class ProductRingGraphMap(ChartMap):
                      for nm in self.target.ring.names]
             self._graph = (P, Ideal(P, gens), self.source.ring.names, rename)
         return self._graph
+
+
+def tower_law_degree(m, ideal=None):
+    """(q, [k(p):k(q)]) for the prime p = `ideal` of the source (None: the
+    whole source, which must be integral) and its image q, by the tower law.
+    On total = G + p in the graph ring P = k[x, y], with T a largest
+    independent set of q, the y_T are independent modulo total too, and
+    there are dim q = dim p of them: a transcendence basis of k(p) and of
+    k(q).  So [k(p):k(q)] = [k(p):k(y_T)] / [k(q):k(y_T)], and
+    residue_degree counts each factor on a basis of total or of q under an
+    order eliminating the variables outside y_T.  p must be finite over q."""
+    P, G, src_names, rename = m.graph()
+    ring = m.target.ring
+    total = G if ideal is None else G + Ideal(P, [transport(g, P) for g in ideal.gens])
+    q = PrimeIdeal(zariski_image(m, ideal) + m.target.ideal)
+    T = independent_set(q.ideal)
+    U = tuple(i for i in range(ring.nvars) if i not in T)
+    outside = tuple(sorted([P.index_of(nm) for nm in src_names]
+                           + [P.index_of(rename[ring.names[i]]) for i in U]))
+    up = residue_degree(total.leading_exponents(elimination_order(outside, P.nvars)), outside)
+    down = residue_degree(q.ideal.leading_exponents(
+        elimination_order(U, ring.nvars) if T else None), U)
+    assert up % down == 0, f"residue degree {up} over {q} is not a multiple of {down}"
+    return q, up // down

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowcalc import correspondences, groebner, homology, morphisms, primes
 from chowcalc.correspondences import compose, correspondence_degree, graph
-from chowcalc.errors import ConsistencyError, EngineError
+from chowcalc.errors import EngineError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, Cycle, cycle_of_subscheme, point_cycle
 from chowcalc.groebner import Ideal
@@ -16,7 +16,7 @@ from chowcalc.morphisms import (ChartMap, degree, fiber_product, flat_pullback,
 from chowcalc.morphisms import ProductChart
 from chowcalc.polyring import PolynomialRing, elimination_order
 from chowcalc.primes import PrimeIdeal, generic_rank, minimal_primes
-from oracles import ProductRingGraphMap
+from oracles import ProductRingGraphMap, tower_law_degree
 
 LINE_T = Chart("At", PolynomialRing(QQ, ("t",)))
 LINE_X = Chart("Ax", PolynomialRing(QQ, ("x",)))
@@ -207,10 +207,18 @@ def _module_rank_degree(m, p):
 
 
 def _check_against_module_rank(m, ideal, grade):
+    # and against the tower law, which counts on two further bases
     for p in minimal_primes(ideal):
         q, rank = _module_rank_degree(m, p)
+        assert tower_law_degree(m, p.ideal) == (q, rank)
         push = proper_pushforward(m, Cycle(m.source, grade, {p: 1}))
         assert push.coeffs == {q: rank}
+
+
+def _check_degree(m, expected):
+    image = PrimeIdeal(zariski_image(m) + m.target.ideal)
+    assert (degree(m) == generic_rank(pushforward_module(m), image)
+            == tower_law_degree(m)[1] == expected)
 
 
 @st.composite
@@ -241,8 +249,14 @@ def test_a1_pushforward_degrees_match_the_module_rank(data):
     m = ChartMap(src, tgt, {"x": f})
     g = data.draw(_univariate(t, field, (0, 1, 2, 3)))
     _check_against_module_rank(m, Ideal(src.ring, (g,)), 0 if g.is_zero() else 1)
-    image = PrimeIdeal(zariski_image(m) + tgt.ideal)
-    assert degree(m) == generic_rank(pushforward_module(m), image) == d
+    _check_degree(m, d)
+    # t -> (t^2 + a*t, t^3 + b*t^2 + c*t): birational onto a curve that is
+    # not normal, where counting pure source leads alone overcounts
+    a, b, c = (data.draw(st.integers(-4, 4)) for _ in range(3))
+    plane = Chart("A2", PolynomialRing(field, ("x", "y")))
+    curve = ChartMap(src, plane, {"x": t ** 2 + a * t, "y": t ** 3 + b * t ** 2 + c * t})
+    _check_against_module_rank(curve, Ideal(src.ring, (g,)), 0 if g.is_zero() else 1)
+    _check_degree(curve, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,7 +279,14 @@ def test_a2_pushforward_degrees_match_the_module_rank(data):
     else:
         gens = ()
     _check_against_module_rank(m, Ideal(src.ring, gens), len(gens))
-    assert degree(m) == 2
+    _check_degree(m, 2)
+    # (x, y) -> (x, y^2 + a*x, y^3 + b*x*y + c): birational onto a surface
+    # that is not normal
+    space = Chart("A3", PolynomialRing(field, ("u", "v", "w")))
+    surface = ChartMap(src, space, {"u": x, "v": y ** 2 + a * x,
+                                    "w": y ** 3 + b * x * y + c})
+    _check_against_module_rank(surface, Ideal(src.ring, gens), len(gens))
+    _check_degree(surface, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -335,6 +356,30 @@ def test_pushing_a_point_forward_builds_one_basis_and_no_module(monkeypatch):
     assert built.count((P, source_order.tag)) == 1
 
 
+def test_pushing_a_curve_forward_builds_the_image_bases_alone(monkeypatch):
+    # the degree is counted on the source-eliminating basis that gives the
+    # image, and the image's ring-order basis tests its leading coefficients
+    m = ChartMap(PLANE, PLANE, {"x": "x", "y": "y^2"}, finite=True, proper=True)
+    curve = cycle_of_subscheme(Ideal(PLANE.ring, ("y - x^2",)), PLANE)
+    P = m.graph()[0]
+    source_order = elimination_order([P.index_of("y")], P.nvars)
+    built = _count_bases(monkeypatch)
+    assert str(proper_pushforward(m, curve)) == "[(x^4 - y)]"
+    assert built == [(P, source_order.tag), (PLANE.ring, PLANE.ring.order.tag)]
+
+
+def test_a_finite_map_with_a_large_fibre_is_finite():
+    # finiteness is read off pure powers, with no standard monomial listed;
+    # only pushforward_module lists them, within its bound
+    m = ChartMap(LINE_T, LINE_X, {"x": "t^100001"})
+    assert m.is_finite()
+    assert degree(m) == 100001
+    whole = Cycle(LINE_T, 0, {minimal_primes(Ideal(LINE_T.ring, ()))[0]: 1})
+    assert str(proper_pushforward(m, whole)) == "100001*[(0)]"
+    with pytest.raises(EngineError, match="^standard monomial count exceeds bound 100000$"):
+        pushforward_module(m)
+
+
 @pytest.mark.parametrize("image, cycle, deg", [
     ("t^2", "[(t + t_r)] + [(t - t_r)]", 2),
     ("t^3 - t", "[(t - t_r)] + [(t^2 + t*t_r + t_r^2 - 1)]", 3)])
@@ -359,14 +404,6 @@ def test_composing_along_a_projection_works_in_the_triple_product(
     assert str(composite.cycle) == cycle
     assert pushed and max(ring.nvars for ring, _ in pushed) <= 3
     assert correspondence_degree(composite) == deg
-
-
-def test_a_degree_quotient_that_is_not_whole_raises(monkeypatch):
-    counts = iter((3, 2))
-    monkeypatch.setattr(morphisms, "residue_degree", lambda lead, U: next(counts))
-    point = point_cycle(LINE_T, Ideal(LINE_T.ring, ("t - 1",)))
-    with pytest.raises(ConsistencyError, match="not a multiple"):
-        proper_pushforward(SQUARING, point)
 
 
 # ---------------------------------------------------------------------------

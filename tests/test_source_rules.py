@@ -170,6 +170,18 @@ def test_only_morphisms_reads_the_pushforward_graph():
     assert found and {entry.split(":")[0] for entry in found} == {"morphisms.py"}
 
 
+def test_only_the_kernels_search_independent_sets():
+    # dimensions and residue degrees belong to groebner and primes; a
+    # pushforward degree is counted on the basis that gives the image
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [path.name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "independent_set" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))]
+    assert found and set(found) <= {"groebner.py", "primes.py"}
+
+
 def test_engine_names_one_rational_type():
     # QQ's coefficient type is fields.py's choice alone: values of two
     # rational types do not mix in arithmetic, so no other module builds one
