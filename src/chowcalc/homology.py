@@ -233,9 +233,6 @@ def tor_modules(M, N, modulo=None, up_to=None):
             out.append(FPModule(ring, 0, ()))
             continue
         rank_i = res.ranks[i] * N.rank
-        if rank_i == 0:
-            out.append(FPModule(ring, 0, ()))
-            continue
         u_here = _slot_relations(N, res.ranks[i], ring)
         boundary = _tensor_columns(res.mats[i], N, ring) if i < res.length() else []
         if i == 0:

@@ -190,7 +190,7 @@ def _build_graph(m):
     return P, Ideal(P, gens), tuple(unpicked.values()), rename
 
 
-_PUSHFORWARD_BOUND = 100000  # largest box of source standard monomials
+_PUSHFORWARD_BOUND = 100000  # largest number of source standard monomials listed
 
 
 def _monic_leads(m, total):

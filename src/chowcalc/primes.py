@@ -67,12 +67,14 @@ alone, so length(M_p) = dim_k(x_S)(M / p^N M tensor k(x_S)) /
 reaches whole, gives p^N M_p = 0 by Nakayama.  At a closed point, with M
 of finite dimension over k, p^N M is an echelon span inside M
 (groebner.span_times, whose only caller this is) and no further basis is
-built; elsewhere each N costs one module basis, seeded with M's, under an
-order eliminating the variables U outside S.  No stop of this filtration
-within max_steps is reported as HypothesisError; the generic rank is the
-N = 1 count.  The residue degree [k(p):k(x_S)] is the same count on p's
-leading ideal (residue_degree); morphisms runs it on leads of a graph
-ideal's basis for pushforward degrees, never on the image's leading ideal.
+built; elsewhere each N costs one module basis, seeded with M's, under
+term over position on an order eliminating the variables U outside S
+(_fiber_key).  No stop of this filtration within max_steps is reported as
+HypothesisError; the generic rank is the N = 1 count.  The residue degree
+[k(p):k(x_S)] is the same count on p's leading ideal (residue_degree);
+morphisms runs it on leads of a graph ideal's basis for pushforward
+degrees, never on the image's leading ideal.  Every count walks the box of
+all variables but the last and lists nothing (_standard_columns).
 """
 
 import contextvars
@@ -87,9 +89,9 @@ from sympy.polys.rings import PolyRing
 from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
 from .fields import RationalField
-from .groebner import (Ideal, ModuleOrder, buchberger, eliminate, in_radical,
-                       independent_set, intersect, krull_dim, span_times,
-                       vec_from_polys)
+from .groebner import (Ideal, buchberger, eliminate, in_radical,
+                       independent_set, intersect, krull_dim, module_order,
+                       span_times, vec_from_polys)
 from .homology import fold_modulo, unit_multiples
 from .polyring import (PolynomialRing, elimination_order, fresh_names,
                        mono_div, mono_divides, transport)
@@ -357,13 +359,13 @@ class PrimeIdeal:
 
     Built by minimal_primes (certified) or assert_prime (trusted)."""
 
-    __slots__ = ("ideal", "certified", "key", "_dim")
+    __slots__ = ("ideal", "certified", "key", "_independent")
 
     def __init__(self, ideal, certified=True):
         self.ideal = ideal
         self.certified = certified
         self.key = ideal.key()
-        self._dim = None
+        self._independent = None
 
     @property
     def ring(self):
@@ -373,10 +375,14 @@ class PrimeIdeal:
     def gens(self):
         return self.ideal.groebner_basis()
 
+    def independent_set(self):
+        """groebner.independent_set of the ideal, searched once."""
+        if self._independent is None:
+            self._independent = independent_set(self.ideal)
+        return self._independent
+
     def dim(self):
-        if self._dim is None:
-            self._dim = krull_dim(self.ideal)
-        return self._dim
+        return len(self.independent_set())
 
     def contains(self, f):
         return self.ideal.contains(f)
@@ -416,29 +422,48 @@ def pure_power_caps(lead, nvars):
     return None if any(c is None for c in caps) else caps
 
 
-def standard_exponents(lead, nvars, bound):
-    """Exponent tuples in nvars variables divisible by no exponent in `lead`,
-    or None when some variable has no pure power in `lead` (there are then
-    infinitely many).  Raises when the enclosing box exceeds `bound`."""
+def _standard_columns(lead, nvars, bound):
+    """The standard exponents of `lead` in nvars variables, column by
+    column: (t, k) for each t in the box of the pure-power caps of all
+    variables but the last, the standard exponents over t being t + (j,)
+    for j < k, k the least last exponent of a lead whose other exponents
+    divide t (the last variable's pure power is one).  None when some
+    variable has no pure power in `lead`; raises when the box of the t
+    exceeds `bound`.  With no variables, k counts the one exponent ()."""
     caps = pure_power_caps(lead, nvars)
     if caps is None:
         return None
-    box = 1
-    for c in caps:
-        box *= c
-        if box > bound:
+    if not nvars:
+        return [((), 0 if lead else 1)]
+    if math.prod(caps[:-1]) > bound:
+        raise EngineError(f"standard monomial walk exceeds bound {bound}")
+    return [(t, min(e[-1] for e in lead if mono_divides(e[:-1], t)))
+            for t in itertools.product(*map(range, caps[:-1]))]
+
+
+def standard_exponents(lead, nvars, bound):
+    """Exponent tuples in nvars variables divisible by no exponent in `lead`,
+    in lexicographic order, or None when some variable has no pure power in
+    `lead` (there are then infinitely many).  Raises when there are more
+    than `bound`."""
+    columns = _standard_columns(lead, nvars, bound)
+    if columns is None:
+        return None
+    out = []
+    for t, k in columns:
+        if len(out) + k > bound:
             raise EngineError(f"standard monomial count exceeds bound {bound}")
-    return [exps for exps in itertools.product(*[range(c) for c in caps])
-            if not any(mono_divides(e, exps) for e in lead)]
+        out += [t + (j,) for j in range(k)] if nvars else [t] * k
+    return out
 
 
-_VDIM_BOUND = 200000  # largest box of standard monomials that is counted
+_VDIM_BOUND = 200000  # longest walk, and longest list, of standard monomials
 
 
 def vector_space_dimension(I):
-    """dim_k ring/I when finite, else None."""
-    std = standard_exponents(I.leading_exponents(), I.ring.nvars, _VDIM_BOUND)
-    return None if std is None else len(std)
+    """dim_k ring/I when finite, else None: the standard monomials, counted
+    at one position with every variable in U."""
+    return _fiber_count([(0, e) for e in I.leading_exponents()], 1, range(I.ring.nvars))
 
 
 def minimal_polynomial(I, lam):
@@ -469,8 +494,7 @@ def _elimination_shape(I, gb):
         smaller one with u adjoined as a polynomial variable), yielded after
         every other shape.
     u may occur in other basis elements: multiplying by powers of f clears
-    it, so I is still the contraction plus rel (the caller re-checks that
-    identity)."""
+    it, so I is still the contraction plus rel (proved in _elimination_step)."""
     ring = I.ring
     field = ring.field
     for g in gb:
@@ -531,16 +555,22 @@ def _split(J, witness, facs):
     return Split(J, witness, tuple(facs), tuple(J + Ideal(J.ring, (q,)) for q, _ in facs))
 
 
+def _factorizations(gens):
+    """(g, factor(g)) for each g in `gens` inside factor's fragment."""
+    for g in gens:
+        try:
+            facs = factor(g)
+        except FactorizationUnavailable:
+            continue
+        yield g, facs
+
+
 def _split_on_factors(J):
     """A Split along a reducible reduced-basis element, or J as a PrimeIdeal
     when J is principal with an irreducible generator; None when every
     element is irreducible or unfactorable."""
     gb = J.groebner_basis()
-    for g in gb:
-        try:
-            facs = factor(g)
-        except FactorizationUnavailable:
-            continue
+    for g, facs in _factorizations(gb):
         if _splits(facs):
             return _split(J, g, facs)
         if len(gb) == 1:
@@ -550,25 +580,16 @@ def _split_on_factors(J):
 
 def _eliminant_split(J):
     """Split J along a reducible element of a single-variable elimination
-    ideal.  The factors multiply into J, so every prime over J contains one
-    of them; requiring every factor to lie outside J keeps the branches
-    strictly larger."""
-    ring = J.ring
-    if ring.nvars < 2:
-        return None
-    for v in ring.names:
-        small = eliminate(J, (v,))
-        for g in small.gens:
-            try:
-                facs = factor(g)
-            except FactorizationUnavailable:
-                continue
-            if not _splits(facs):
-                continue
-            lifted = [(transport(q, ring), e) for q, e in facs]
-            if any(J.normal_form(q).is_zero() for q, _ in lifted):
-                continue
-            return _split(J, transport(g, ring), lifted)
+    ideal, read off J's cached basis eliminating one variable v at a time.
+    Each branch is larger than J: a proper factor q of a reduced-basis
+    element g is not in J, as lm(q) properly divides lm(g), which no other
+    lead divides."""
+    n = J.ring.nvars
+    for v in range(n):
+        gb = J.groebner_basis(elimination_order((v,), n))
+        for g, facs in _factorizations(g for g in gb if v not in g.support()):
+            if _splits(facs):
+                return _split(J, g, facs)
     return None
 
 
@@ -577,11 +598,10 @@ _LINEAR_FORM_TRIES = 4
 
 def _zero_dim_step(J):
     """Certify a zero-dimensional ideal prime via a primitive element, or
-    split it along m(lam) when the minimal polynomial m of lam factors."""
+    split it along m(lam) when the minimal polynomial m of lam factors;
+    J is proper of Krull dimension 0 (_process), so vdim is positive."""
     ring = J.ring
     vdim = vector_space_dimension(J)
-    if vdim is None or vdim == 0:
-        raise DecompositionError(f"{J} is not a proper zero-dimensional ideal")
     candidates = [ring.var(i) for i in range(ring.nvars)]
     for c in range(1, _LINEAR_FORM_TRIES):
         lam = ring.zero
@@ -639,21 +659,21 @@ def _elimination_step(J, gb):
     extend to the primes here
     (Gianni, Trager & Zacharias 1988; localized_primes).  A candidate whose
     smaller ring falls outside the fragment gives way to the next one; when
-    none succeeds, the first such failure is raised."""
+    none succeeds, the first such failure is raised.  Each shape has
+    J = J'R + (rel), so only _check_elimination compares them: h in J is
+    h(u = -b/c) in J' modulo c*u + b; modulo u*f - 1, h = (u*f)^d * h and
+    f^d * h lies in J' for d = deg_u h; with rel = 0 the basis lies in J'."""
     ring = J.ring
     failure = None
     for u, f, rel in _elimination_shape(J, gb):
         small = eliminate(J, (ring.names[u],))
-        extended = _extension(small.gens, rel)
-        if extended != J:
-            continue
         try:
             below = minimal_primes(small)
         except DecompositionError as err:
             failure = failure or err
             continue
         out = localized_primes(below, transport(f, small.ring), rel)
-        return Elimination(J, extended, small, below, u, f, rel, out)
+        return Elimination(J, _extension(small.gens, rel), small, below, u, f, rel, out)
     if failure is not None:
         raise failure
     return None
@@ -901,27 +921,31 @@ def _fiber_order(ring, U):
 
 
 def _fiber_key(ring, rank, U):
-    """The module order of the count over k(x_S): positions first, U
-    eliminated at each of them, so a basis over k[x] is one over
-    k(x_S)[x_U], led there by the U-parts of its leading terms (Gianni,
-    Trager & Zacharias 1988).  With S empty it is the ring's own
-    term-over-position order."""
-    blocks = (0,) * rank if len(U) == ring.nvars else range(rank)
-    return ModuleOrder((_fiber_order(ring, U),) * rank, blocks).key
+    """The module order of the count over k(x_S): term over position on
+    _fiber_order, so U-parts decide first.  With N M's relations in
+    k[x_S][x_U]^r, r = rank, V_a is the k[x_S]-module of the coefficient
+    vectors at x_U^a of the elements of N with greatest U-part x_U^a.  Such
+    an element is led by x_U^a times its vector's lead, so the S-parts and
+    positions of the leads of the basis elements whose U-part divides
+    x_U^a generate V_a's initial module.  That has V_a's rank, the number
+    of positions holding a lead; so dim M tensor k(x_S) =
+    sum_a (r - rank V_a) counts the standard (U-monomial, position) pairs."""
+    return module_order(_fiber_order(ring, U), rank).key
 
 
-def _standard_terms(lead, rank, U):
-    """The standard (position, U-exponents) pairs at all positions, given
-    the leading (position, exponents) pairs of a basis; None when there are
-    infinitely many."""
-    out = []
+def _fiber_count(lead, rank, U):
+    """The number of standard (position, U-exponents) pairs, given the
+    leading (position, exponents) pairs of a basis, counted by
+    _standard_columns and never listed; None when there are infinitely
+    many."""
+    total = 0
     for a in range(rank):
-        std = standard_exponents([tuple(e[i] for i in U) for pos, e in lead if pos == a],
-                                 len(U), _VDIM_BOUND)
-        if std is None:
+        columns = _standard_columns([tuple(e[i] for i in U) for pos, e in lead if pos == a],
+                                    len(U), _VDIM_BOUND)
+        if columns is None:
             return None
-        out += [(a, e) for e in std]
-    return out
+        total += sum(k for _, k in columns)
+    return total
 
 
 def _fiber_dimension(base, gens, M, U):
@@ -931,9 +955,8 @@ def _fiber_dimension(base, gens, M, U):
     key = _fiber_key(M.ring, M.rank, U)
     vectors = list(base) + [vec_from_polys(v.coords, key)
                             for v in unit_multiples(gens, M.ring, M.rank)]
-    std = _standard_terms([v[0][0] for v in buchberger(vectors, key, M.ring.field)],
-                          M.rank, U)
-    return None if std is None else len(std)
+    return _fiber_count([v[0][0] for v in buchberger(vectors, key, M.ring.field)],
+                        M.rank, U)
 
 
 def _relation_basis(M, modulo, U):
@@ -949,12 +972,6 @@ def _relation_basis(M, modulo, U):
     return basis
 
 
-def _dependent_variables(p):
-    """U, the variables outside a largest independent set of p."""
-    S = independent_set(p.ideal)
-    return tuple(i for i in range(p.ring.nvars) if i not in S)
-
-
 def residue_degree(lead, U):
     """[k(p):k(x_S)] for a prime p and a largest independent set S of p, U
     the variables outside S: the number of standard U-monomials of `lead`,
@@ -963,8 +980,7 @@ def residue_degree(lead, U):
     led there by the U-parts of its leading monomials (Gianni, Trager &
     Zacharias 1988), and p k(x_S)[x_U] is the maximal ideal with residue
     field k(p).  None when the count is infinite."""
-    std = _standard_terms([(0, e) for e in lead], 1, U)
-    return None if std is None else len(std)
+    return _fiber_count([(0, e) for e in lead], 1, U)
 
 
 def _fiber_degree(q, U):
@@ -1017,7 +1033,7 @@ def _per_residue_degree(count, p, U):
 def generic_rank(M, p, modulo=None):
     """Rank of M at the generic point of V(p): dim over k(p) of M / pM
     there, the count of M / pM over k(x_S) divided by [k(p):k(x_S)]."""
-    U = _dependent_variables(p)
+    U = tuple(i for i in range(p.ring.nvars) if i not in p.independent_set())
     basis = _relation_basis(M, modulo, U)
     return _per_residue_degree(_fiber_dimension(basis, p.gens, M, U), p, U)
 
@@ -1043,19 +1059,18 @@ def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
     dimension over k, the counts come from M's cached basis alone
     (_closed_point_length)."""
     ring = M.ring
-    U = _dependent_variables(p)
+    U = tuple(i for i in range(ring.nvars) if i not in p.independent_set())
     closed = len(U) == ring.nvars
     basis = _relation_basis(M, modulo, U)
-    std = _standard_terms([v[0][0] for v in basis], M.rank, U)
-    whole = None if std is None else len(std)
+    whole = _fiber_count([v[0][0] for v in basis], M.rank, U)
     if whole == 0:
         return 0
     if whole is not None and components is not None:
         length = _length_by_additivity(whole, p, U, components, full_support)
         if length is not None:
             return length
-    if closed and std is not None:
-        return _closed_point_length(M, p, U, basis, std, max_steps)
+    if closed and whole is not None:
+        return _closed_point_length(M, p, U, basis, max_steps)
     power = (ring.one,)
     dim = 0
     for _ in range(max_steps):
@@ -1066,10 +1081,9 @@ def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
     raise _unstable(p, max_steps)
 
 
-def _closed_point_length(M, p, U, basis, std, max_steps):
+def _closed_point_length(M, p, U, basis, max_steps):
     """length_at_prime at a closed point p, U all the variables, M of
-    finite dimension D over k with standard terms `std` of its reduced
-    `basis`.
+    finite dimension D over k with reduced `basis`.
 
     V_0 is the span of the D standard vectors, which is M itself, and V_N
     the echelon span of the normal forms of g*v for g in p's basis and v in
@@ -1079,12 +1093,16 @@ def _closed_point_length(M, p, U, basis, std, max_steps):
     Geometry, ch. 2 §2 and ch. 4 §2)."""
     key = _fiber_key(M.ring, M.rank, U)
     field = M.ring.field
-    span = [(((a, e), 1),) for a, e in std]  # working vectors: 1 in either field
+    lead = [v[0][0] for v in basis]
+    span = [(((a, e), 1),)  # working vectors: 1 in either field
+            for a in range(M.rank) for e in standard_exponents(
+                [x for pos, x in lead if pos == a], M.ring.nvars, _VDIM_BOUND)]
+    whole = len(span)
     for _ in range(max_steps):
         prev = len(span)
         span = span_times(span, p.gens, basis, key, field)
         if len(span) in (prev, 0):
-            return _per_residue_degree(len(std) - len(span), p, U)
+            return _per_residue_degree(whole - len(span), p, U)
     raise _unstable(p, max_steps)
 
 

@@ -24,6 +24,8 @@ where the engine's graph reuses a source variable for a coordinate whose
 image is one.  tower_law_degree counts a pushforward degree by the tower
 law through a transcendence basis of the image, on two further bases,
 where the engine counts on its source-eliminating basis alone.
+position_over_term_fiber_key orders a module's relations for a count over
+k(x_S) positions first, where the engine compares terms first.
 """
 
 import warnings
@@ -34,7 +36,8 @@ import sympy
 
 from chowcalc.errors import HypothesisError
 from chowcalc.fields import RationalField
-from chowcalc.groebner import Ideal, divide_exact, eliminate, in_radical, independent_set
+from chowcalc.groebner import (Ideal, ModuleOrder, divide_exact, eliminate, in_radical,
+                               independent_set, module_order)
 from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
                                module_basis, unit_multiples)
 from chowcalc.morphisms import ChartMap, product_ring, zariski_image
@@ -587,3 +590,15 @@ def tower_law_degree(m, ideal=None):
         elimination_order(U, ring.nvars) if T else None), U)
     assert up % down == 0, f"residue degree {up} over {q} is not a multiple of {down}"
     return q, up // down
+
+
+def position_over_term_fiber_key(ring, rank, U):
+    """The reference for primes._fiber_key: positions first, the variables
+    U eliminated at each of them, so a basis over k[x] is one over
+    k(x_S)[x_U], led there by the U-parts of its leading terms (Gianni,
+    Trager & Zacharias 1988), and the standard (position, U-monomial)
+    pairs count dim M tensor k(x_S).  With U every variable it is
+    term over position on the ring's own order."""
+    if len(U) == ring.nvars:
+        return module_order(ring.order, rank).key
+    return ModuleOrder((elimination_order(U, ring.nvars),) * rank, range(rank)).key

@@ -120,11 +120,11 @@ def test_nilpotency_needs_every_power_up_to_the_dimension():
 
 
 def test_small_quotient_in_a_large_box_is_certified():
-    # dim_k R/I = 899, but the pure powers span a 450 x 450 box of 202,500
-    # monomials, more than vector_space_dimension enumerates
+    # dim_k R/I = 899, though the pure powers span a 450 x 450 box of
+    # 202,500 monomials, more than the bound: the count walks the 450
+    # columns over x and lists nothing
     I = Ideal(R2, ("x*y", "x^450", "y^450"))
-    with pytest.raises(EngineError):
-        vector_space_dimension(I)
+    assert vector_space_dimension(I) == 899
     assert [p.key for p in minimal_primes(I)] == [("x", "y")]
 
 

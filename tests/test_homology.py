@@ -134,6 +134,16 @@ def test_tor_of_free_vanishes():
     assert is_zero_module(tors[2])
 
 
+def test_tor_against_the_zero_module_is_zero():
+    # no rank-0 shortcut: empty block copies, empty tensored columns and an
+    # empty kernel give the zero module on either side
+    zero = FPModule.free(R2, 0)
+    point = FPModule.cyclic(Ideal(R2, ("x", "y")))
+    for M, N in ((zero, point), (point, zero)):
+        tors = tor_modules(M, N, up_to=3)
+        assert [(T.rank, T.relations) for T in tors] == [(0, ())] * 4
+
+
 def test_tor_zero_for_transverse_cyclics():
     M = FPModule.cyclic(Ideal(R2, ("x",)))
     N = FPModule.cyclic(Ideal(R2, ("x - 1",)))

@@ -378,6 +378,11 @@ def test_a_finite_map_with_a_large_fibre_is_finite():
     assert str(proper_pushforward(m, whole)) == "100001*[(0)]"
     with pytest.raises(EngineError, match="^standard monomial count exceeds bound 100000$"):
         pushforward_module(m)
+    # a degree is counted column by column, with no monomial listed, so no
+    # bound caps it
+    far = ChartMap(LINE_T, LINE_X, {"x": "t^200001"})
+    assert degree(far) == 200001
+    assert str(proper_pushforward(far, whole)) == "200001*[(0)]"
 
 
 @pytest.mark.parametrize("image, cycle, deg", [

@@ -34,7 +34,8 @@ from chowcalc.primes import standard_exponents
 from chowcalc.script import run_script
 
 from oracles import (count_standard_monomials, factor_by_expressions, factor_multiset,
-                     filtration_length, quadric_splits, rank_at_prime)
+                     filtration_length, position_over_term_fiber_key, quadric_splits,
+                     rank_at_prime)
 
 R2 = PolynomialRing(QQ, ("x", "y"))
 R3 = PolynomialRing(QQ, ("x", "y", "z"))
@@ -560,12 +561,35 @@ def test_localization_relation_with_any_nonzero_constant():
 
 
 def test_localization_tries_the_next_candidate_variable():
-    # reading y*u - 1 as inverting u first leaves (u*u_ + u - u_, x), outside
-    # the fragment; reading it as inverting y certifies the ideal
+    # reading y*u - 1 as y = 1/u leaves (u*u_ + u - u_, x) in the ring
+    # without y, itself certified, so the first candidate answers; the
+    # fall-through to a later candidate is pinned over F_7 below
     R = PolynomialRing(QQ, ("x", "y", "u", "u_"))
     I = Ideal(R, ("x", "y*u - 1", "(y - 1)*u_ - 1"))
     assert [str(p) for p in minimal_primes(I)] == [
         "(y*u - 1, y*u_ - u_ - 1, u*u_ + u - u_, x)"]
+
+
+def test_an_elimination_candidate_outside_the_fragment_gives_way(monkeypatch):
+    # reading 4xyu + 6yu + 6 as y = 1/(4xu + 6u) leaves a curve in F_7[x, u]
+    # outside the fragment; the next candidate, u = 1/(4xy + 6y), leaves
+    # the prime (x^3 + 5y^2) in F_7[x, y] and certifies the ideal
+    R = PolynomialRing(GF(7), ("x", "y", "u"))
+    I = Ideal(R, ("5*x^3 + 4*y^2", "4*x*y*u + 6*y*u + 6"))
+    inner = primes_module.minimal_primes
+    failed = []
+
+    def spy(J):
+        try:
+            return inner(J)
+        except DecompositionError:
+            failed.append(J.ring.names)
+            raise
+
+    monkeypatch.setattr(primes_module, "minimal_primes", spy)
+    assert [str(p) for p in spy(I)] == [
+        "(y^3*u + 6*x^2 + 3*y*u + 5*x + 3, x^3 + 5*y^2, x*y*u + 5*y*u + 5)"]
+    assert failed == [("x", "u")]
 
 
 def test_a_substitution_certifies_a_localized_conjugate_curve():
@@ -670,6 +694,21 @@ def test_split_found_only_in_an_eliminant():
     R = PolynomialRing(QQ, ("t", "x", "s"))
     primes = minimal_primes(Ideal(R, ("t^2 - x", "s^2 - x")))
     assert keys(primes) == {("s^2 - x", "t + s"), ("s^2 - x", "t - s")}
+
+
+def test_an_eliminant_split_reads_the_ideals_own_basis(monkeypatch):
+    # the eliminants are the elements free of x in the cached basis of J
+    # eliminating x, factored in J's own ring: no smaller ring is built
+    R = PolynomialRing(QQ, ("t", "x", "s"))
+    J = Ideal(R, ("t^2 - x", "s^2 - x"))
+    real = primes_module.eliminate
+    calls = []
+    monkeypatch.setattr(primes_module, "eliminate",
+                        lambda *args: calls.append(args) or real(*args))
+    step = primes_module._eliminant_split(J)
+    assert calls == []
+    assert step.witness.ring == R and step.witness == R.parse("t^2 - s^2")
+    assert sorted(str(q.monic()) for q, _ in step.factors) == ["t + s", "t - s"]
 
 
 def test_finite_field_homogeneous_split():
@@ -1080,6 +1119,50 @@ def _closed_case_listed(data):
 def test_closed_point_length_matches_the_filtration_oracle(data):
     M, p, modulo = _closed_case(data)
     assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+
+
+def _fiber_counts(ring, rank, U, relations):
+    """The count of standard (position, U-monomial) pairs of the relations'
+    basis under primes._fiber_key and under the position-over-term
+    reference key."""
+    counts = []
+    for key in (primes_module._fiber_key(ring, rank, U),
+                position_over_term_fiber_key(ring, rank, U)):
+        basis = groebner_module.buchberger(
+            [groebner_module.vec_from_polys(v, key) for v in relations], key, ring.field)
+        counts.append(primes_module._fiber_count([v[0][0] for v in basis], rank, U))
+    return counts
+
+
+@pytest.mark.parametrize("relations", [("s", "1"), ("1", "s"), ("s", "s^2 + 1")])
+def test_an_s_part_deciding_the_lead_position_keeps_the_count(relations):
+    # over k(s), k[u, s]^2 / (u*e_1, u*e_2, v) has dimension 1; term over
+    # position leads v by its larger S-term where positions first lead it
+    # at e_1 whatever the S-parts
+    R = PolynomialRing(QQ, ("u", "s"))
+    rels = [(R.var(0), R.zero), (R.zero, R.var(0)), tuple(R.parse(c) for c in relations)]
+    assert _fiber_counts(R, 2, (0,), rels) == [1, 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_fiber_counts_match_the_position_over_term_key(data):
+    field = data.draw(st.sampled_from([QQ, GF(7)]), label="field")
+    nvars = data.draw(st.integers(2, 3), label="nvars")
+    rank = data.draw(st.integers(1, 3), label="rank")
+    ring = PolynomialRing(field, ("x", "y", "z")[:nvars])
+    U = tuple(sorted(data.draw(st.sets(st.integers(0, nvars - 1)), label="U")))
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+    poly = st.dictionaries(monomial, st.integers(-3, 3).filter(bool), max_size=3).map(
+        lambda d: ring.from_dict({e: field.coerce(c) for e, c in d.items()}))
+    rels = data.draw(st.lists(st.tuples(*[poly] * rank), min_size=1, max_size=3), label="rels")
+    # pure powers of the U variables at every position make every count finite
+    for i in U:
+        k = data.draw(st.integers(1, 3), label="power")
+        for a in range(rank):
+            rels.append(tuple(ring.var(i) ** k if b == a else ring.zero for b in range(rank)))
+    new, reference = _fiber_counts(ring, rank, U, rels)
+    assert new == reference
 
 
 def test_closed_lengths_on_points_of_residue_degree_up_to_four():

@@ -182,6 +182,17 @@ def test_only_the_kernels_search_independent_sets():
     assert found and set(found) <= {"groebner.py", "primes.py"}
 
 
+def test_one_function_of_primes_passes_over_unfactorable_polynomials():
+    # every split reads its factorizations through one loop, so a
+    # polynomial outside factor's fragment is handled in one place
+    tree = ast.parse((SRC / "primes.py").read_text(encoding="utf-8"))
+    found = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and any(isinstance(handler, ast.ExceptHandler) and handler.type is not None
+                     and "FactorizationUnavailable" in ast.unparse(handler.type)
+                     for handler in ast.walk(node))]
+    assert found == ["_factorizations"]
+
+
 def test_engine_names_one_rational_type():
     # QQ's coefficient type is fields.py's choice alone: values of two
     # rational types do not mix in arithmetic, so no other module builds one
