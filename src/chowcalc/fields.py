@@ -25,6 +25,10 @@ so the coefficient type, and every answer, is the same whether or not gmpy2
 is installed.  This is the one module that names a rational type: `coerce`
 also takes a fractions.Fraction and converts it, since MPQ and Fraction
 values do not mix in arithmetic.
+
+The number theory of F_p comes from sympy.ntheory: `isprime` certifies p
+below _MR_BOUND (how exactly is said there), and `sqrt_mod` gives square
+roots, returning None exactly at the non-residues.
 """
 
 import math
@@ -32,6 +36,7 @@ import operator
 from fractions import Fraction
 
 from sympy.external.pythonmpq import PythonMPQ
+from sympy.ntheory import isprime, sqrt_mod
 
 from .errors import EngineError
 
@@ -129,35 +134,21 @@ class RationalField:
         return "QQ"
 
 
-# Miller-Rabin with these bases is exact below _MR_BOUND (Sorenson & Webster,
-# "Strong pseudoprimes to twelve prime bases", 2017); no step is random.
+# Below _MR_BOUND sympy's isprime is exact and deterministic: trial
+# division, then Miller-Rabin with a base set proved sufficient on each
+# range, these thirteen bases at the top of it (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", 2017).  With gmpy2 installed it runs
+# BPSW in their place, proved exact below 2^64 and with no known
+# counterexample above.  At or above the bound only a multiple of a base is
+# decided (composite); any other n raises.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n >= _MR_BOUND:
+    if n >= _MR_BOUND and all(n % b for b in _MR_BASES):
         raise EngineError(f"cannot certify primality of {n}: above {_MR_BOUND}")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return isprime(n)
 
 
 class PrimeField:
@@ -204,32 +195,8 @@ class PrimeField:
         return self.div(num % self.p, den % self.p)
 
     def sqrt(self, a):
-        """A square root of a in F_p, or None: Euler's criterion decides,
-        Tonelli-Shanks finds the root (Cohen, A Course in Computational
-        Algebraic Number Theory, 1.5.1)."""
-        p = self.p
-        a %= p
-        if a == 0 or p == 2:
-            return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) == 1:
-            z += 1  # the least non-residue
-        c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (s - i - 1), p)
-            r, c = r * b % p, b * b % p
-            t, s = t * c % p, i
-        return r
+        """A square root of a in F_p, or None when a is not a square."""
+        return sqrt_mod(a, self.p)
 
     def is_negative(self, a):
         # canonical representatives live in [0, p); nothing prints as negative

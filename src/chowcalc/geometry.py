@@ -282,8 +282,6 @@ def _cycle_from_support(M, ann, chart, grade):
     k[x_S] in 0 with dimension |S|; 1 when those primes' degrees sum to
     whole; unless a listed prime meeting k[x_S] in 0 has dimension above
     |S|."""
-    if ann.is_unit():
-        return Cycle.zero(chart, grade)
     coeffs = {}
     comps = minimal_primes(ann)
     for p in comps:
@@ -310,10 +308,8 @@ def cycle_of_subscheme(I, chart, grade=None):
     if not isinstance(I, Ideal):
         I = Ideal(chart.ring, I)
     total = I + chart.ideal
-    if total.is_unit():
-        return Cycle.zero(chart, 0 if grade is None else grade)
     if grade is None:
-        grade = min(codim(p, chart) for p in minimal_primes(total))
+        grade = min((codim(p, chart) for p in minimal_primes(total)), default=0)
     return _cycle_from_support(FPModule.cyclic(total), total, chart, grade)
 
 
@@ -397,8 +393,6 @@ class CartierDivisor:
 
 
 def _principal_cycle(f, chart):
-    if f.is_constant():
-        return Cycle.zero(chart, 1)
     return cycle_of_subscheme(Ideal(chart.ring, (f,)), chart, grade=1)
 
 

@@ -204,10 +204,9 @@ def _slot_relations(N, slots, ring):
 def _tensor_columns(cols, N, ring):
     """Columns of d tensor id_N on free covers.
 
-    d has `len(cols)` columns in A^{target_rank}; the tensored map sends
-    basis vector (t, b) to the vector with col_t[a] placed at (a, b)."""
-    if not cols:
-        return []
+    d, a matrix of free_resolution, has `len(cols)` > 0 columns in
+    A^{target_rank}; the tensored map sends basis vector (t, b) to the
+    vector with col_t[a] placed at (a, b)."""
     target_rank = cols[0].rank
     out = []
     for t, col in enumerate(cols):
@@ -242,9 +241,6 @@ def tor_modules(M, N, modulo=None, up_to=None):
         u_prev = _slot_relations(N, res.ranks[i - 1], ring)
         kernel = coefficient_module(d_cols, u_prev, res.ranks[i - 1] * N.rank,
                                     ring, modulo=modulo)
-        if not kernel:
-            out.append(FPModule(ring, 0, ()))
-            continue
         rels = coefficient_module(kernel, boundary + u_here, rank_i, ring, modulo=modulo)
         out.append(FPModule(ring, len(kernel), rels))
     return out

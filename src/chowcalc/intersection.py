@@ -52,8 +52,7 @@ def _require_regular(chart):
 
 def _components(chart, I, K):
     """Minimal primes of I + K on the chart; none when they do not meet."""
-    total = I + K + chart.ideal
-    return [] if total.is_unit() else minimal_primes(total)
+    return minimal_primes(I + K + chart.ideal)
 
 
 def _improper(chart, comps, want):

@@ -73,8 +73,9 @@ term over position on an order eliminating the variables U outside S
 HypothesisError; the generic rank is the N = 1 count.  The residue degree
 [k(p):k(x_S)] is the same count on p's leading ideal (residue_degree);
 morphisms runs it on leads of a graph ideal's basis for pushforward
-degrees, never on the image's leading ideal.  Every count walks the box of
-all variables but the last and lists nothing (_standard_columns).
+degrees, never on the image's leading ideal.  Every count walks the
+standard exponents of all variables but the last, depth-first, and lists
+nothing (_standard_columns).
 """
 
 import contextvars
@@ -89,9 +90,9 @@ from sympy.polys.rings import PolyRing
 from .errors import (ConsistencyError, DecompositionError, EngineError,
                      HypothesisError, NotPrimeError)
 from .fields import RationalField
-from .groebner import (Ideal, buchberger, eliminate, in_radical,
-                       independent_set, intersect, krull_dim, module_order,
-                       span_times, vec_from_polys)
+from .groebner import (Ideal, buchberger, divide_exact, eliminate,
+                       in_radical, independent_set, intersect, krull_dim,
+                       module_order, span_times, vec_from_polys)
 from .homology import fold_modulo, unit_multiples
 from .polyring import (PolynomialRing, elimination_order, fresh_names,
                        mono_div, mono_divides, transport)
@@ -424,21 +425,31 @@ def pure_power_caps(lead, nvars):
 
 def _standard_columns(lead, nvars, bound):
     """The standard exponents of `lead` in nvars variables, column by
-    column: (t, k) for each t in the box of the pure-power caps of all
-    variables but the last, the standard exponents over t being t + (j,)
-    for j < k, k the least last exponent of a lead whose other exponents
-    divide t (the last variable's pure power is one).  None when some
-    variable has no pure power in `lead`; raises when the box of the t
-    exceeds `bound`.  With no variables, k counts the one exponent ()."""
-    caps = pure_power_caps(lead, nvars)
-    if caps is None:
+    column: (t, k) for each t, exponents of all variables but the last,
+    with k > 0 standard exponents t + (j,), j < k, in lexicographic order.
+    None when some variable has no pure power in `lead`; raises when there
+    are more than `bound` columns.  With no variables, k counts the one
+    exponent ().
+
+    The t grow one variable at a time.  Over a prefix t of i exponents the
+    standard t + (a, 0, ..., 0) are the a below each e[i] of a lead e free
+    of the later variables with e[:i] dividing t (there is one: x_i's pure
+    power); a larger a, or any completion of a covered prefix, is divisible
+    by that lead.  So every prefix kept has a standard completion: no
+    level outgrows the columns, and the walk keeps at most nvars times as
+    many prefixes as there are columns."""
+    if pure_power_caps(lead, nvars) is None:
         return None
     if not nvars:
         return [((), 0 if lead else 1)]
-    if math.prod(caps[:-1]) > bound:
-        raise EngineError(f"standard monomial walk exceeds bound {bound}")
-    return [(t, min(e[-1] for e in lead if mono_divides(e[:-1], t)))
-            for t in itertools.product(*map(range, caps[:-1]))]
+    prefixes = [()]
+    for i in range(nvars - 1):
+        free = [e[:i + 1] for e in lead if not any(e[i + 1:])]
+        rooms = [min(e[-1] for e in free if mono_divides(e[:-1], t)) for t in prefixes]
+        if sum(rooms) > bound:
+            raise EngineError(f"standard monomial walk exceeds bound {bound}")
+        prefixes = [t + (a,) for t, k in zip(prefixes, rooms) for a in range(k)]
+    return [(t, min(e[-1] for e in lead if mono_divides(e[:-1], t))) for t in prefixes]
 
 
 def standard_exponents(lead, nvars, bound):
@@ -457,7 +468,7 @@ def standard_exponents(lead, nvars, bound):
     return out
 
 
-_VDIM_BOUND = 200000  # longest walk, and longest list, of standard monomials
+_VDIM_BOUND = 200000  # most columns walked, and most standard monomials listed
 
 
 def vector_space_dimension(I):
@@ -508,12 +519,7 @@ def _elimination_shape(I, gb):
         for u in sorted(body.support()):
             if any(t[0][u] == 0 for t in body.terms):
                 continue  # u does not divide every term
-            coeffs = {}
-            for e, c in body.terms:
-                e2 = list(e)
-                e2[u] -= 1
-                coeffs[tuple(e2)] = field.mul(c, scale)
-            f = ring.from_dict(coeffs)
+            f = divide_exact(body, ring.var(u)) * scale
             if u in f.support():
                 continue
             yield u, f, ring.var(u) * f - ring.one
@@ -895,8 +901,6 @@ def _covers_by_rabinowitsch(I, ideals):
 
 def is_prime(I):
     """Certified primality: I equals its single minimal prime."""
-    if I.is_unit():
-        return False
     primes = minimal_primes(I)
     return len(primes) == 1 and primes[0].ideal == I
 

@@ -128,6 +128,20 @@ def test_small_quotient_in_a_large_box_is_certified():
     assert [p.key for p in minimal_primes(I)] == [("x", "y")]
 
 
+def test_the_count_walks_past_covered_prefixes():
+    # the caps of x and y span a 500 x 500 box of 250,000 columns, more
+    # than the bound, but x*y covers every prefix (a, b) with a, b > 0: the
+    # walk visits the 999 standard columns, not the box
+    I = Ideal(R3, ("x*y", "x^500", "y^500", "z"))
+    assert vector_space_dimension(I) == 999
+
+
+def test_a_walk_over_more_columns_than_the_bound_raises():
+    # 10^6 standard columns over x and y, each holding one exponent of z
+    with pytest.raises(EngineError, match="standard monomial walk exceeds bound 200000"):
+        vector_space_dimension(Ideal(R3, ("x^1000", "y^1000", "z")))
+
+
 def _grid(xs=(-2, -1, 1, 3), ys=(-3, -2, 0, 1, 2, 4)):
     """The reduced points of the grid xs x ys, cut out by (f(x), g(y)), and
     their maximal ideals; by default a 4 x 6 grid, dim_k R/I = 24."""

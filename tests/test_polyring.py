@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from chowcalc.errors import EngineError, ParseError, RingMismatchError
-from chowcalc.fields import GF, QQ, field_from_name
+from chowcalc.fields import _MR_BOUND, GF, QQ, field_from_name
 from chowcalc.polyring import (BlockOrder, PolynomialRing, elimination_order,
                                grevlex, lex, mono_div, mono_divides, mono_lcm,
                                transport)
@@ -49,6 +49,31 @@ def test_prime_field_primality_check():
         GF(3317044064679887385961981)  # first strong pseudoprime to all 13 bases
     with pytest.raises(EngineError, match="cannot certify"):
         GF(2 ** 127 - 1)
+
+
+def test_prime_field_certificates_at_the_edges_of_each_base_set():
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(EngineError, match="is not prime"):
+            GF(n)
+    for p in (2 ** 61 - 1, 2 ** 64 - 59):
+        assert GF(p).p == p
+    with pytest.raises(EngineError, match="cannot certify primality"):
+        GF(2 ** 89 - 1)  # prime, above the bound
+    with pytest.raises(EngineError, match="is not prime"):
+        GF(2 * _MR_BOUND)  # above the bound, but a multiple of a base
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101])
+def test_prime_field_square_roots(p):
+    F = GF(p)
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        r = F.sqrt(a)
+        if a in squares:
+            assert r is not None and r * r % p == a
+        else:
+            assert r is None
 
 
 # ---------------------------------------------------------------------------

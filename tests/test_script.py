@@ -397,6 +397,33 @@ def test_map_verbs_infer_charts_from_endpoints():
     assert lines == ["[(x + 5)]", "[(t + 3)] + [(t + 4)]"]
 
 
+def test_an_ideal_literal_takes_its_rings_one_declared_chart():
+    report, code, lines = run("""
+        let R = ring(x, y)
+        let C = chart(R)
+        let I = ideal(R; y - x^2)
+        print [I]
+    """)
+    assert code == 0
+    assert lines == ["[(x^2 - y)]"]
+    assert report["results"][0]["value"]["chart"] == "C"
+
+
+def test_an_ideal_literal_on_a_ring_with_two_charts_is_ambiguous():
+    report, code, lines = run("""
+        let R = ring(x, y)
+        let C = chart(R)
+        let D = chart(R)
+        let I = ideal(R; y - x^2)
+        print [I]
+    """)
+    assert code == 1
+    assert report["results"] == []
+    assert report["error"] == {
+        "line": 6,
+        "message": "several charts share this ring; name the chart explicitly"}
+
+
 def test_finite_field_scripts():
     report, code, lines = run("""
         field Fp:5

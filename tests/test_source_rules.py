@@ -193,6 +193,23 @@ def test_one_function_of_primes_passes_over_unfactorable_polynomials():
     assert found == ["_factorizations"]
 
 
+def test_fields_take_number_theory_from_sympy():
+    # primality of p and square roots in F_p are sympy.ntheory's, exact
+    # below the same bound: fields.py keeps no loop of its own for either
+    def named(body, kind, name):
+        return next(node for node in body if isinstance(node, kind) and node.name == name)
+
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    prime_field = named(tree.body, ast.ClassDef, "PrimeField")
+    cases = ((named(tree.body, ast.FunctionDef, "_is_prime"), "isprime"),
+             (named(prime_field.body, ast.FunctionDef, "sqrt"), "sqrt_mod"))
+    for fn, callee in cases:
+        nodes = list(ast.walk(fn))
+        assert not any(isinstance(node, (ast.For, ast.While)) for node in nodes), fn.name
+        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == callee for node in nodes), fn.name
+
+
 def test_engine_names_one_rational_type():
     # QQ's coefficient type is fields.py's choice alone: values of two
     # rational types do not mix in arithmetic, so no other module builds one
