@@ -1,8 +1,8 @@
 """Command-line front end: run a script file, print results, emit a report.
 
 Exit codes: 0 success, 1 semantic failure (engine error or a failed
-verify/glue/assert), 2 malformed script, or a script file that cannot be
-read or a report file that cannot be written.
+verify/glue/assert), 2 malformed script or unknown --field, or a script
+file that cannot be read or a report file that cannot be written.
 """
 
 import argparse

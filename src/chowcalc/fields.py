@@ -153,6 +153,8 @@ def _is_prime(n):
 
 class PrimeField:
     def __init__(self, p):
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise EngineError(f"the characteristic must be an int, not {p!r}")
         if not _is_prime(p):
             raise EngineError(f"{p} is not prime")
         self.p = p

@@ -23,7 +23,7 @@ not live on.
 from itertools import combinations
 
 from .errors import (ConsistencyError, DecompositionError, EngineError, GlueError,
-                     HypothesisError)
+                     HypothesisError, RingMismatchError)
 from .groebner import Ideal, divide_exact, is_regular_element, krull_dim
 from .homology import FPModule, annihilator
 from .polyring import PolynomialRing, fresh_names, transport
@@ -290,16 +290,17 @@ def _cycle_from_support(M, ann, chart, grade):
             raise HypothesisError(
                 f"support component {p} has codimension {c} < {grade}")
         if c == grade:
-            coeffs[p] = length_at_prime(M, p, modulo=chart.ideal, components=comps,
-                                        full_support=True)
+            coeffs[p] = length_at_prime(M, p, components=comps, full_support=True)
     return Cycle(chart, grade, coeffs)
 
 
 def cycle_of_module(M, chart, grade):
     """Codimension-`grade` part of the support cycle of M on the chart,
-    with local lengths as multiplicities."""
-    ann = annihilator(M, modulo=chart.ideal)
-    return _cycle_from_support(M, ann, chart, grade)
+    with local lengths as multiplicities.  Raises RingMismatchError when M
+    is not a module over the chart's algebra."""
+    if M.modulo != chart.ideal:
+        raise RingMismatchError("module not over the chart's algebra")
+    return _cycle_from_support(M, annihilator(M), chart, grade)
 
 
 @prime_cache_scope()
@@ -310,7 +311,7 @@ def cycle_of_subscheme(I, chart, grade=None):
     total = I + chart.ideal
     if grade is None:
         grade = min((codim(p, chart) for p in minimal_primes(total)), default=0)
-    return _cycle_from_support(FPModule.cyclic(total), total, chart, grade)
+    return _cycle_from_support(FPModule.cyclic(total, chart.ideal), total, chart, grade)
 
 
 def point_cycle(chart, I):
@@ -533,12 +534,13 @@ def restrict_cycle(cycle, loc_chart):
 
 
 def transport_cycle(cycle, target_chart, images):
-    """Push a cycle through a verified chart isomorphism."""
+    """Push a cycle through a verified chart isomorphism; each image keeps
+    its prime's `certified` flag."""
     coeffs = {}
     for p, m in cycle.coeffs.items():
         gens = [_apply_images(g, images, target_chart.ring) for g in p.ideal.gens]
         total = Ideal(target_chart.ring, gens) + target_chart.ideal
-        coeffs[PrimeIdeal(total)] = m
+        coeffs[PrimeIdeal(total, certified=p.certified)] = m
     return Cycle(target_chart, cycle.grade, coeffs)
 
 

@@ -364,8 +364,8 @@ class Ideal:
         return NotImplemented
 
     def __eq__(self, other):
-        return (isinstance(other, Ideal) and other.ring == self.ring
-                and other.groebner_basis() == self.groebner_basis())
+        return other is self or (isinstance(other, Ideal) and other.ring == self.ring
+                                 and other.groebner_basis() == self.groebner_basis())
 
     def __hash__(self):
         return hash((self.ring, self.groebner_basis()))

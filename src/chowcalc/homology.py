@@ -1,8 +1,9 @@
 """Finitely presented modules, syzygies, free resolutions and Tor.
 
-A module over a chart algebra A = R/J is presented over the polynomial ring R
-with J folded into every relation list, so one Gröbner engine serves both the
-polynomial ring and its quotients.  Syzygies, coefficient modules and
+A module over a chart algebra A = R/J carries J (`FPModule.modulo`) and is
+presented over the polynomial ring R, so one Gröbner engine serves both the
+polynomial ring and its quotients: `FPModule.basis` folds J * A^rank into
+the relations, once per order.  Syzygies, coefficient modules and
 annihilators call the witness-trick kernel of `groebner` (`witness_syzygies`
 and `colon`) on coordinate tuples; this module converts, folds J and names
 the coefficient variables.  Resolutions iterate syzygies; Tor is the
@@ -77,27 +78,45 @@ def _as_element(ring, rank, v):
 
 
 class FPModule:
-    """coker of the relation matrix: A^rank / span(relations).
+    """coker of the relation matrix: A^rank / span(relations), over the
+    chart algebra A = ring/J, J = modulo (the zero ideal when None).
 
-    `bases` keeps reduced bases of the relations per chart ideal and order,
-    filled by `primes.length_at_prime`, so every component of one module
-    reads one basis; they live as long as the module."""
+    `basis` is the one place where the relations meet J * A^rank; it keeps
+    the reduced basis per order, so a resolution and every count of
+    `primes.length_at_prime` on one module read one basis."""
 
-    def __init__(self, ring, rank, relations=()):
+    def __init__(self, ring, rank, relations=(), modulo=None):
+        if modulo is None:
+            modulo = Ideal(ring, ())
+        elif modulo.ring != ring:
+            raise RingMismatchError("chart ideal from a different ring")
         self.ring = ring
         self.rank = rank
+        self.modulo = modulo
         rels = [_as_element(ring, rank, v) for v in relations]
         self.relations = tuple(v for v in rels if not v.is_zero())
-        self.bases = {}
+        self._bases = {}
 
     @classmethod
-    def free(cls, ring, rank):
-        return cls(ring, rank, ())
+    def free(cls, ring, rank, modulo=None):
+        return cls(ring, rank, (), modulo)
 
     @classmethod
-    def cyclic(cls, ideal):
-        """Presentation of ring/ideal."""
-        return cls(ideal.ring, 1, [FreeModuleElement(ideal.ring, (g,)) for g in ideal.gens])
+    def cyclic(cls, ideal, modulo=None):
+        """Presentation of A/ideal."""
+        return cls(ideal.ring, 1, [(g,) for g in ideal.gens], modulo)
+
+    def basis(self, order=None):
+        """The reduced basis of the relations and J * e_a, as engine vectors
+        under term over position on `order` (the ring's by default), built
+        once per order like an Ideal's."""
+        order = order or self.ring.order
+        if order.tag not in self._bases:
+            key = module_order(order, self.rank).key
+            rels = list(self.relations) + fold_modulo(self.modulo, self.ring, self.rank)
+            self._bases[order.tag] = buchberger(
+                [vec_from_polys(v.coords, key) for v in rels], key, self.ring.field)
+        return self._bases[order.tag]
 
     def __repr__(self):
         return f"<module rank {self.rank}, {len(self.relations)} relations over {self.ring}>"
@@ -113,15 +132,6 @@ def unit_multiples(gens, ring, rank):
 def fold_modulo(modulo, ring, rank):
     """J * e_a relation copies for working over R/J."""
     return [] if modulo is None else unit_multiples(modulo.gens, ring, rank)
-
-
-def module_basis(vectors, rank, ring, modulo=None):
-    """Reduced module Gröbner basis of the span (with J folded in)."""
-    vecs = list(vectors) + fold_modulo(modulo, ring, rank)
-    order = module_order(ring.order, rank)
-    raw = [vec_from_polys(v.coords, order.key) for v in vecs]
-    basis = buchberger(raw, order.key, ring.field)
-    return [FreeModuleElement(ring, vec_to_polys(v, rank, ring)) for v in basis]
 
 
 def coefficient_module(targets, ambient, rank, ring, modulo=None, coeff_names=None):
@@ -161,10 +171,10 @@ class Complex:
         return len(self.mats)
 
 
-def free_resolution(M, modulo=None, max_length=None, partial=False):
-    """Free resolution of M over ring/modulo by iterated syzygies.
+def free_resolution(M, max_length=None, partial=False):
+    """Free resolution of M over its algebra A = ring/J by iterated syzygies.
 
-    Only M's relations need a module_basis.  `syzygies` returns the
+    Only M's relations need a basis (M.basis).  `syzygies` returns the
     witness-block part of a reduced split-order basis, which is the reduced
     basis of the syzygy module under module_order(ring.order, m), and that
     module already contains J*R^m: folding J in again and reducing would
@@ -175,15 +185,14 @@ def free_resolution(M, modulo=None, max_length=None, partial=False):
     ring = M.ring
     if max_length is None:
         max_length = ring.nvars + 6
-    kill = Ideal(ring, ()) if modulo is None else modulo
 
     def significant(vectors):
-        return [v for v in vectors
-                if not all(kill.normal_form(c).is_zero() for c in v.coords)]
+        return [v for v in vectors if not all(map(M.modulo.contains, v.coords))]
 
     ranks = [M.rank]
     mats = []
-    current = significant(module_basis(M.relations, M.rank, ring, modulo=modulo))
+    current = significant([FreeModuleElement(ring, vec_to_polys(v, M.rank, ring))
+                           for v in M.basis()])
     while current:
         if len(mats) >= max_length:
             if partial:
@@ -192,7 +201,7 @@ def free_resolution(M, modulo=None, max_length=None, partial=False):
                 f"free resolution exceeded max_length={max_length} without terminating")
         mats.append(current)
         ranks.append(len(current))
-        current = significant(syzygies(current, ranks[-2], ring, modulo=modulo))
+        current = significant(syzygies(current, ranks[-2], ring, modulo=M.modulo))
     return Complex(ring, ranks, mats, not current)
 
 
@@ -218,39 +227,41 @@ def _tensor_columns(cols, N, ring):
     return out
 
 
-def tor_modules(M, N, modulo=None, up_to=None):
-    """[Tor_0(M, N), ..., Tor_up_to(M, N)] over ring/modulo as FPModules."""
+def tor_modules(M, N, up_to=None):
+    """[Tor_0(M, N), ..., Tor_up_to(M, N)] over the algebra of M and N, as
+    FPModules over it.  Raises RingMismatchError when M and N are modules
+    over different algebras."""
     ring = M.ring
-    if N.ring != ring:
-        raise RingMismatchError("Tor of modules over different rings")
+    if N.modulo != M.modulo:
+        raise RingMismatchError("Tor of modules over different algebras")
     if up_to is None:
         up_to = ring.nvars
-    res = free_resolution(M, modulo=modulo, max_length=up_to + 1, partial=True)
+    res = free_resolution(M, max_length=up_to + 1, partial=True)
     out = []
     for i in range(up_to + 1):
         if i > res.length():
-            out.append(FPModule(ring, 0, ()))
+            out.append(FPModule(ring, 0, (), M.modulo))
             continue
         rank_i = res.ranks[i] * N.rank
         u_here = _slot_relations(N, res.ranks[i], ring)
         boundary = _tensor_columns(res.mats[i], N, ring) if i < res.length() else []
         if i == 0:
-            out.append(FPModule(ring, rank_i, boundary + u_here))
+            out.append(FPModule(ring, rank_i, boundary + u_here, M.modulo))
             continue
         d_cols = _tensor_columns(res.mats[i - 1], N, ring)
         u_prev = _slot_relations(N, res.ranks[i - 1], ring)
         kernel = coefficient_module(d_cols, u_prev, res.ranks[i - 1] * N.rank,
-                                    ring, modulo=modulo)
-        rels = coefficient_module(kernel, boundary + u_here, rank_i, ring, modulo=modulo)
-        out.append(FPModule(ring, len(kernel), rels))
+                                    ring, modulo=M.modulo)
+        rels = coefficient_module(kernel, boundary + u_here, rank_i, ring, modulo=M.modulo)
+        out.append(FPModule(ring, len(kernel), rels, M.modulo))
     return out
 
 
-def annihilator(M, modulo=None):
-    """Ann(M) over ring/modulo, as an ideal of the polynomial ring
-    (contains the chart ideal): the c with c*e_a in relations + J*A^rank
+def annihilator(M):
+    """Ann(M) over M's algebra, as an ideal of the polynomial ring
+    (contains the chart ideal J): the c with c*e_a in the span of M.basis()
     for every a."""
     ring = M.ring
     units = block_copies([(ring.one,)], 1, M.rank, ring)  # e_1, ..., e_rank
-    rels = [v.coords for v in list(M.relations) + fold_modulo(modulo, ring, M.rank)]
+    rels = [vec_to_polys(v, M.rank, ring) for v in M.basis()]
     return colon(units, rels, M.rank, ring)

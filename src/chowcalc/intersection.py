@@ -77,13 +77,11 @@ def _tor_lengths(chart, I, K, at, comps=None):
     listed primes' degrees at the fiber sum to whole."""
     if not at:
         return
-    tors = tor_modules(FPModule.cyclic(I + chart.ideal),
-                       FPModule.cyclic(K + chart.ideal),
-                       modulo=chart.ideal, up_to=chart.dim() + 2)
+    tors = tor_modules(FPModule.cyclic(I, chart.ideal), FPModule.cyclic(K, chart.ideal),
+                       up_to=chart.dim() + 2)
     for z in at:
-        yield z, [length_at_prime(T, z, modulo=chart.ideal, components=comps,
-                                  full_support=i == 0) if T.rank else 0
-                  for i, T in enumerate(tors)]
+        yield z, [length_at_prime(T, z, components=comps, full_support=i == 0)
+                  if T.rank else 0 for i, T in enumerate(tors)]
 
 
 def _alternating_sum(z, lengths):

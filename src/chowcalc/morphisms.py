@@ -275,13 +275,14 @@ def zariski_image(m, ideal=None):
 
 def pushforward_module(m, M=None, extra=None):
     """The source module M (default: the structure algebra) viewed over the
-    target coordinates, presented on the standard monomial generators.
+    target chart's algebra, presented on the standard monomial generators.
 
-    Requires the map restricted to V(extra) to be finite."""
+    Requires the map restricted to V(extra) to be finite.  Raises
+    RingMismatchError when M is not over the source chart's algebra."""
     P, _, _, rename = m.graph()
     if M is None:
-        M = FPModule.free(m.source.ring, 1)
-    if M.ring != m.source.ring:
+        M = FPModule.free(m.source.ring, 1, m.source.ideal)
+    if M.modulo != m.source.ideal:
         raise RingMismatchError("module not over the source chart")
     total = _graph_ideal(m, extra)
     idx, _, lead = _monic_leads(m, total)
@@ -307,16 +308,18 @@ def pushforward_module(m, M=None, extra=None):
                                   [transport(c, m.target.ring, back)
                                    for c in w.coords])
                 for w in coeffs]
-    return FPModule(m.target.ring, len(gens), out_rels)
+    return FPModule(m.target.ring, len(gens), out_rels, m.target.ideal)
 
 
 def pullback_module(m, M):
-    """M tensored up along the map: same presentation, entries pulled back."""
-    if M.ring != m.target.ring:
+    """M tensored up along the map to the source chart's algebra: same
+    presentation, entries pulled back.  Raises RingMismatchError when M is
+    not over the target chart's algebra."""
+    if M.modulo != m.target.ideal:
         raise RingMismatchError("module not over the target chart")
     rels = [FreeModuleElement(m.source.ring, [m.pullback(c) for c in v.coords])
             for v in M.relations]
-    return FPModule(m.source.ring, M.rank, rels)
+    return FPModule(m.source.ring, M.rank, rels, m.source.ideal)
 
 
 def degree(m):

@@ -51,7 +51,7 @@ variable (a homogeneous bivariate one through its dehomogenization).
 
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M's reduced relation basis
-(built once, kept on M, read by every count) gives whole = dim_k(x_S)(M
+(M.basis, its chart ideal folded in, kept on M) gives whole = dim_k(x_S)(M
 tensor k(x_S)).  When finite, whole is the sum of length(M_P) *
 [k(P):k(x_S)] over the P in Supp M meeting k[x_S] in 0, each of dimension
 |S| (Atiyah & Macdonald, Thm 8.7 and Ex. 3.19 (v), (vii)).  So whole = 0
@@ -93,7 +93,7 @@ from .fields import RationalField
 from .groebner import (Ideal, buchberger, divide_exact, eliminate,
                        in_radical, independent_set, intersect, krull_dim,
                        module_order, span_times, vec_from_polys)
-from .homology import fold_modulo, unit_multiples
+from .homology import unit_multiples
 from .polyring import (PolynomialRing, elimination_order, fresh_names,
                        mono_div, mono_divides, transport)
 
@@ -282,12 +282,7 @@ def _factor_homogeneous_bivariate(f):
 
 def _factor_with_sympy(f):
     """sympy's factor_list of f, over QQ in f's ring's variables, over F_p
-    in f's one variable.  Answers are kept in the prime_cache_scope dict,
-    so sympy sees each polynomial once per top-level call."""
-    cache = _prime_cache_var.get()
-    key = ("factor", f.ring, f.terms)
-    if cache is not None and key in cache:
-        return list(cache[key])
+    in f's one variable."""
     ring = f.ring
     field = ring.field
     if isinstance(field, RationalField):
@@ -306,8 +301,6 @@ def _factor_with_sympy(f):
         out = [(ring.from_dict({unit[:v] + (k,) + unit[v + 1:]: int(c) % field.p
                                 for (k,), c in q.to_dict().items()}), m)
                for q, m in raw]
-    if cache is not None:
-        cache[key] = tuple(out)
     return out
 
 
@@ -707,17 +700,16 @@ def _process(J):
         f"ideal shape outside the certification fragment: {J}")
 
 
-# Minimal primes by ideal, and factorizations by ("factor", ring, terms).  The
-# cache lives for one top-level call: the outermost prime_cache_scope opens
-# it, nested scopes share it, and it is dropped when that call returns, so a
-# long-lived process keeps no answers.
+# Minimal primes by ideal.  The cache lives for one top-level call: the
+# outermost prime_cache_scope opens it, nested scopes share it, and it is
+# dropped when that call returns, so a long-lived process keeps no answers.
 _prime_cache_var = contextvars.ContextVar("chowcalc_prime_cache", default=None)
 
 
 @contextmanager
 def prime_cache_scope():
-    """Share one prime and factor cache among all calls inside the block; also
-    usable as a decorator on an engine entry point."""
+    """Share one cache of minimal primes among all calls inside the block;
+    also usable as a decorator on an engine entry point."""
     cache = _prime_cache_var.get()
     if cache is not None:
         yield cache
@@ -954,26 +946,13 @@ def _fiber_count(lead, rank, U):
 
 def _fiber_dimension(base, gens, M, U):
     """dim over k(x_S) of M / (gens) M tensor k(x_S), S the variables
-    outside U, or None when infinite; `base` is M's relation basis, J
-    folded in (_relation_basis)."""
+    outside U, or None when infinite; `base` is M's relation basis under
+    _fiber_order (M.basis)."""
     key = _fiber_key(M.ring, M.rank, U)
     vectors = list(base) + [vec_from_polys(v.coords, key)
                             for v in unit_multiples(gens, M.ring, M.rank)]
     return _fiber_count([v[0][0] for v in buchberger(vectors, key, M.ring.field)],
                         M.rank, U)
-
-
-def _relation_basis(M, modulo, U):
-    """The reduced basis of M's relations, J folded in, under _fiber_key;
-    cached on M per (modulo, U), so every component of one module, and
-    every count of length_at_prime and generic_rank, reads the same basis."""
-    basis = M.bases.get((modulo, U))
-    if basis is None:
-        key = _fiber_key(M.ring, M.rank, U)
-        rels = list(M.relations) + fold_modulo(modulo, M.ring, M.rank)
-        basis = M.bases[modulo, U] = buchberger(
-            [vec_from_polys(v.coords, key) for v in rels], key, M.ring.field)
-    return basis
 
 
 def residue_degree(lead, U):
@@ -1034,16 +1013,15 @@ def _per_residue_degree(count, p, U):
     return count // degree
 
 
-def generic_rank(M, p, modulo=None):
+def generic_rank(M, p):
     """Rank of M at the generic point of V(p): dim over k(p) of M / pM
     there, the count of M / pM over k(x_S) divided by [k(p):k(x_S)]."""
     U = tuple(i for i in range(p.ring.nvars) if i not in p.independent_set())
-    basis = _relation_basis(M, modulo, U)
+    basis = M.basis(_fiber_order(M.ring, U))
     return _per_residue_degree(_fiber_dimension(basis, p.gens, M, U), p, U)
 
 
-def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
-                    full_support=False):
+def length_at_prime(M, p, max_steps=60, components=None, full_support=False):
     """Length of the localization of M at p (p minimal over Ann M).
 
     With S a largest independent set of p, the count of M tensor k(x_S)
@@ -1065,7 +1043,7 @@ def length_at_prime(M, p, modulo=None, max_steps=60, components=None,
     ring = M.ring
     U = tuple(i for i in range(ring.nvars) if i not in p.independent_set())
     closed = len(U) == ring.nvars
-    basis = _relation_basis(M, modulo, U)
+    basis = M.basis(_fiber_order(ring, U))
     whole = _fiber_count([v[0][0] for v in basis], M.rank, U)
     if whole == 0:
         return 0

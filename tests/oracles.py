@@ -37,9 +37,9 @@ import sympy
 from chowcalc.errors import HypothesisError
 from chowcalc.fields import RationalField
 from chowcalc.groebner import (Ideal, ModuleOrder, divide_exact, eliminate, in_radical,
-                               independent_set, module_order)
-from chowcalc.homology import (FreeModuleElement, coefficient_module, fold_modulo,
-                               module_basis, unit_multiples)
+                               independent_set, module_order, vec_to_polys)
+from chowcalc.homology import (FPModule, FreeModuleElement, coefficient_module, fold_modulo,
+                               unit_multiples)
 from chowcalc.morphisms import ChartMap, product_ring, zariski_image
 from chowcalc.polyring import (PolynomialRing, elimination_order, fresh_names, grevlex,
                                mono_div, mono_divides, mono_lcm, transport)
@@ -271,11 +271,18 @@ def in_span(v, basis, rank, ring):
     return reduce_vector(v, basis, position_order(rank, ring.order)).is_zero()
 
 
-def is_zero_module(M, modulo=None):
+def module_basis(vectors, rank, ring, modulo=None):
+    """The reduced basis of span(vectors) + J * ring^rank under the ring's
+    order, as elements: the engine's FPModule.basis."""
+    M = FPModule(ring, rank, vectors, modulo)
+    return [FreeModuleElement(ring, vec_to_polys(v, rank, ring)) for v in M.basis()]
+
+
+def is_zero_module(M):
     """Every unit vector lies in the relations of M (plus J * A^rank)."""
     if M.rank == 0:
         return True
-    basis = module_basis(M.relations, M.rank, M.ring, modulo=modulo)
+    basis = module_basis(M.relations, M.rank, M.ring, M.modulo)
     return all(in_span(unit_vector(M.ring, M.rank, a), basis, M.rank, M.ring)
                for a in range(M.rank))
 
@@ -498,10 +505,10 @@ def matrix_rank_mod_prime(rows, p):
     return rank
 
 
-def module_dimension(M, modulo=None):
+def module_dimension(M):
     """dim_k M, or None when infinite: the standard monomials of M's
     relation basis, counted position by position."""
-    basis = module_basis(M.relations, M.rank, M.ring, modulo=modulo)
+    basis = module_basis(M.relations, M.rank, M.ring, M.modulo)
     key = position_order(M.rank, M.ring.order)
     heads = [leading_term(v, key) for v in basis]
     total = 0
@@ -516,21 +523,21 @@ def module_dimension(M, modulo=None):
     return total
 
 
-def rank_at_prime(M, p, modulo=None):
+def rank_at_prime(M, p):
     """Rank of M at the generic point of V(p): rank minus the rank of the
     relation matrix, J folded in, over the residue field of p."""
-    rows = [v.coords for v in list(M.relations) + fold_modulo(modulo, M.ring, M.rank)]
+    rows = [v.coords for v in list(M.relations) + fold_modulo(M.modulo, M.ring, M.rank)]
     return M.rank - matrix_rank_mod_prime(rows, p)
 
 
-def filtration_length(M, p, modulo=None, max_steps=60):
+def filtration_length(M, p, max_steps=60):
     """Length of M_p by the filtration by powers of p: each graded piece is a
     vector space over the residue field of p; its dimension is the number of
     degree-i generators minus the rank of their relation module there.  The
     first empty piece ends the sum (Nakayama)."""
     ring = M.ring
     pgens = list(p.ideal.groebner_basis())
-    rels = list(M.relations) + fold_modulo(modulo, ring, M.rank)
+    rels = list(M.relations) + fold_modulo(M.modulo, ring, M.rank)
     level = [ring.one]
     total = 0
     for _ in range(max_steps):

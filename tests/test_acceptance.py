@@ -262,17 +262,17 @@ def test_criterion_6_cross_chart_invariance():
         (["x^2 * (x + 2)"], ("x",), "y"),
     ]
     for gens, prime_gens, element in corpus:
-        M = FPModule.cyclic(Ideal(ring, gens))
+        M = FPModule.cyclic(Ideal(ring, gens), A2.ideal)
         p = prime_on(A2, *prime_gens)
-        before = length_at_prime(M, p, modulo=A2.ideal)
+        before = length_at_prime(M, p)
         loc = A2.localize(element)
         M_loc = FPModule.cyclic(Ideal(loc.ring,
                                       [transport(ring.parse(s), loc.ring)
-                                       for s in gens]))
+                                       for s in gens]), loc.ideal)
         p_loc = PrimeIdeal(Ideal(loc.ring, [transport(g, loc.ring)
                                             for g in p.ideal.gens])
                            + loc.ideal)
-        after = length_at_prime(M_loc, p_loc, modulo=loc.ideal)
+        after = length_at_prime(M_loc, p_loc)
         assert before == after
 
     # Weil-divisor coefficients survive principal localization
@@ -401,7 +401,7 @@ def test_criterion_8_kernel_properties():
         assert res.complete
         assert is_complex(res)
     J = Ideal(R2, ["y - x^2"])
-    res = free_resolution(FPModule.cyclic(Ideal(R2, ["x", "y"])), modulo=J,
+    res = free_resolution(FPModule.cyclic(Ideal(R2, ["x", "y"]), J),
                           max_length=4, partial=True)
     assert is_complex(res, modulo=J)
 

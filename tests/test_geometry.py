@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import geometry as geometry_module
-from chowcalc.errors import DecompositionError, EngineError, GlueError
+from chowcalc.errors import DecompositionError, EngineError, GlueError, RingMismatchError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim,
                                cycle_of_module, cycle_of_subscheme, point_cycle,
@@ -14,7 +14,7 @@ from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim
 from chowcalc.groebner import Ideal
 from chowcalc.homology import FPModule, FreeModuleElement
 from chowcalc.polyring import PolynomialRing
-from chowcalc.primes import assert_decomposition, minimal_primes
+from chowcalc.primes import assert_decomposition, assert_prime, minimal_primes
 
 from oracles import laplace_det
 
@@ -124,6 +124,16 @@ def test_cycle_of_module():
     from chowcalc.errors import HypothesisError
     with pytest.raises(HypothesisError):
         cycle_of_module(FPModule.free(R2, 1), PLANE, 1)
+
+
+def test_cycle_of_module_needs_a_module_over_the_charts_algebra():
+    origin = FPModule.cyclic(Ideal(R2, ("x",)))
+    with pytest.raises(RingMismatchError):
+        cycle_of_module(origin, PARABOLA, 1)
+    with pytest.raises(RingMismatchError):
+        cycle_of_module(FPModule.free(R3, 1), PLANE, 0)
+    on_parabola = FPModule.cyclic(Ideal(R2, ("x",)), PARABOLA.ideal)
+    assert str(cycle_of_module(on_parabola, PARABOLA, 1)) == "[(x, y)]"
 
 
 def test_cartier_divisor_weil_cycles():
@@ -443,6 +453,26 @@ def test_restrict_cycle_rejects_a_chart_that_is_not_a_localization_of_its_chart(
     with pytest.raises(EngineError) as info:
         restrict_cycle(c, Chart("B", R3))
     assert str(info.value) == "chart 'B' is not a localization of chart 'A2'"
+
+
+def test_transport_cycle_keeps_each_primes_certified_flag():
+    space = principal_atlas(PLANE, ["x", "y"])
+    rec = space.glues[0]
+    gens = ("x^2 - 2", "y - 1")
+    for p in (assert_prime(Ideal(R2, gens)), minimal_primes(Ideal(R2, gens))[0]):
+        restricted = restrict_cycle(Cycle(PLANE, 2, {p: 1}), rec.overlap1)
+        moved = transport_cycle(restricted, rec.overlap2, rec.forward)
+        assert [q.certified for q in restricted.coeffs] == [p.certified]
+        assert [q.certified for q in moved.coeffs] == [p.certified]
+
+
+def test_glue_cycles_reports_mixed_grades_and_missing_cycles():
+    space = principal_atlas(PLANE, ["x", "y"])
+    U0, U1 = space.charts["U0"], space.charts["U1"]
+    line = cycle_of_subscheme(Ideal(U0.ring, ("x - y",)), U0, grade=1)
+    point = point_cycle(U1, Ideal(U1.ring, ("x - 1", "y - 1")))
+    assert space.glue_cycles({"U0": line, "U1": point}) == (False, ["mixed grades [1, 2]"])
+    assert space.glue_cycles({"U0": line}) == (False, ["missing cycle on U0 or U1"])
 
 
 def test_glue_cycles_rejects_a_cycle_keyed_by_another_chart():

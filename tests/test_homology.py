@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import homology as homology_module
-from chowcalc.errors import ResolutionError
+from chowcalc.errors import ResolutionError, RingMismatchError
 from chowcalc.fields import QQ
 from chowcalc.groebner import Ideal, intersect
 from chowcalc.homology import (Complex, FPModule, FreeModuleElement, annihilator,
-                               coefficient_module, free_resolution,
-                               module_basis, syzygies, tor_modules)
-from chowcalc.polyring import PolynomialRing
+                               coefficient_module, free_resolution, syzygies,
+                               tor_modules)
+from chowcalc.polyring import PolynomialRing, elimination_order
 
-from oracles import (in_span, is_complex, is_zero_module, position_order,
+from oracles import (in_span, is_complex, is_zero_module, module_basis, position_order,
                      reduce_vector, unit_vector)
 
 
@@ -92,16 +92,51 @@ def test_resolution_of_x2_xy():
 def test_resolution_builds_one_module_basis(monkeypatch):
     # only M's relations need a module basis: each syzygy list already is one
     calls = []
-    original = homology_module.module_basis
+    original = homology_module.buchberger
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(homology_module, "module_basis", spy)
+    monkeypatch.setattr(homology_module, "buchberger", spy)
     res = free_resolution(FPModule.cyclic(Ideal(R2, ("x^2", "x*y"))))
     assert res.ranks == [1, 2, 1]
     assert len(calls) == 1
+
+
+def test_basis_folds_the_chart_ideal_in_once_per_order(monkeypatch):
+    calls = []
+    original = homology_module.buchberger
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(homology_module, "buchberger", spy)
+    M = FPModule.cyclic(Ideal(R2, ("x^2", "x*y")), Ideal(R2, ("y",)))
+    basis = M.basis()
+    assert M.basis() is basis and len(calls) == 1
+    eliminating_x = elimination_order((0,), 2)
+    assert M.basis(eliminating_x) is M.basis(eliminating_x)
+    assert len(calls) == 2
+    assert module_basis(M.relations, 1, R2, M.modulo) == [vec_rank1("x^2"), vec_rank1("y")]
+
+
+def test_module_and_chart_ideal_share_a_ring():
+    R1 = PolynomialRing(QQ, ("x",))
+    with pytest.raises(RingMismatchError):
+        FPModule.free(R2, 1, Ideal(R1, ("x",)))
+
+
+def test_tor_modules_are_over_the_algebra_of_their_inputs():
+    J = Ideal(R2, ("y",))
+    M = FPModule.cyclic(Ideal(R2, ("x",)), J)
+    with pytest.raises(RingMismatchError):
+        tor_modules(M, FPModule.cyclic(Ideal(R2, ("x - 1",))), up_to=1)
+    # an equal chart ideal built apart is the same algebra
+    tors = tor_modules(M, FPModule.cyclic(Ideal(R2, ("x",)), Ideal(R2, ("y",))), up_to=2)
+    assert all(T.modulo == J for T in tors)
+    assert [is_zero_module(T) for T in tors] == [False, False, True]
 
 
 def test_resolution_free_module():
@@ -114,8 +149,8 @@ def test_resolution_free_module():
 def test_periodic_resolution_over_nonregular_chart():
     # A = k[x, y]/(x^2); A/(x) has the periodic resolution ... x-> A x-> A
     J = Ideal(R2, ("x^2",))
-    M = FPModule.cyclic(Ideal(R2, ("x",)))
-    res = free_resolution(M, modulo=J, max_length=3, partial=True)
+    M = FPModule.cyclic(Ideal(R2, ("x",)), J)
+    res = free_resolution(M, max_length=3, partial=True)
     assert not res.complete
     assert res.ranks == [1, 1, 1, 1]
     for cols in res.mats:
@@ -123,7 +158,7 @@ def test_periodic_resolution_over_nonregular_chart():
     assert is_complex(res, modulo=J)
     assert not is_complex(res)  # d*d = x^2 is nonzero upstairs
     with pytest.raises(ResolutionError):
-        free_resolution(M, modulo=J, max_length=3)
+        free_resolution(M, max_length=3)
 
 
 def test_tor_of_free_vanishes():
@@ -178,7 +213,7 @@ def test_annihilator_examples():
     assert annihilator(M) == Ideal(R2, ("x*y",))
     assert annihilator(FPModule.free(R2, 1)).is_zero()
     J = Ideal(R2, ("y",))
-    assert annihilator(FPModule.free(R2, 1), modulo=J) == J
+    assert annihilator(FPModule.free(R2, 1, J)) == J
 
 
 def test_is_zero_module():
@@ -186,7 +221,7 @@ def test_is_zero_module():
     assert not is_zero_module(FPModule.cyclic(Ideal(R2, ("x",))))
     assert is_zero_module(FPModule(R2, 0, ()))
     # x becomes a unit on the chart x = 1
-    assert is_zero_module(FPModule.cyclic(Ideal(R2, ("x",))), modulo=Ideal(R2, ("x - 1",)))
+    assert is_zero_module(FPModule.cyclic(Ideal(R2, ("x",)), Ideal(R2, ("x - 1",))))
 
 
 def test_coefficient_module_subring_restriction():

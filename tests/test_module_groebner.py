@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from chowcalc import groebner
 from chowcalc.fields import GF, QQ
 from chowcalc.groebner import vec_to_polys
-from chowcalc.homology import FreeModuleElement, coefficient_module, module_basis
+from chowcalc.homology import FreeModuleElement, coefficient_module
 from chowcalc.polyring import PolynomialRing, elimination_order
 
-from oracles import (assert_good_module_basis, is_module_groebner,
-                     is_reduced_module_basis, position_order, reduce_vector)
+from oracles import (assert_good_module_basis, is_module_groebner, is_reduced_module_basis,
+                     module_basis, position_order, reduce_vector)
 
 
 R3 = PolynomialRing(QQ, ("x", "y", "z"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowcalc import correspondences, groebner, homology, morphisms, primes
 from chowcalc.correspondences import compose, correspondence_degree, graph
-from chowcalc.errors import EngineError
+from chowcalc.errors import EngineError, RingMismatchError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart, Cycle, cycle_of_subscheme, point_cycle
 from chowcalc.groebner import Ideal
@@ -92,6 +92,19 @@ def test_pullback_module():
     N = pullback_module(SQUARING, M)
     assert N.rank == 1
     assert [str(v[0]) for v in N.relations] == ["t^2"]
+
+
+def test_module_pullback_and_pushforward_need_the_chart_algebra():
+    # the source of AXIS_INCLUSION shares the plane's ring, not its algebra
+    V = AXIS_INCLUSION.source
+    with pytest.raises(RingMismatchError):
+        pushforward_module(AXIS_INCLUSION, FPModule.free(PLANE.ring, 1))
+    with pytest.raises(RingMismatchError):
+        pullback_module(AXIS_INCLUSION, FPModule.free(PLANE.ring, 1, V.ideal))
+    pushed = pushforward_module(AXIS_INCLUSION, FPModule.free(PLANE.ring, 1, V.ideal))
+    assert pushed.modulo == PLANE.ideal
+    pulled = pullback_module(AXIS_INCLUSION, FPModule.cyclic(Ideal(PLANE.ring, ("y",))))
+    assert pulled.modulo == V.ideal
 
 
 def test_flat_pullback_with_ramification():
@@ -203,7 +216,7 @@ def _module_rank_degree(m, p):
     """The image of p and the rank there of its pushed-forward module."""
     q = PrimeIdeal(zariski_image(m, p.ideal) + m.target.ideal)
     M = pushforward_module(m, extra=p.ideal)
-    return q, generic_rank(M, q, modulo=m.target.ideal)
+    return q, generic_rank(M, q)
 
 
 def _check_against_module_rank(m, ideal, grade):
@@ -425,7 +438,7 @@ def _outcome(fn, *args, **kw):
 def _module_rank_and_generic_rank(m, extra=None):
     M = pushforward_module(m, extra=extra)
     q = PrimeIdeal(zariski_image(m, extra) + m.target.ideal)
-    return M.rank, generic_rank(M, q, modulo=m.target.ideal)
+    return M.rank, generic_rank(M, q)
 
 
 @st.composite

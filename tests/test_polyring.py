@@ -36,6 +36,13 @@ def test_field_basics():
     assert field_from_name("Fp(7)") == F7
 
 
+@pytest.mark.parametrize("p", [7.0, True, "7"])
+def test_prime_field_needs_an_int(p):
+    with pytest.raises(EngineError) as info:
+        GF(p)
+    assert str(info.value) == f"the characteristic must be an int, not {p!r}"
+
+
 def test_prime_field_primality_check():
     F = field_from_name("Fp:1000000000000037")  # 16-digit prime, instant
     assert F.p == 1000000000000037 and F.inv(2) * 2 % F.p == 1

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
 from chowcalc import groebner as groebner_module
+from chowcalc import homology as homology_module
 from chowcalc import primes as primes_module
 from chowcalc.errors import (ConsistencyError, DecompositionError, HypothesisError,
                              NotPrimeError)
@@ -148,7 +149,7 @@ def test_factor_matches_the_expression_route(data):
     assert factor_multiset(factor(f)) == factor_multiset(factor_by_expressions(f))
 
 
-def test_factor_reaches_sympy_once_per_polynomial_in_a_scope(monkeypatch):
+def test_factor_reaches_sympy_only_outside_the_shapes_it_answers(monkeypatch):
     calls = []
     real = PolyElement.factor_list
 
@@ -163,18 +164,11 @@ def test_factor_reaches_sympy_once_per_polynomial_in_a_scope(monkeypatch):
              F7.parse("x^3 + 2"), F7.parse("x^3 - 1"), F7.parse("x^3 + 2*y^3"),
              R2.parse("2*x - 3*y + 1"), F7.parse("x + 3*y"),
              R2.parse("x^3 - x + 2*y"), F7.parse("3*y + x^2 + 1")]
-    with primes_module.prime_cache_scope() as cache:
-        first = [factor(f) for f in polys]
-        assert [factor(f) for f in reversed(polys)] == first[::-1]
-        assert factor(R2.parse("x^3 - y^3")) == first[0]
+    for f in polys:
+        factor(f)
     # linear forms and c*y + b never reach sympy; x^3 + 2*y^3 over F_7 does
-    # through its dehomogenization x^3 + 2, already factored in the same scope
-    assert sorted(calls) == ["Fp", "Fp", "QQ", "QQ", "QQ"]
-    assert ("factor", R2, R2.parse("x^3 + 2").terms) in cache
-    with primes_module.prime_cache_scope():
-        assert [factor(f) for f in polys] == first
-    assert len(calls) == 10
-    assert primes_module._prime_cache_var.get() is None
+    # through its dehomogenization x^3 + 2
+    assert sorted(calls) == ["Fp", "Fp", "Fp", "QQ", "QQ", "QQ"]
 
 
 def test_factor_finite_field_multivariate_linear_form():
@@ -675,6 +669,16 @@ def test_decomposition_error_outside_fragment():
         minimal_primes(Ideal(F5, ("x^3 + y^3 + 1",)))
 
 
+def test_a_failure_on_every_elimination_candidate_raises_the_first():
+    # u*x - 1 and the x of x^3 + y^2 + x are both candidates; each smaller
+    # ring falls outside the fragment, and the first failure is raised
+    F7 = PolynomialRing(GF(7), ("x", "y", "u"))
+    with pytest.raises(DecompositionError) as info:
+        minimal_primes(Ideal(F7, ("x^3 + y^2 + x", "x*u - 1")))
+    assert str(info.value) == (
+        "ideal shape outside the certification fragment: (y^2*u^3 + u^2 + 1)")
+
+
 @pytest.mark.parametrize("field, gens, expected", [
     (QQ, ("x^2 - 2", "y^2 - 2"), [("y^2 - 2", "x + y"), ("y^2 - 2", "x - y")]),
     (GF(7), ("x^2 - 3", "y^2 - 3"), [("y^2 + 4", "x + 6*y"), ("y^2 + 4", "x + y")]),
@@ -939,8 +943,8 @@ def test_length_at_prime_on_chart():
     # chart A = k[x, y]/(y): the module A/(x) has length 1 at the origin
     J = Ideal(R2, ("y",))
     origin = prime_of(R2, "x", "y")
-    M = FPModule.cyclic(Ideal(R2, ("x",)))
-    assert length_at_prime(M, origin, modulo=J) == 1
+    M = FPModule.cyclic(Ideal(R2, ("x",)), J)
+    assert length_at_prime(M, origin) == 1
 
 
 def test_length_at_generic_point_of_chart():
@@ -1027,14 +1031,14 @@ def _local_case_listed(data):
     listed = list(dict.fromkeys(listed))
     full = not mixing and (modulo is None or all(q.contains(g) for q in listed
                                                  for g in modulo.gens))
-    return FPModule(ring, rank, rels), p, modulo, listed, full
+    return FPModule(ring, rank, rels, modulo), p, modulo, listed, full
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_length_at_prime_matches_the_filtration_oracle(data):
-    M, p, modulo = _local_case(data)
-    assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+    M, p, _ = _local_case(data)
+    assert length_at_prime(M, p) == filtration_length(M, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1048,8 +1052,8 @@ def test_generic_rank_matches_the_rank_oracle(data):
     rels = [tuple(data.draw(st.sampled_from(polys)) * data.draw(st.sampled_from(polys))
                   for _ in range(rank))
             for _ in range(data.draw(st.integers(0, 3)))]
-    M = FPModule(ring, rank, rels)
-    assert generic_rank(M, p, modulo) == rank_at_prime(M, p, modulo)
+    M = FPModule(ring, rank, rels, modulo)
+    assert generic_rank(M, p) == rank_at_prime(M, p)
 
 
 def _closed_case(data):
@@ -1111,14 +1115,14 @@ def _closed_case_listed(data):
         for gens in ideals:
             f = f * data.draw(st.sampled_from(gens))
         modulo = Ideal(ring, (f,))
-    return FPModule(ring, rank, rels), p, modulo, listed, not mixing
+    return FPModule(ring, rank, rels, modulo), p, modulo, listed, not mixing
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closed_point_length_matches_the_filtration_oracle(data):
-    M, p, modulo = _closed_case(data)
-    assert length_at_prime(M, p, modulo) == filtration_length(M, p, modulo)
+    M, p, _ = _closed_case(data)
+    assert length_at_prime(M, p) == filtration_length(M, p)
 
 
 def _fiber_counts(ring, rank, U, relations):
@@ -1194,19 +1198,19 @@ def _with_a_line(data, p, listed, full):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_closed_lengths_by_additivity_match_the_filtration_oracle(data):
-    M, p, modulo, listed, full = _closed_case_listed(data)
+    M, p, _, listed, full = _closed_case_listed(data)
     listed, full = _with_a_line(data, p, listed, full)
-    assert (length_at_prime(M, p, modulo, components=listed, full_support=full)
-            == filtration_length(M, p, modulo))
+    assert (length_at_prime(M, p, components=listed, full_support=full)
+            == filtration_length(M, p))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lengths_by_additivity_match_the_filtration_oracle(data):
-    M, p, modulo, listed, full = _local_case_listed(data)
+    M, p, _, listed, full = _local_case_listed(data)
     listed, full = _with_a_line(data, p, listed, full)
-    assert (length_at_prime(M, p, modulo, components=listed, full_support=full)
-            == filtration_length(M, p, modulo))
+    assert (length_at_prime(M, p, components=listed, full_support=full)
+            == filtration_length(M, p))
 
 
 def test_a_listed_prime_of_higher_dimension_blocks_the_lone_component_rule():
@@ -1246,7 +1250,7 @@ def test_closed_components_of_one_tor_module_share_one_basis(monkeypatch):
     comps = minimal_primes(I + K)
     assert [str(z) for z in comps] == ["(x, y)", "(x + 2, y)", "(x - 1, y)"]
     runs = []
-    for module in (groebner_module, primes_module):
+    for module in (groebner_module, homology_module, primes_module):
         original = module.buchberger
 
         def spy(*args, _original=original):

@@ -589,6 +589,14 @@ def test_cli_field_flag(tmp_path, capsys):
     assert capsys.readouterr().out == "[(t + 2)] + [(t + 3)]\n"
 
 
+def test_cli_unknown_field_exits_2(tmp_path, capsys):
+    script = write(tmp_path, "let R = ring(x)\nlet A = chart(R)\n")
+    code = cli.main(["--script", script, "--field", "Fp:x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "chowcalc: unknown field 'Fp:x' (expected QQ or Fp:<p>)\n"
+
+
 def test_cli_parse_error_exits_2(tmp_path, capsys):
     script = write(tmp_path, "let = bogus(\n")
     code = cli.main(["--script", script])

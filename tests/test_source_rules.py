@@ -229,6 +229,30 @@ def test_engine_names_one_rational_type():
     assert found == []
 
 
+def test_only_module_constructors_and_vector_kernels_take_a_chart_ideal():
+    # a module carries its algebra: functions of a module read M.modulo, so
+    # the chart ideal is set only where a module is built, or handed to the
+    # kernels that work on bare coordinate vectors
+    def functions(body, prefix=""):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+                yield from functions(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, ast.ClassDef):
+                yield from functions(node.body, f"{prefix}{node.name}.")
+
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, fn in functions(tree.body):
+            args = fn.args
+            if any(a.arg == "modulo" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                found.add(f"{path.name}:{name}")
+    assert found == {"homology.py:FPModule.__init__", "homology.py:FPModule.free",
+                     "homology.py:FPModule.cyclic", "homology.py:coefficient_module",
+                     "homology.py:syzygies", "homology.py:fold_modulo"}
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these by name and fails mid-run on a missing one;
     # its list is read as text, so nothing of the benchmark is imported
