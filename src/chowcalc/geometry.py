@@ -38,7 +38,7 @@ class Chart:
         if not isinstance(ideal, Ideal):
             ideal = Ideal(ring, ideal)
         if ideal.ring != ring:
-            raise EngineError("chart ideal from a different ring")
+            raise RingMismatchError("chart ideal from a different ring")
         if ideal.is_unit():
             raise EngineError(f"chart {name!r} would be empty")
         self.name = name
@@ -101,7 +101,7 @@ class Chart:
         if isinstance(f, str):
             f = self.ring.parse(f)
         if f.ring != self.ring:
-            raise EngineError("localizing at an element of a different ring")
+            raise RingMismatchError("localizing at an element of a different ring")
         if inv_name is None:
             (inv_name,) = fresh_names(("u",), set(self.ring.names), "_")
         elif inv_name in self.ring.names:
@@ -184,7 +184,7 @@ class Cycle:
             if m == 0:
                 continue
             if p.ring != chart.ring:
-                raise EngineError("cycle prime from a different ring")
+                raise RingMismatchError("cycle prime from a different ring")
             if codim(p, chart) != grade:
                 raise EngineError(
                     f"{p} has codimension {codim(p, chart)} on {chart.name}, "
@@ -311,7 +311,7 @@ def cycle_of_subscheme(I, chart, grade=None):
     total = I + chart.ideal
     if grade is None:
         grade = min((codim(p, chart) for p in minimal_primes(total)), default=0)
-    return _cycle_from_support(FPModule.cyclic(total, chart.ideal), total, chart, grade)
+    return _cycle_from_support(FPModule.cyclic(I, chart.ideal), total, chart, grade)
 
 
 def point_cycle(chart, I):
@@ -334,7 +334,7 @@ class CartierDivisor:
         den = ring.one if den is None else (ring.parse(den) if isinstance(den, str) else den)
         for part in (num, den):
             if part.ring != ring:
-                raise EngineError("divisor data from a different ring")
+                raise RingMismatchError("divisor data from a different ring")
             # a nonzero constant is a unit, and ring/(0) is a domain
             obvious = not part.is_zero() and (part.is_constant() or not chart.ideal.gens)
             if not (obvious or is_regular_element(part, chart.ideal)):

@@ -104,7 +104,7 @@ def product_ring(*rings):
     order, and one {old name: new name} dict per factor."""
     field = rings[0].field
     if any(R.field != field for R in rings):
-        raise EngineError("product of charts over different fields")
+        raise RingMismatchError("product of charts over different fields")
     taken = set()
     names = [fresh_names(R.names, taken, "_r") for R in rings]
     renames = [dict(zip(R.names, nm)) for R, nm in zip(rings, names)]

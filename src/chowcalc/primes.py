@@ -44,10 +44,11 @@ of the rest are answered without sympy: c*y + b (c a nonzero constant, y
 not in b) and a binomial whose two exponents differ by a primitive vector
 are irreducible on sight; a quadric with a square term, in odd
 characteristic, splits by completing the square; a*x + b with a and b in
-one other variable y splits off its gcd in k[y] by Gauss's lemma, and the
-gcd is factored in turn.  Every other polynomial goes to sympy's sparse
-polynomial rings, over QQ in its own variables and over F_p in its one
-variable (a homogeneous bivariate one through its dehomogenization).
+one other variable y splits off gcd(a, b) by Gauss's lemma, the gcd read
+off the reduced basis of (a, b) and factored in turn, the cofactor an exact
+division.  Every other polynomial goes to sympy's sparse polynomial rings,
+over QQ in its own variables and over F_p in its one variable (a
+homogeneous bivariate one through its dehomogenization).
 
 Local lengths and generic ranks share one kernel.  With S a largest set of
 variables independent modulo p's leading ideal, M's reduced relation basis
@@ -204,60 +205,29 @@ def _quadric_factors(f):
     return [(lin - L, 1), (lin + L, 1)]
 
 
-def _stripped(a):
-    """A univariate coefficient list (top degree first) without leading
-    zeros."""
-    k = 0
-    while k < len(a) and not a[k]:
-        k += 1
-    return a[k:]
-
-
-def _divmod(a, b, field):
-    """Quotient and remainder of univariate coefficient lists (top degree
-    first, b's leading coefficient nonzero)."""
-    a = list(a)
-    inv = field.inv(b[0])
-    quo = []
-    while len(a) >= len(b):
-        c = field.mul(a.pop(0), inv)
-        quo.append(c)
-        for i in range(1, len(b)):
-            a[i - 1] = field.sub(a[i - 1], field.mul(c, b[i]))
-    return quo, _stripped(a)
-
-
 def _gauss_split(f):
     """(g, f/g) for f = a*x + b with a and b in k[y], y the one other
-    variable of f, and g the monic gcd of a and b (Euclid in k[y]); None
-    for other shapes.  The cofactor, primitive of degree one in x over
-    k[y], is irreducible (Gauss's lemma; von zur Gathen & Gerhard, Modern
-    Computer Algebra, 6.2)."""
+    variable of f, and g the monic gcd of a and b; None for other shapes.
+    k[y] is a principal ideal domain, so (a, b) = (g) there, and the reduced
+    Gröbner basis of a nonzero principal ideal is its monic generator; it
+    stays the reduced basis in a ring with more variables (Cox, Little &
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 1 §5 and ch. 2 §7).  So
+    g is the one element of the reduced basis of (a, b), and f/g an exact
+    division.  The cofactor, primitive of degree one in x over k[y], is
+    irreducible (Gauss's lemma; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 6.2)."""
     support = f.support()
     if len(support) != 2:
         return None
     x = next((i for i in sorted(support) if max(e[i] for e, _ in f.terms) == 1), None)
     if x is None:
         return None
-    (y,) = support - {x}
     ring = f.ring
-    field = ring.field
-    top = max(e[y] for e, _ in f.terms)
-    a, b = [field.zero] * (top + 1), [field.zero] * (top + 1)
+    parts = ({}, {})
     for e, c in f.terms:
-        (a if e[x] else b)[top - e[y]] = c
-    a, b = _stripped(a), _stripped(b)
-    g, r = a, b
-    while r:
-        g, r = r, _divmod(g, r, field)[1]
-    g = [field.div(c, g[0]) for c in g]
-
-    def poly(coeffs, ex):
-        n = len(coeffs) - 1
-        return ring.from_dict({tuple(ex if i == x else n - k if i == y else 0
-                                     for i in range(ring.nvars)): c
-                               for k, c in enumerate(coeffs)})
-    return poly(g, 0), poly(_divmod(a, g, field)[0], 1) + poly(_divmod(b, g, field)[0], 0)
+        parts[e[x]][e[:x] + (0,) + e[x + 1:]] = c
+    (g,) = Ideal(ring, map(ring.from_dict, parts)).groebner_basis()
+    return g, divide_exact(f, g)
 
 
 def _factor_homogeneous_bivariate(f):
@@ -313,8 +283,8 @@ def factor(f):
     content x^J is divided out first (_monomial_content).  The rest is
     answered without sympy when it is c*y + b (_degree_one_alone), a
     primitive binomial (_is_primitive_binomial), a quadric
-    (_quadric_factors) or a*x + b over k[y] (_gauss_split, whose gcd in
-    k[y] goes round the same loop); any other polynomial goes to sympy
+    (_quadric_factors) or a*x + b over k[y] (_gauss_split, whose gcd, the
+    reduced basis of (a, b), goes round the same loop); any other polynomial goes to sympy
     (_factor_with_sympy), over F_p in several variables through its
     dehomogenization (_factor_homogeneous_bivariate)."""
     out = []

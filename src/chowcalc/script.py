@@ -50,7 +50,7 @@ import re
 from .correspondences import correspondence_degree
 from .correspondences import compose as compose_correspondences
 from .correspondences import graph as graph_of_map
-from .errors import EngineError
+from .errors import EngineError, RingMismatchError
 from .fields import QQ, field_from_name
 from .geometry import (CartierDivisor, Chart, cycle_of_subscheme,
                        point_cycle, principal_atlas, restrict_cycle,
@@ -235,7 +235,7 @@ class Interpreter:
             else:
                 I = self._lookup(inner, {"ideal"})[1]
                 if I.ring != chart.ring:
-                    raise EngineError(
+                    raise RingMismatchError(
                         f"ideal {inner!r} lives on a different ring")
             piece = mult * cycle_of_subscheme(I, chart)
             total = piece if total is None else total + piece

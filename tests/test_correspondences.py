@@ -5,7 +5,7 @@ import pytest
 from chowcalc.correspondences import (Correspondence, ProductChart, compose,
                                       correspondence_degree, graph,
                                       identity_correspondence)
-from chowcalc.errors import EngineError
+from chowcalc.errors import EngineError, RingMismatchError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import Chart
 from chowcalc.groebner import Ideal
@@ -47,7 +47,7 @@ def test_triple_product_names_match_compose():
 
 
 def test_product_of_charts_over_different_fields_is_rejected():
-    with pytest.raises(EngineError, match="different fields"):
+    with pytest.raises(RingMismatchError, match="^product of charts over different fields$"):
         ProductChart(line("X", "t"), line("Y", "t", GF(5)))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chowcalc import geometry as geometry_module
+from chowcalc import homology as homology_module
 from chowcalc.errors import DecompositionError, EngineError, GlueError, RingMismatchError
 from chowcalc.fields import GF, QQ
 from chowcalc.geometry import (CartierDivisor, Chart, ChartedSpace, Cycle, codim,
@@ -104,6 +105,22 @@ def test_cycle_of_subscheme():
     assert cycle_of_subscheme(Ideal(R2, ("1",)), PLANE).is_zero()
 
 
+def test_cycle_of_subscheme_folds_the_chart_ideal_in_once(monkeypatch):
+    # on the parabola, A/(x - 1) is presented by one relation over A; the
+    # chart ideal joins it once, in the module's own basis
+    sizes = []
+    original = homology_module.buchberger
+
+    def spy(vecs, *args):
+        sizes.append(len(vecs))
+        return original(vecs, *args)
+
+    monkeypatch.setattr(homology_module, "buchberger", spy)
+    c = cycle_of_subscheme(Ideal(R2, ("x - 1",)), PARABOLA)
+    assert str(c) == "[(x - 1, y - 1)]"
+    assert sizes == [2]
+
+
 def test_point_cycle_degree_with_residue_extension():
     R1 = PolynomialRing(QQ, ("t",))
     line = Chart("A1", R1)
@@ -134,6 +151,29 @@ def test_cycle_of_module_needs_a_module_over_the_charts_algebra():
         cycle_of_module(FPModule.free(R3, 1), PLANE, 0)
     on_parabola = FPModule.cyclic(Ideal(R2, ("x",)), PARABOLA.ideal)
     assert str(cycle_of_module(on_parabola, PARABOLA, 1)) == "[(x, y)]"
+
+
+def test_chart_ideal_from_another_ring_is_a_ring_mismatch():
+    with pytest.raises(RingMismatchError, match="^chart ideal from a different ring$"):
+        Chart("bad", R2, Ideal(R3, ("x",)))
+
+
+def test_localizing_at_an_element_of_another_ring_is_a_ring_mismatch():
+    with pytest.raises(RingMismatchError,
+                       match="^localizing at an element of a different ring$"):
+        PLANE.localize(R3.parse("x"))
+
+
+def test_cycle_prime_from_another_ring_is_a_ring_mismatch():
+    with pytest.raises(RingMismatchError, match="^cycle prime from a different ring$"):
+        Cycle(PLANE, 1, {_prime(R3, "x"): 1})
+
+
+def test_divisor_data_from_another_ring_is_a_ring_mismatch():
+    with pytest.raises(RingMismatchError, match="^divisor data from a different ring$"):
+        CartierDivisor(PLANE, R3.parse("x"))
+    with pytest.raises(RingMismatchError, match="^divisor data from a different ring$"):
+        CartierDivisor(PLANE, "x", R3.parse("y"))
 
 
 def test_cartier_divisor_weil_cycles():

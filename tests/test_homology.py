@@ -128,6 +128,15 @@ def test_module_and_chart_ideal_share_a_ring():
         FPModule.free(R2, 1, Ideal(R1, ("x",)))
 
 
+def test_tor_modules_run_to_the_number_of_variables_by_default():
+    # Tor_i vanishes above the global dimension nvars of k[x_1..x_n]
+    M = FPModule.cyclic(Ideal(R2, ("x",)))
+    N = FPModule.cyclic(Ideal(R2, ("x", "y")))
+    tors = tor_modules(M, N)
+    assert len(tors) == R2.nvars + 1
+    assert [is_zero_module(T) for T in tors] == [False, False, True]
+
+
 def test_tor_modules_are_over_the_algebra_of_their_inputs():
     J = Ideal(R2, ("y",))
     M = FPModule.cyclic(Ideal(R2, ("x",)), J)

@@ -90,6 +90,16 @@ def test_factor_finite_field_quadric_without_a_square_root():
         ("x^2 + y^2 + 1",)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_quadric_whose_discriminant_has_no_square_term_is_irreducible(field, monkeypatch):
+    # y^2 + x*z + x completes to D = -4*(x*z + x): a nonconstant D with no
+    # square term is no square, so f is irreducible without sympy
+    monkeypatch.setattr(primes_module, "_factor_with_sympy", None)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    f = ring.parse("y^2 + x*z + x")
+    assert factor(f) == [(f, 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_linear_shortcut_matches_the_sympy_route(data):
@@ -667,6 +677,23 @@ def test_decomposition_error_outside_fragment():
     F5 = PolynomialRing(GF(5), ("x", "y"))
     with pytest.raises(DecompositionError):
         minimal_primes(Ideal(F5, ("x^3 + y^3 + 1",)))
+
+
+@pytest.mark.parametrize("field, name", [(QQ, "QQ"), (GF(7), "Fp:7")])
+def test_a_shape_no_step_reaches_raises_with_the_ideal(field, name):
+    # neither generator factors or eliminates a variable, the ideal is not
+    # zero-dimensional and no eliminant splits
+    gens = ("x^2 + y^3 + z^2", "x^3 + y^2*z + z^3")
+    message = ("ideal shape outside the certification fragment: "
+               "(x^3 + y^2*z + z^3, y^3 + x^2 + z^2)")
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    with pytest.raises(DecompositionError) as info:
+        minimal_primes(Ideal(ring, gens))
+    assert str(info.value) == message
+    report, code = run_script(f"field {name}\nlet R = ring(x, y, z)\n"
+                              f"let I = ideal(R; {', '.join(gens)})\nprint [I]\n")
+    assert code == 1
+    assert report["error"] == {"line": 4, "message": message}
 
 
 def test_a_failure_on_every_elimination_candidate_raises_the_first():

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from chowcalc import cli
-from chowcalc.script import (ScriptParseError, render_report, run_script)
+from chowcalc.errors import RingMismatchError
+from chowcalc.script import (Interpreter, ScriptParseError, render_report, run_script)
 
 
 def run(text, field=None):
@@ -364,6 +365,19 @@ def test_cli_exits_1_for_cycles_off_their_chart(tmp_path, capsys, statements, me
     code = cli.main(["--script", write(tmp_path, OFF_CHART_HEADER + statements)])
     assert code == 1
     assert capsys.readouterr().out.splitlines()[-1] == f"error: {message}"
+
+
+def test_a_cycle_of_an_ideal_on_another_ring_is_a_ring_mismatch():
+    lines = ["let R = ring(x, y)", "let S = ring(t)", "let A = chart(R)",
+             "let I = ideal(S; t)", "let C = cycle(A; [I])"]
+    interp = Interpreter()
+    for line in lines[:-1]:
+        interp.execute(line)
+    with pytest.raises(RingMismatchError, match="^ideal 'I' lives on a different ring$"):
+        interp.execute(lines[-1])
+    report, code, _ = run("\n".join(lines))
+    assert code == 1
+    assert report["error"] == {"line": 5, "message": "ideal 'I' lives on a different ring"}
 
 
 def test_assert_equal_failure_sets_exit_code():

@@ -270,3 +270,22 @@ def test_benchmark_traced_names_resolve():
         if not inspect.isfunction(target):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+def test_ring_and_field_mismatches_raise_ring_mismatch_error():
+    # a caller catching RingMismatchError sees every mismatch of rings or
+    # fields, wherever in the engine it is found
+    phrases = ("different ring", "across rings", "different field", "base fields")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            text = " ".join(part.value for part in ast.walk(node.exc)
+                            if isinstance(part, ast.Constant) and isinstance(part.value, str))
+            if (any(phrase in text for phrase in phrases)
+                    and not (isinstance(node.exc, ast.Call)
+                             and getattr(node.exc.func, "id", None) == "RingMismatchError")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
